@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 
@@ -81,39 +80,27 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _parse_grid(text, parser):
-    """`min:max:step` or a strictly ascending comma list."""
-    if ":" in text:
+def _parse_grid(text, parser, lists=True):
+    """`min:max:step`, or a strictly ascending comma list where `lists` is set.
+
+    Returns the grid nodes and the (min, max, step) triple, None for a list.
+    """
+    if ":" in text or not lists:
         parts = text.split(":")
         if len(parts) != 3:
             parser.error(f"grid must be min:max:step, got {text!r}")
         try:
-            lo, hi, step = (float(p) for p in parts)
+            triple = tuple(float(p) for p in parts)
         except ValueError:
             parser.error(f"non-numeric grid bound in {text!r}")
         try:
-            return kappa_grid(lo, hi, step)
+            return kappa_grid(*triple), triple
         except ValueError as exc:
             parser.error(str(exc))
-    try:
-        vals = [float(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        parser.error(f"non-numeric grid value in {text!r}")
-    if not vals:
-        parser.error("empty grid")
+    vals = _parse_list(text, parser)
     if any(b <= a for a, b in zip(vals, vals[1:])):
         parser.error("explicit grid values must be strictly ascending")
-    return vals
-
-
-def _parse_triple(text, parser):
-    parts = text.split(":")
-    if len(parts) != 3:
-        parser.error(f"grid must be min:max:step, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        parser.error(f"non-numeric grid bound in {text!r}")
+    return vals, None
 
 
 def _parse_list(text, parser):
@@ -129,18 +116,6 @@ def _parse_list(text, parser):
 def _physics(args):
     n0 = args.n0 if args.n0 is not None else 1.0 / args.lambda0
     return EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0, n0=n0)
-
-
-def _threads(args):
-    """--threads, capped by HELIRAD_THREADS when set (env 0 = auto)."""
-    env = os.environ.get("HELIRAD_THREADS")
-    flag = args.threads
-    if env is None:
-        return flag if flag is not None else 1
-    cap = int(env)
-    if flag is None or cap == 0:
-        return cap if flag is None else flag
-    return min(flag, cap)
 
 
 def _add_physics_flags(p):
@@ -166,34 +141,31 @@ def _table_rows(table):
 
 def cmd_spectrum(args):
     parser = args.parser
-    grid = _parse_grid(args.kappa, parser)
+    grid, _ = _parse_grid(args.kappa, parser)
     physics = _physics(args)
-    threads = _threads(args)
     if args.geometry == "line":
         if args.omega is not None or args.radius is not None or args.order is not None:
             parser.error("line takes no --omega/--radius/--order")
-        table = line_table(grid, physics, threads=threads)
+        table = line_table(grid, physics)
     elif args.geometry == "helix":
         if args.omega is None or args.radius is None:
             parser.error("helix requires --omega and --radius")
         if args.order is not None:
             parser.error("--order applies to cylinder only")
         spec = HelixSpec(Omega=args.omega, r=args.radius)
-        table = sweep(grid, spec, physics, M=args.M, threads=threads)
+        table = sweep(grid, spec, physics, M=args.M)
     else:
         if args.radius is None:
             parser.error("cylinder requires --radius")
         if args.omega is not None:
             parser.error("--omega applies to helix only")
-        table = cylinder_table(grid, args.order or 0, args.radius, physics,
-                               threads=threads)
+        table = cylinder_table(grid, args.order or 0, args.radius, physics)
     text = _csv("kappa,gamma_norm,lamb_norm,gamma_over_gamma,class",
                 _table_rows(table))
     params = {
         "geometry": args.geometry, "kappa": args.kappa, "M": args.M,
         "omega": args.omega, "radius": args.radius, "order": args.order,
         "lambda0": physics.lambda0, "gamma": physics.gamma, "n0": physics.n0,
-        "threads": threads,
     }
     _write_output(args.output, text, "spectrum", params)
     return 0
@@ -218,11 +190,10 @@ def cmd_trapped(args):
 
 def cmd_thermal(args):
     parser = args.parser
-    lo, hi, step = _parse_triple(args.kappa, parser)
+    _, (lo, hi, step) = _parse_grid(args.kappa, parser, lists=False)
     config = ThermalConfig(beta=args.beta, kappa_min=lo, kappa_max=hi,
                            kappa_step=step, M=args.M)
     physics = _physics(args)
-    threads = _threads(args)
     if args.series == "helix-fix-omega":
         if args.omega is None or args.r is None:
             parser.error("helix-fix-omega requires --omega (fixed) and --r (x list)")
@@ -246,14 +217,13 @@ def cmd_thermal(args):
             parser.error("--omega does not apply to the cylinder series")
         xs = _parse_list(args.r, parser)
         entries = list(xs)
-    results = thermal_sweep(entries, physics, config, threads=threads)
+    results = thermal_sweep(entries, physics, config)
     rows = [(x, res.gamma_th) for x, (_, res) in zip(xs, results)]
     text = _csv("x,gamma_th", rows)
     params = {
         "series": args.series, "omega": args.omega, "r": args.r,
         "beta": args.beta, "kappa": args.kappa, "M": args.M,
         "lambda0": physics.lambda0, "gamma": physics.gamma, "n0": physics.n0,
-        "threads": threads,
     }
     _write_output(args.output, text, "thermal", params)
     return 0
@@ -261,7 +231,7 @@ def cmd_thermal(args):
 
 def cmd_discrete_line(args):
     parser = args.parser
-    grid = _parse_grid(args.kappa, parser)
+    grid, _ = _parse_grid(args.kappa, parser)
     orientation = Orientation(args.orientation)
     k0d = 2.0 * math.pi * args.d_over_lambda
     params = DiscreteLineParams(k0d=k0d, orientation=orientation)
@@ -389,7 +359,6 @@ def build_parser():
     p.add_argument("--order", type=int, default=None, help="cylinder order n")
     p.add_argument("--M", type=int, default=10,
                    help="Lamb-shift truncation half-width (default 10)")
-    p.add_argument("--threads", type=int, default=None)
     _add_physics_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_spectrum, parser=p)
@@ -409,7 +378,6 @@ def build_parser():
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--kappa", default="0:5:0.01", help="grid as min:max:step")
     p.add_argument("--M", type=int, default=10)
-    p.add_argument("--threads", type=int, default=None)
     _add_physics_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_thermal, parser=p)

@@ -30,6 +30,11 @@ _TWO_PI = 2.0 * math.pi
 ORACLE_SIZE_LIMIT = 4000
 
 
+def _check_oracle_size(n: int):
+    if n > ORACLE_SIZE_LIMIT:
+        raise ValueError(f"N = {n} exceeds the dense-solver limit {ORACLE_SIZE_LIMIT}")
+
+
 class Orientation(enum.Enum):
     PARALLEL = "par"
     PERPENDICULAR = "perp"
@@ -126,11 +131,13 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
 
     The diagonal keeps the finite imaginary part of the zero-separation
     kernel limit and drops the divergent real self-energy, giving
-    M_jj = gamma.
+    M_jj = gamma.  Clouds beyond ORACLE_SIZE_LIMIT are refused before the
+    N x N arrays are allocated.
     """
+    n = cloud.count
+    _check_oracle_size(n)
     pos = cloud.positions
     dist = cdist(pos, pos)
-    n = cloud.count
     off = ~np.eye(n, dtype=bool)
     if n > 1 and dist[off].min() <= 0.0:
         j, k = divmod(int(np.argmin(np.where(off, dist, np.inf))), n)
@@ -151,10 +158,7 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] > ORACLE_SIZE_LIMIT:
-        raise ValueError(
-            f"N = {m.shape[0]} exceeds the dense-solver limit {ORACLE_SIZE_LIMIT}"
-        )
+    _check_oracle_size(m.shape[0])
     try:
         w = scipy.linalg.eigvals(m)
     except scipy.linalg.LinAlgError as exc:

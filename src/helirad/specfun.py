@@ -13,8 +13,7 @@ Two conventions run through everything here:
   finite results, never NaN.  The only such divergence is the m = 0,
   zero-argument product J_0 H_0^(1)(0) = 1 - i*inf.
 
-All functions are pure and hold no mutable state, so they are safe to call
-from any number of threads.
+All functions are pure and hold no mutable state.
 """
 
 import cmath
@@ -22,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as _sp
 
 EULER_GAMMA = 0.5772156649015329
@@ -44,11 +44,6 @@ class BesselArg:
     def __post_init__(self):
         if not (self.magnitude >= 0.0):
             raise ValueError(f"Bessel argument magnitude must be >= 0, got {self.magnitude}")
-
-
-def euler_gamma() -> float:
-    """The Euler-Mascheroni constant."""
-    return EULER_GAMMA
 
 
 def bessel_j(m: int, x: float) -> float:
@@ -99,6 +94,50 @@ def bessel_ik(m: int, x: float) -> tuple:
     return i, k
 
 
+def jh_products(m: int, x, imaginary) -> tuple:
+    """(Re, Im) arrays of J_m H_m^(1) over an array of magnitudes x >= 0.
+
+    `imaginary` is a boolean mask, or one bool for the whole array: where it
+    holds, the magnitude stands for the argument ix.  Each branch (real J Y,
+    imaginary scaled I K, zero-argument sentinel) is evaluated only where it
+    applies and gives the values jh_product documents.  This is the one place
+    the products are formed.
+    """
+    m = abs(int(m))
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
+        raise ValueError(
+            f"Bessel argument magnitude must be >= 0, got {x[~(x >= 0.0)][0]}"
+        )
+    zero = x == 0.0
+    real = ~zero & ~np.asarray(imaginary, dtype=bool)
+    imag = ~zero & ~real
+    re = np.zeros(x.shape)
+    im = np.empty(x.shape)
+    if m == 0:
+        re[zero] = 1.0
+        im[zero] = -np.inf
+    else:
+        im[zero] = -1.0 / (m * math.pi)
+    with np.errstate(invalid="ignore", over="ignore"):
+        j = _sp.jv(m, x[real])
+        p = j * _sp.yv(m, x[real])
+        re[real] = j * j
+        # scaled forms: ive = I e^-x, kve = K e^x, so the exponentials cancel
+        q = _sp.ive(m, x[imag]) * _sp.kve(m, x[imag])
+    bad = ~np.isfinite(p)
+    if bad.any():
+        # deep in the m >> x regime J underflows while Y overflows;
+        # the product limit there is -1/(m pi) to O(x^2/m)
+        p[bad] = -1.0 / (m * math.pi)
+    im[real] = p
+    bad = ~np.isfinite(q)
+    if bad.any():
+        q[bad] = 0.5 / m  # small-argument limit of I_m K_m, same regime as above
+    im[imag] = -(2.0 / math.pi) * q
+    return re, im
+
+
 def jh_product(m: int, arg: BesselArg) -> complex:
     """J_m H_m^(1) evaluated at a real or purely imaginary argument.
 
@@ -109,26 +148,8 @@ def jh_product(m: int, arg: BesselArg) -> complex:
 
     The product is even in m, so the order is reduced to |m| up front.
     """
-    m = abs(int(m))
-    x = arg.magnitude
-    if x == 0.0:
-        if m == 0:
-            return complex(1.0, float("-inf"))
-        return complex(0.0, -1.0 / (m * math.pi))
-    if arg.kind is ArgKind.REAL:
-        j = bessel_j(m, x)
-        y = float(_sp.yv(m, x))
-        p = j * y
-        if not math.isfinite(p):
-            # deep in the m >> x regime J underflows while Y overflows;
-            # the product limit there is -1/(m pi) to O(x^2/m)
-            p = -1.0 / (m * math.pi)
-        return complex(j * j, p)
-    # scaled forms: ive = I e^-x, kve = K e^x, so the exponentials cancel
-    p = float(_sp.ive(m, x)) * float(_sp.kve(m, x))
-    if not math.isfinite(p):
-        p = 0.5 / m  # small-argument limit of I_m K_m, same regime as above
-    return complex(0.0, -(2.0 / math.pi) * p)
+    re, im = jh_products(m, [arg.magnitude], arg.kind is ArgKind.IMAGINARY)
+    return complex(re[0], im[0])
 
 
 # zeta(s - k) coefficients for the unit-circle polylog expansion; trivial
@@ -139,13 +160,19 @@ _BERNOULLI = _sp.bernoulli(72)
 def _zeta_int(n: int) -> float:
     if n >= 2:
         return float(_sp.zeta(n))
-    if n == 1:
-        raise ValueError("zeta pole at 1")
     if n == 0:
         # the -B_{k+1}/(k+1) identity needs B_1 = +1/2, scipy uses -1/2
         return -0.5
     k = -n
     return -float(_BERNOULLI[k + 1]) / (k + 1)
+
+
+# zeta(s - k) for k < 64, built once per order; None marks the k = s - 1
+# pole, whose term polylog_unit_circle replaces by its finite part
+_ZETA_SERIES = {
+    s: [None if k == s - 1 else _zeta_int(s - k) for k in range(64)]
+    for s in (2, 3)
+}
 
 
 def polylog_unit_circle(s: int, phase: float) -> complex:
@@ -161,15 +188,12 @@ def polylog_unit_circle(s: int, phase: float) -> complex:
         raise ValueError(f"polylog order must be 2 or 3, got {s}")
     t = math.remainder(float(phase), _TWO_PI)
     if t == 0.0:
-        return complex(_zeta_int(s), 0.0)
+        return complex(_ZETA_SERIES[s][0], 0.0)
     mu = complex(0.0, t)
     log_term = (1.0 if s == 2 else 1.5) - cmath.log(-mu)
     total = 0.0 + 0.0j
     muk = 1.0 + 0.0j  # mu^k / k!
-    for k in range(64):
-        if k == s - 1:
-            total += muk * log_term
-        else:
-            total += muk * _zeta_int(s - k)
+    for k, zeta in enumerate(_ZETA_SERIES[s]):
+        total += muk * (log_term if zeta is None else zeta)
         muk *= mu / (k + 1)
     return total

@@ -22,15 +22,13 @@ contribute.
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import EULER_GAMMA, ArgKind, BesselArg, jh_product
+from .specfun import EULER_GAMMA, jh_products
 
 _TWO_PI = 2.0 * math.pi
 
@@ -41,6 +39,9 @@ RADICAND_TOL = 1e-14
 # relative slack when snapping (kappa -+ 1)/Omega to an integer, keeping
 # ceil/floor consistent with exact arithmetic on decimal inputs
 _SNAP_TOL = 1e-9
+
+# kappa_grid refuses grids longer than this before allocating them
+MAX_GRID_POINTS = 1_000_000
 
 LINE_LAMB_NORMALIZATION = "k0*E/(gamma*n0)"
 HELIX_LAMB_NORMALIZATION = "k0*E/(pi*gamma*n0)"
@@ -170,14 +171,6 @@ def m_bounds(kappa: float, Omega: float) -> MBounds:
     return MBounds(int(lo), int(hi))
 
 
-def _radicand(kappa: float, Omega: float, m) -> float:
-    u = kappa - m * Omega
-    rad = (1.0 - u) * (1.0 + u)
-    if abs(rad) <= RADICAND_TOL:
-        return 0.0
-    return rad
-
-
 def helix_decay_norm(kappa: float, spec: HelixSpec) -> float:
     """Normalized helix decay rate: sum of J_m^2 over the real-argument orders.
 
@@ -195,6 +188,44 @@ def helix_decay_norm(kappa: float, spec: HelixSpec) -> float:
     return float(np.sum(vals * vals))
 
 
+def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int,
+            real_only: bool = False) -> tuple:
+    """(Re, Im) arrays of the sum of J_m H_m^(1) over m = m_lo..m_hi per kappa.
+
+    Order m takes the argument r sqrt|1 - (kappa - m Omega)^2|, imaginary
+    where the radicand is negative; real_only clamps a negative radicand to
+    0 instead.  The cylinder is the single order n at Omega = 0.  Orders run
+    outermost and left to right, so each kappa sees the additions of a
+    one-point loop in the same order and gets the same bits.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    re = np.zeros(kappa.shape)
+    im = np.zeros(kappa.shape)
+    for m in range(m_lo, m_hi + 1):
+        u = kappa - m * Omega
+        rad = (1.0 - u) * (1.0 + u)
+        rad[np.abs(rad) <= RADICAND_TOL] = 0.0
+        if real_only:
+            rad = np.maximum(rad, 0.0)
+        p_re, p_im = jh_products(m, np.sqrt(np.abs(rad)) * r, rad < 0.0)
+        re += p_re
+        im += p_im
+    return re, im
+
+
+def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
+    if M < 0:
+        raise ValueError(f"truncation half-width M must be >= 0, got {M}")
+    for kappa in kappa_grid:
+        b = m_bounds(kappa, spec.Omega)
+        if not b.empty and (b.m_min < -M or b.m_max > M):
+            raise ValueError(
+                f"M={M} excludes real-argument orders [{b.m_min}, {b.m_max}]; "
+                f"raise the truncation"
+            )
+    return _jh_sum(kappa_grid, spec.Omega, spec.r, -M, M)[1]
+
+
 def helix_lamb_norm(kappa: float, spec: HelixSpec, M: int = 10) -> float:
     """Truncated helix Lamb shift: Im J_m H_m^(1) summed over m in [-M, M].
 
@@ -203,23 +234,7 @@ def helix_lamb_norm(kappa: float, spec: HelixSpec, M: int = 10) -> float:
     -inf sentinel when the m = 0 term hits its zero-argument divergence
     (kappa = +-1).
     """
-    if M < 0:
-        raise ValueError(f"truncation half-width M must be >= 0, got {M}")
-    b = m_bounds(kappa, spec.Omega)
-    if not b.empty and (b.m_min < -M or b.m_max > M):
-        raise ValueError(
-            f"M={M} excludes real-argument orders [{b.m_min}, {b.m_max}]; "
-            f"raise the truncation"
-        )
-    total = 0.0
-    for m in range(-M, M + 1):
-        rad = _radicand(kappa, spec.Omega, m)
-        if rad >= 0.0:
-            arg = BesselArg(ArgKind.REAL, math.sqrt(rad) * spec.r)
-        else:
-            arg = BesselArg(ArgKind.IMAGINARY, math.sqrt(-rad) * spec.r)
-        total += jh_product(m, arg).imag
-    return total
+    return float(_helix_lamb([kappa], spec, M)[0])
 
 
 def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
@@ -230,14 +245,14 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     Empty bounds give 0 (the empty sum).
     """
     b = m_bounds(kappa, spec.Omega)
-    if b.empty:
-        return 0.0
-    total = 0.0
-    for m in range(b.m_min, b.m_max + 1):
-        rad = _radicand(kappa, spec.Omega, m)
-        rad = max(rad, 0.0)
-        total += jh_product(m, BesselArg(ArgKind.REAL, math.sqrt(rad) * spec.r)).imag
-    return total
+    im = _jh_sum([kappa], spec.Omega, spec.r, b.m_min, b.m_max, real_only=True)[1]
+    return float(im[0])
+
+
+def _cylinder_sum(n: int, kappa, r: float) -> tuple:
+    if r < 0.0:
+        raise ValueError(f"cylinder radius must be >= 0, got {r}")
+    return _jh_sum(kappa, 0.0, r, int(n), int(n))
 
 
 def cylinder_norms(n: int, kappa: float, r: float) -> tuple:
@@ -248,17 +263,8 @@ def cylinder_norms(n: int, kappa: float, r: float) -> tuple:
     -(2/pi) I_n K_n outside.  These are the n-th order analogues of the
     single-order helix terms and share their normalization.
     """
-    if r < 0.0:
-        raise ValueError(f"cylinder radius must be >= 0, got {r}")
-    rad = (1.0 - kappa) * (1.0 + kappa)
-    if abs(rad) <= RADICAND_TOL:
-        rad = 0.0
-    if rad >= 0.0:
-        arg = BesselArg(ArgKind.REAL, math.sqrt(rad) * r)
-    else:
-        arg = BesselArg(ArgKind.IMAGINARY, math.sqrt(-rad) * r)
-    p = jh_product(n, arg)
-    return p.real, p.imag
+    g, e = _cylinder_sum(n, [kappa], r)
+    return float(g[0]), float(e[0])
 
 
 def cylinder_eigen(n: int, kappa: float, r: float, physics: EmitterPhysics) -> tuple:
@@ -297,21 +303,8 @@ def trapped_intervals(Omega: float, kappa_max: float) -> TrappedIntervals:
     return TrappedIntervals(tuple(out), (Omega - 2.0) / Omega)
 
 
-def classify(kappa: float, spec: HelixSpec, physics: EmitterPhysics, M: int = 10) -> EigenPoint:
-    """Full helix eigenpoint at one kappa: rates, shift, and the 0/1-threshold class."""
-    g = helix_decay_norm(kappa, spec)
-    lamb = helix_lamb_norm(kappa, spec, M)
-    gog = physics.n0 * physics.lambda0 * g
-    if gog == 0.0:
-        cls = Classification.TRAPPED
-    elif gog > 1.0:
-        cls = Classification.SUPERRADIANT
-    else:
-        cls = Classification.SUBRADIANT
-    return EigenPoint(kappa, g, lamb, gog, cls)
-
-
-def _classify_norms(kappa, gamma_norm, lamb_norm, physics):
+def _eigen_point(kappa, gamma_norm, lamb_norm, physics) -> EigenPoint:
+    # gamma/gamma_single against the strict 0/1 thresholds
     gog = physics.n0 * physics.lambda0 * gamma_norm
     if gog == 0.0:
         cls = Classification.TRAPPED
@@ -322,6 +315,12 @@ def _classify_norms(kappa, gamma_norm, lamb_norm, physics):
     return EigenPoint(kappa, gamma_norm, lamb_norm, gog, cls)
 
 
+def classify(kappa: float, spec: HelixSpec, physics: EmitterPhysics, M: int = 10) -> EigenPoint:
+    """Full helix eigenpoint at one kappa: rates, shift, and the 0/1-threshold class."""
+    return _eigen_point(kappa, helix_decay_norm(kappa, spec),
+                        helix_lamb_norm(kappa, spec, M), physics)
+
+
 def _check_ascending(kappa_grid):
     grid = [float(k) for k in kappa_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -329,67 +328,38 @@ def _check_ascending(kappa_grid):
     return grid
 
 
-def resolve_threads(threads) -> int:
-    """Map a thread-count request (None/0 = auto) to a concrete worker count."""
-    if threads is None or threads == 0:
-        return min(32, os.cpu_count() or 1)
-    n = int(threads)
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1 (or 0 for auto), got {threads}")
-    return n
-
-
-def _map_points(fn, grid, threads):
-    n = resolve_threads(threads)
-    if n == 1 or len(grid) < 4:
-        return [fn(k) for k in grid]
-    # per-point evaluation is pure, so ordered map keeps results identical
-    # to the serial loop regardless of scheduling
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, grid))
-
-
-def sweep(kappa_grid, spec: HelixSpec, physics: EmitterPhysics, M: int = 10,
-          threads=1) -> SpectrumTable:
+def sweep(kappa_grid, spec: HelixSpec, physics: EmitterPhysics, M: int = 10) -> SpectrumTable:
     """Helix eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-    pts = _map_points(lambda k: classify(k, spec, physics, M), grid, threads)
+    lamb = _helix_lamb(grid, spec, M).tolist()
     return SpectrumTable(
-        points=tuple(pts),
+        points=tuple(_eigen_point(k, helix_decay_norm(k, spec), e, physics)
+                     for k, e in zip(grid, lamb)),
         geometry="helix",
         lamb_normalization=HELIX_LAMB_NORMALIZATION,
         params={"Omega": spec.Omega, "r": spec.r, "M": M},
     )
 
 
-def line_table(kappa_grid, physics: EmitterPhysics, threads=1) -> SpectrumTable:
+def line_table(kappa_grid, physics: EmitterPhysics) -> SpectrumTable:
     """Line eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-
-    def point(k):
-        return _classify_norms(k, line_decay_norm(k), line_lamb_norm(k), physics)
-
-    pts = _map_points(point, grid, threads)
     return SpectrumTable(
-        points=tuple(pts),
+        points=tuple(_eigen_point(k, line_decay_norm(k), line_lamb_norm(k), physics)
+                     for k in grid),
         geometry="line",
         lamb_normalization=LINE_LAMB_NORMALIZATION,
         params={},
     )
 
 
-def cylinder_table(kappa_grid, n: int, r: float, physics: EmitterPhysics,
-                   threads=1) -> SpectrumTable:
+def cylinder_table(kappa_grid, n: int, r: float, physics: EmitterPhysics) -> SpectrumTable:
     """Cylinder order-n eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-
-    def point(k):
-        g, e = cylinder_norms(n, k, r)
-        return _classify_norms(k, g, e, physics)
-
-    pts = _map_points(point, grid, threads)
+    g, e = _cylinder_sum(n, grid, r)
     return SpectrumTable(
-        points=tuple(pts),
+        points=tuple(_eigen_point(k, gk, ek, physics)
+                     for k, gk, ek in zip(grid, g.tolist(), e.tolist())),
         geometry="cylinder",
         lamb_normalization=HELIX_LAMB_NORMALIZATION,
         params={"n": n, "r": r},
@@ -400,11 +370,18 @@ def kappa_grid(lo: float, hi: float, step: float):
     """Uniform grid lo, lo+step, ... covering [lo, hi] inclusive of the endpoint.
 
     The count is computed once from the span so accumulated rounding cannot
-    drop or duplicate the endpoint; each node is lo + i*step.
+    drop or duplicate the endpoint; each node is lo + i*step.  Grids of more
+    than MAX_GRID_POINTS nodes, or without a finite count, are refused
+    before anything is allocated.
     """
     if not (step > 0.0):
         raise ValueError(f"step must be > 0, got {step}")
     if hi < lo:
         raise ValueError(f"empty grid: hi={hi} < lo={lo}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid {lo}:{hi}:{step} exceeds the limit of {MAX_GRID_POINTS} points"
+        )
+    count = int(math.floor(span)) + 1
     return [lo + i * step for i in range(count)]

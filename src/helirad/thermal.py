@@ -116,8 +116,7 @@ def required_truncation(spec: HelixSpec, config: ThermalConfig) -> int:
     return max(0, -lo.m_min, -hi.m_min, lo.m_max, hi.m_max)
 
 
-def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig,
-                  threads=1):
+def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig):
     """One thermal average per entry.
 
     Each entry is either a HelixSpec or a bare cylinder radius (the n = 0
@@ -130,8 +129,8 @@ def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig,
     for entry in entries:
         if isinstance(entry, HelixSpec):
             m_eff = max(config.M, required_truncation(entry, config))
-            table = sweep(grid, entry, physics, M=m_eff, threads=threads)
+            table = sweep(grid, entry, physics, M=m_eff)
         else:
-            table = cylinder_table(grid, 0, float(entry), physics, threads=threads)
+            table = cylinder_table(grid, 0, float(entry), physics)
         out.append((entry, thermal_average(table, config)))
     return out

@@ -107,7 +107,7 @@ def test_manifest_records_run(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["spectrum", "helix", "--omega", "3", "--radius", "0.5",
-            "--kappa", "0:3:0.1", "--threads", "3"]
+            "--kappa", "0:3:0.1"]
     assert main(argv + ["--output", str(a)]) == 0
     assert main(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -125,25 +125,28 @@ def test_grid_syntax(tmp_path):
         assert exc.value.code == 2
 
 
-def test_threads_env_cap(tmp_path, monkeypatch):
-    out = tmp_path / "t.csv"
-    argv = ["spectrum", "line", "--kappa", "0:1:0.5", "--output", str(out)]
+def test_threads_flag_is_gone(tmp_path):
+    for sub in (["spectrum", "line"], ["thermal", "--series", "cylinder", "--r", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(sub + ["--kappa", "0:1:0.5", "--threads", "2",
+                        "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
 
-    monkeypatch.delenv("HELIRAD_THREADS", raising=False)
-    main(argv)
-    assert _manifest(out)["params"]["threads"] == 1
 
-    monkeypatch.setenv("HELIRAD_THREADS", "1")
-    main(argv + ["--threads", "8"])
-    assert _manifest(out)["params"]["threads"] == 1
-
-    monkeypatch.setenv("HELIRAD_THREADS", "0")
-    main(argv)
-    assert _manifest(out)["params"]["threads"] == 0
-
-    monkeypatch.setenv("HELIRAD_THREADS", "0")
-    main(argv + ["--threads", "4"])
-    assert _manifest(out)["params"]["threads"] == 4
+def test_oversized_grid_is_refused_with_a_message(tmp_path, capsys):
+    huge = "0:1e12:1e-3"  # 10^15 nodes
+    out = str(tmp_path / "x.csv")
+    for argv in (["spectrum", "line", "--kappa", huge],
+                 ["discrete-line", "--d-over-lambda", "0.05", "--orientation", "par",
+                  "--kappa", huge],
+                 ["thermal", "--series", "cylinder", "--r", "1", "--kappa", huge]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "exceeds the limit of 1000000 points" in err
+        assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_unwritable_output_exits_one(tmp_path, capsys):
@@ -302,6 +305,18 @@ def test_oracle_flag_validation(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys, monkeypatch):
+    def no_cdist(*args, **kwargs):
+        raise AssertionError("cdist ran on an oversized cloud")
+
+    monkeypatch.setattr("helirad.discrete.cdist", no_cdist)
+    cloud = tmp_path / "big.txt"
+    cloud.write_text("".join(f"0 0 {z}\n" for z in range(4001)))
+    rc = main(["oracle", "--cloud", str(cloud), "--output", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "N = 4001 exceeds the dense-solver limit 4000" in capsys.readouterr().err
 
 
 def test_oracle_missing_cloud_file_exits_one(tmp_path, capsys):

@@ -45,8 +45,18 @@ def test_golden_regenerates_byte_identically(name, tmp_path):
     fresh = out.read_bytes()
     assert fresh == (GOLDEN / name).read_bytes()
     # the stored manifest checksum still describes the stored bytes
-    stored = json.loads((GOLDEN / (name + ".manifest.json")).read_text())
-    assert stored["sha256"] == hashlib.sha256(fresh).hexdigest()
+    stored = (GOLDEN / (name + ".manifest.json")).read_text()
+    assert json.loads(stored)["sha256"] == hashlib.sha256(fresh).hexdigest()
+    assert (tmp_path / (name + ".manifest.json")).read_text() == stored
+
+
+def test_deep_truncation_helix_digest(tmp_path):
+    # Bessel orders up to 120, where the per-order cost is highest
+    out = tmp_path / "helix_omega005_M120.csv"
+    assert main(["spectrum", "helix", "--omega", "0.05", "--radius", "3",
+                 "--kappa", "0:5:0.01", "--M", "120", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0612917de573439620efda4c9d7620c8e4d59b66b1d06ec993b12c739d0b18ca"
 
 
 def _column(name, col):

@@ -11,13 +11,11 @@ import math
 import pytest
 
 from helirad.specfun import (
-    EULER_GAMMA,
     ArgKind,
     BesselArg,
     bessel_ik,
     bessel_j,
     bessel_y,
-    euler_gamma,
     jh_product,
     polylog_unit_circle,
 )
@@ -243,8 +241,3 @@ def test_polylog_rejects_other_orders():
         polylog_unit_circle(4, 0.5)
     with pytest.raises(ValueError):
         polylog_unit_circle(1, 0.5)
-
-
-def test_euler_gamma_constant():
-    assert euler_gamma() == EULER_GAMMA
-    assert EULER_GAMMA == 0.5772156649015329

@@ -1,12 +1,16 @@
 """Unit tests for the analytical line/helix/cylinder spectra."""
 
 import math
+from collections import Counter
 
 import pytest
+from scipy import special
 
 from helirad.spectra import (
     HELIX_LAMB_NORMALIZATION,
     LINE_LAMB_NORMALIZATION,
+    MAX_GRID_POINTS,
+    RADICAND_TOL,
     Classification,
     EmitterPhysics,
     HelixSpec,
@@ -22,7 +26,6 @@ from helirad.spectra import (
     line_lamb_norm,
     line_table,
     m_bounds,
-    resolve_threads,
     snap_near_integer,
     sweep,
     trapped_intervals,
@@ -198,6 +201,15 @@ def test_cylinder_norms_reject_negative_radius():
         cylinder_norms(0, 0.5, -1.0)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_nan_kappa_is_a_bessel_domain_error(n):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="got nan"):
+        cylinder_norms(n, nan, 1.0)
+    with pytest.raises(ValueError, match="got nan"):
+        cylinder_table([0.0, nan], n, 1.0, PHYS_UNIT)
+
+
 def test_cylinder_eigen_prefactors():
     phys = EmitterPhysics(gamma=0.514, lambda0=280.0, n0=0.2)
     g, e = cylinder_norms(1, 0.3, 1.5)
@@ -275,20 +287,106 @@ def test_sweep_rejects_descending_grid():
         sweep([0.0, -0.5], HelixSpec(Omega=3.0, r=1.0), PHYS_UNIT)
 
 
-def test_parallel_sweep_matches_serial():
-    grid = kappa_grid(-2.0, 2.0, 0.05)
-    spec = HelixSpec(Omega=2.7, r=1.9)
-    serial = sweep(grid, spec, PHYS_UNIT, M=12, threads=1)
-    parallel = sweep(grid, spec, PHYS_UNIT, M=12, threads=4)
-    assert serial.points == parallel.points
+# One-point reference for the array kernel: J_m H_m^(1) from scalar scipy
+# calls, with the same fallbacks, summed one order at a time.  The tables must
+# reproduce it bit for bit.  `fired` counts how often each fallback replaced
+# a product that left double range.
+def _scalar_jh(m, rad, r, fired=None):
+    fired = Counter() if fired is None else fired
+    m = abs(m)
+    x = math.sqrt(abs(rad)) * r
+    if x == 0.0:
+        return complex(1.0, -math.inf) if m == 0 else complex(0.0, -1.0 / (m * math.pi))
+    if rad >= 0.0:
+        j = float(special.jv(m, x))
+        p = j * float(special.yv(m, x))
+        if not math.isfinite(p):
+            fired["jy"] += 1
+            p = -1.0 / (m * math.pi)
+        return complex(j * j, p)
+    q = float(special.ive(m, x)) * float(special.kve(m, x))
+    if not math.isfinite(q):
+        fired["ik"] += 1
+        q = 0.5 / m
+    return complex(0.0, -(2.0 / math.pi) * q)
 
 
-def test_resolve_threads():
-    assert resolve_threads(3) == 3
-    assert resolve_threads(None) >= 1
-    assert resolve_threads(0) >= 1
-    with pytest.raises(ValueError):
-        resolve_threads(-2)
+def _radicand(u):
+    rad = (1.0 - u) * (1.0 + u)
+    return 0.0 if abs(rad) <= RADICAND_TOL else rad
+
+
+def _scalar_lamb(kappa, spec, M, fired=None):
+    total = 0.0
+    for m in range(-M, M + 1):
+        total += _scalar_jh(m, _radicand(kappa - m * spec.Omega), spec.r, fired).imag
+    return total
+
+
+def _bits(points):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in vars(p).values())
+            for p in points]
+
+
+# kappa = +-1 + m Omega lands on grid nodes (zero arguments, the -inf
+# sentinel at +-1); r = 0 makes every argument zero; Omega = 0.05 at M = 120
+# and r = 0.5 drives both fallbacks at high order
+SWEEP_CASES = [
+    (3.0, 3.0, 10, kappa_grid(-4.0, 7.0, 0.25)),
+    (2.5, 1.9, 12, kappa_grid(-2.0, 2.0, 0.05)),
+    (3.0, 0.0, 10, kappa_grid(-2.0, 2.0, 0.5)),
+    (0.05, 0.5, 120, kappa_grid(0.0, 5.0, 0.05)),
+]
+
+
+@pytest.mark.parametrize("Omega, r, M, grid", SWEEP_CASES)
+def test_sweep_matches_scalar_reference_bitwise(Omega, r, M, grid):
+    spec = HelixSpec(Omega=Omega, r=r)
+    table = sweep(grid, spec, PHYS_UNIT, M=M)
+    assert _bits(table.points) == _bits(classify(k, spec, PHYS_UNIT, M) for k in grid)
+    assert [p.lamb_norm.hex() for p in table.points] == \
+        [_scalar_lamb(k, spec, M).hex() for k in grid]
+
+
+def test_reference_cases_reach_both_fallbacks_and_the_sentinel():
+    fired = Counter()
+    for k in kappa_grid(0.0, 5.0, 0.05):
+        _scalar_lamb(k, HelixSpec(Omega=0.05, r=0.5), 120, fired)
+    assert fired["jy"] > 0 and fired["ik"] > 0
+    assert _scalar_lamb(1.0, HelixSpec(Omega=3.0, r=3.0), 10) == -math.inf
+
+
+def test_upper_bound_matches_scalar_reference_bitwise():
+    spec = HelixSpec(Omega=2.5, r=1.9)
+    for k in kappa_grid(-4.0, 4.0, 0.25):
+        b = m_bounds(k, spec.Omega)
+        want = 0.0
+        for m in range(b.m_min, b.m_max + 1):
+            want += _scalar_jh(m, max(_radicand(k - m * spec.Omega), 0.0), spec.r).imag
+        assert helix_lamb_upper_bound(k, spec).hex() == want.hex()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("r", [0.0, 0.5, 3.0])
+def test_cylinder_table_matches_scalar_reference_bitwise(n, r):
+    grid = kappa_grid(-2.0, 2.0, 0.125)
+    table = cylinder_table(grid, n, r, PHYS_UNIT)
+    norms = [(p.gamma_norm.hex(), p.lamb_norm.hex()) for p in table.points]
+    assert norms == [tuple(v.hex() for v in cylinder_norms(n, k, r)) for k in grid]
+    want = [_scalar_jh(n, _radicand(k), r) for k in grid]
+    assert norms == [(w.real.hex(), w.imag.hex()) for w in want]
+
+
+def test_sweep_raises_what_the_first_failing_point_raises():
+    spec = HelixSpec(Omega=0.5, r=1.0)
+    grid = kappa_grid(0.0, 3.0, 0.5)
+    with pytest.raises(ValueError) as per_point:
+        for k in grid:
+            helix_lamb_norm(k, spec, M=3)
+    with pytest.raises(ValueError) as swept:
+        sweep(grid, spec, PHYS_UNIT, M=3)
+    assert str(swept.value) == str(per_point.value)
+    assert "[0, 4]" in str(swept.value)  # kappa = 1, the first point past M
 
 
 def test_kappa_grid_hits_light_line_exactly():
@@ -304,6 +402,14 @@ def test_kappa_grid_validation():
         kappa_grid(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         kappa_grid(1.0, 0.0, 0.1)
+
+
+def test_kappa_grid_size_cap():
+    assert len(kappa_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+    for lo, hi, step in ((0.0, float(MAX_GRID_POINTS), 1.0), (0.0, 1e12, 1e-3),
+                         (0.0, math.inf, 1.0), (0.0, math.nan, 1.0)):
+        with pytest.raises(ValueError, match="1000000 points"):
+            kappa_grid(lo, hi, step)
 
 
 def test_physics_and_spec_validation():
