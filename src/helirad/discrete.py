@@ -137,14 +137,22 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
     n = cloud.count
     _check_oracle_size(n)
     pos = cloud.positions
-    dist = cdist(pos, pos)
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and dist[off].min() <= 0.0:
-        j, k = divmod(int(np.argmin(np.where(off, dist, np.inf))), n)
+    kr = cdist(pos, pos)
+    # the diagonal is overwritten below; inf keeps it out of the search for
+    # the closest pair
+    np.fill_diagonal(kr, np.inf)
+    closest = int(np.argmin(kr))
+    if kr.flat[closest] <= 0.0:
+        j, k = divmod(closest, n)
         raise ValueError(f"coincident emitters at rows {j} and {k}")
-    kr = physics.k0 * dist
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = -1j * physics.gamma * np.exp(1j * kr) / kr
+    kr *= physics.k0
+    # one complex N x N array, in the operation order of
+    # -1j * gamma * exp(1j * kr) / kr
+    with np.errstate(invalid="ignore"):
+        m = kr * 1j
+        np.exp(m, out=m)
+        m *= -1j * physics.gamma
+        m /= kr
     np.fill_diagonal(m, physics.gamma)
     return m
 

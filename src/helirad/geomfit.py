@@ -4,8 +4,10 @@ Pipeline: principal directions of the centered cloud give axis candidates,
 an algebraic circle fit of the axis-normal projection gives the radius and
 center, and a linear regression of unwrapped azimuth against the axial
 coordinate gives the pitch, phase, and handedness.  A damped least-squares
-pass over all seven parameters then refines each viable candidate, and the
-lowest-cost solution wins.
+pass over all seven parameters refines the candidates in order of their
+start cost, the lowest first; a later candidate is refined only while its
+start cost is below the best refined cost so far, and the lowest-cost
+solution wins.
 
 The azimuth unwrapping assumes consecutive points (in axial order) advance
 by less than pi; clouds sampled more coarsely than half a turn per step get
@@ -29,6 +31,11 @@ from .spectra import EmitterPhysics
 
 _TWO_PI = 2.0 * math.pi
 _DEGENERACY_RTOL = 1e-10
+# least_squares evaluation cap for one axis; a winner that reaches it gets a
+# FitWarning
+_MAX_NFEV = 2000
+# bisection from a pitch/16 bracket to 1e-12 relative takes about 40 steps
+_CURVE_SEARCH_ITERATIONS = 100
 
 
 class CloudFormatError(ValueError):
@@ -193,45 +200,72 @@ def _residuals(params, centered, v0, e1_0, e2_0):
 
 
 def _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
-    """RMS of true point-to-curve distances, each via a bracketed 1D search."""
+    """RMS of true point-to-curve distances, searched for all points at once.
+
+    In frame coordinates (u, w, z) the squared distance to the curve point
+    at height t is d2(t) = (u - R cos th)^2 + (w - R sin th)^2 + (z - t)^2
+    with th = slope t + phi0.  A 17-node scan over one period around each
+    point picks the nearest node; a safeguarded Newton iteration on d2'
+    then polishes t inside the bracket of the two neighbouring nodes, to
+    1e-12 relative in t.
+    """
     rel = centered - c1 * e1 - c2 * e2
-    z = rel @ axis
+    u = (rel @ e1)[:, None]
+    w = (rel @ e2)[:, None]
+    z = (rel @ axis)[:, None]
     period = _TWO_PI / abs(slope)
 
-    def dist2_at(point, zc):
-        delta = point - (
-            radius * math.cos(slope * zc + phi0) * e1
-            + radius * math.sin(slope * zc + phi0) * e2
-            + zc * axis
-        )
-        return float(delta @ delta)
+    def dist2(t):
+        th = slope * t + phi0
+        return (u - radius * np.cos(th)) ** 2 + (w - radius * np.sin(th)) ** 2 \
+            + (z - t) ** 2
 
-    total = 0.0
-    for point, zi in zip(rel, z):
-        # coarse scan over one period around the point, then polish; the
-        # curve passes each neighborhood once per turn so this is global
-        grid = zi + np.linspace(-0.5 * period, 0.5 * period, 17)
-        vals = [dist2_at(point, g) for g in grid]
-        k = int(np.argmin(vals))
-        h = period / 16.0
-        best = scipy.optimize.minimize_scalar(
-            lambda zc: dist2_at(point, zc),
-            bounds=(grid[k] - h, grid[k] + h),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        total += min(best.fun, vals[k])
-    return math.sqrt(total / len(z))
+    # the curve passes each neighborhood once per turn, so the scan over one
+    # period is global and the bracket around its best node holds the minimum
+    grid = z + np.linspace(-0.5 * period, 0.5 * period, 17)
+    vals = dist2(grid)
+    k = np.argmin(vals, axis=1)[:, None]
+    # the end nodes share phase and axial distance, so they tie in exact
+    # arithmetic: a point whose best node is one of them is polished from both
+    k = np.concatenate([k, np.where(k % 16 == 0, 16 - k, k)], axis=1)
+    coarse = np.take_along_axis(vals, k, axis=1)
+    t = np.take_along_axis(grid, k, axis=1)
+    h = period / 16.0
+    lo, hi = t - h, t + h
+    active = np.ones(t.shape, dtype=bool)
+    for _ in range(_CURVE_SEARCH_ITERATIONS):
+        th = slope * t + phi0
+        cos, sin = np.cos(th), np.sin(th)
+        # halves of d2' and d2''
+        grad = radius * slope * (u * sin - w * cos) - (z - t)
+        curv = radius * slope * slope * (u * cos + w * sin) + 1.0
+        # the minimum of d2 stays between lo (d2' < 0) and hi (d2' > 0)
+        lo = np.where(grad < 0.0, t, lo)
+        hi = np.where(grad > 0.0, t, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - grad / curv
+        bisect = 0.5 * (lo + hi)
+        ok = (curv > 0.0) & (newton > lo) & (newton < hi)
+        step = np.where(ok, newton, bisect)
+        converged = np.abs(step - t) <= 1e-12 * np.maximum(np.abs(t), period)
+        t = np.where(active, step, t)
+        active &= ~converged
+        if not active.any():
+            break
+    nearest = np.minimum(dist2(t), coarse).min(axis=1)
+    return math.sqrt(float(np.mean(nearest)))
 
 
 def fit_helix(cloud: EmitterCloud) -> HelixFit:
     """Best single helix through the cloud.
 
-    Tries each principal direction of the centered cloud as the axis,
-    refines all seven parameters from every viable start with a damped
-    least-squares pass on the cylindrical residuals (radial mismatch and
-    radius-scaled wrapped phase mismatch), and keeps the lowest-cost
-    solution.
+    Tries each principal direction of the centered cloud as the axis and
+    ranks the viable starts by their residual score.  All seven parameters
+    are refined with a damped least-squares pass on the cylindrical
+    residuals (radial mismatch and radius-scaled wrapped phase mismatch),
+    from the best start and then from each next one while its start cost is
+    below the best refined cost; the lowest-cost solution wins.  A winning
+    pass that stopped at its evaluation cap gets a FitWarning.
     """
     pos = cloud.positions
     n = cloud.count
@@ -246,36 +280,51 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
         raise FitDegeneracyError("cloud is coplanar; pitch is undetermined")
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
 
-    eps = np.finfo(float).eps
-    best = None
+    cands = []
     for row in vt:
         # face each axis so its dominant component is positive; slope and
         # handedness are frame-independent under this flip
         v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
         cand = _candidate_fit(centered, v0)
-        if cand is None or cand[1][3] == 0.0:
-            continue
+        if cand is not None and cand[1][3] != 0.0:
+            cands.append((cand[0], v0, cand[1]))
+    if not cands:
+        raise FitDegeneracyError(
+            "no principal direction admits a circle-plus-phase fit"
+        )
+    cands.sort(key=lambda c: c[0])
+
+    eps = np.finfo(float).eps
+    best = None
+    for score, v0, start in cands:
+        # n * score is the least-squares cost 0.5 * sum(res^2) at the start
+        # (score is the mean over 2n residuals); an axis that starts no
+        # better than the best refined cost, and every later one, is skipped
+        if best is not None and n * score >= best[0].cost:
+            break
         e1_0, e2_0 = _perp_frame(v0)
-        x0 = np.array([0.0, 0.0, *cand[1]])
+        x0 = np.array([0.0, 0.0, *start])
         # near-eps tolerances with Jacobian scaling: the tilt parameters are
         # orders of magnitude more sensitive than the rest, and a leftover
         # 1e-10 rad tilt already costs span * tilt in residual
         sol = scipy.optimize.least_squares(
             _residuals, x0, args=(centered, v0, e1_0, e2_0), method="trf",
             x_scale="jac", ftol=2 * eps, xtol=2 * eps, gtol=None,
-            max_nfev=2000,
+            max_nfev=_MAX_NFEV,
         )
         if best is None or sol.cost < best[0].cost:
             best = (sol, v0, e1_0, e2_0)
-    if best is None:
-        raise FitDegeneracyError(
-            "no principal direction admits a circle-plus-phase fit"
-        )
     sol, v0, e1_0, e2_0 = best
     axis, e1, e2 = _frame_of(sol.x, v0, e1_0, e2_0)
     c1, c2, radius, slope, phi0 = sol.x[2:]
     if slope == 0.0 or radius <= 0.0:
         raise FitDegeneracyError("refinement collapsed the helix")
+    if sol.status == 0:
+        warnings.warn(
+            f"refinement stopped at {_MAX_NFEV} evaluations without converging",
+            FitWarning,
+            stacklevel=2,
+        )
 
     z = (centered - c1 * e1 - c2 * e2) @ axis
     dz = np.diff(np.sort(z))

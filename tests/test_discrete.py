@@ -196,6 +196,23 @@ def test_kernel_symmetric_for_random_cloud():
     assert abs(np.trace(m) - 40.0 * PHYS.gamma) == 0.0
 
 
+def test_kernel_is_bitwise_the_one_line_expression():
+    from scipy.spatial.distance import cdist
+
+    phys = EmitterPhysics(gamma=0.514, lambda0=280.0, n0=1.0 / 280.0)
+    rng = np.random.default_rng(11)
+    clouds = [pair_cloud(0.25), helix_cloud(17, 11.2, 7.8, 1.0),
+              helix_cloud(300, 2.64, 73.1, 0.7),
+              EmitterCloud(rng.uniform(-50.0, 50.0, size=(120, 3)))]
+    for cloud in clouds:
+        kr = phys.k0 * cdist(cloud.positions, cloud.positions)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = -1j * phys.gamma * np.exp(1j * kr) / kr
+        np.fill_diagonal(want, phys.gamma)
+        got = build_scalar_kernel(cloud, phys)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_kernel_rejects_coincident_emitters():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="coincident emitters at rows 0 and 2"):

@@ -1,11 +1,14 @@
 """Helix fitting, line density, and the peak-rate estimate report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.spatial.transform import Rotation
 
+from helirad import geomfit
 from helirad.discrete import EmitterCloud, line_cloud, ring_cloud
 from helirad.geomfit import (
     CloudFormatError,
@@ -275,3 +278,223 @@ def test_helix_fit_field_validation():
 def test_estimate_report_is_plain_data():
     rep = EstimateReport(Omega=3.0, r=0.5, gamma_max_over_gamma=10.0, trapped_percent=33.3)
     assert rep.Omega == 3.0 and rep.trapped_percent == 33.3
+
+
+# ---------------------------------------------------------------- search and axis rule
+
+
+def _reference_point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
+    """The per-point search _point_curve_rms replaced: scan, then bounded Brent."""
+    rel = centered - c1 * e1 - c2 * e2
+    z = rel @ axis
+    period = TWO_PI / abs(slope)
+
+    def dist2_at(point, zc):
+        delta = point - (
+            radius * math.cos(slope * zc + phi0) * e1
+            + radius * math.sin(slope * zc + phi0) * e2
+            + zc * axis
+        )
+        return float(delta @ delta)
+
+    total = 0.0
+    for point, zi in zip(rel, z):
+        grid = zi + np.linspace(-0.5 * period, 0.5 * period, 17)
+        vals = [dist2_at(point, g) for g in grid]
+        k = int(np.argmin(vals))
+        h = period / 16.0
+        best = scipy.optimize.minimize_scalar(
+            lambda zc: dist2_at(point, zc),
+            bounds=(grid[k] - h, grid[k] + h),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        total += min(best.fun, vals[k])
+    return math.sqrt(total / len(z))
+
+
+def _reference_fit_all_axes(cloud):
+    """(axis, R, b, handedness) from the rule that refines every viable axis."""
+    centered = cloud.positions - cloud.positions.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    eps = np.finfo(float).eps
+    best = None
+    for row in vt:
+        v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
+        cand = geomfit._candidate_fit(centered, v0)
+        if cand is None or cand[1][3] == 0.0:
+            continue
+        e1_0, e2_0 = geomfit._perp_frame(v0)
+        sol = scipy.optimize.least_squares(
+            geomfit._residuals, np.array([0.0, 0.0, *cand[1]]),
+            args=(centered, v0, e1_0, e2_0), method="trf", x_scale="jac",
+            ftol=2 * eps, xtol=2 * eps, gtol=None, max_nfev=2000,
+        )
+        if best is None or sol.cost < best[0].cost:
+            best = (sol, v0, e1_0, e2_0)
+    sol, v0, e1_0, e2_0 = best
+    axis = geomfit._frame_of(sol.x, v0, e1_0, e2_0)[0]
+    slope = sol.x[5]
+    hand = Handedness.RIGHT if slope > 0.0 else Handedness.LEFT
+    return axis, float(sol.x[4]), float(TWO_PI / abs(slope)), hand
+
+
+def _curve_args(cloud):
+    """The arguments fit_helix passes to _point_curve_rms for this cloud."""
+    seen = []
+    real = geomfit._point_curve_rms
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    geomfit._point_curve_rms = spy
+    try:
+        fit_helix(cloud)
+    finally:
+        geomfit._point_curve_rms = real
+    return seen[0]
+
+
+def _jittered(seed, n=200, turns=10, R=11.2, b=7.8, sigma=0.1):
+    rng = np.random.default_rng(seed)
+    rot = Rotation.from_rotvec(rng.normal(size=3)).as_matrix()
+    pos = synthetic_helix(R, b, n, turns=turns, rot=rot).positions
+    return EmitterCloud(pos + rng.normal(0.0, sigma, size=pos.shape))
+
+
+def test_curve_search_matches_per_point_reference():
+    rot = Rotation.from_rotvec([0.3, -1.1, 0.7]).as_matrix()
+    clouds = [
+        synthetic_helix(11.2, 7.8, 200, turns=10),
+        synthetic_helix(4.6, 21.0, 160, turns=8, direction=-1, phase=0.4,
+                        rot=rot, shift=[12.0, -3.5, 40.0]),
+        _jittered(1),
+        _jittered(2, R=2.64, b=73.1, turns=6, sigma=0.05),
+    ]
+    for cloud in clouds:
+        args = _curve_args(cloud)
+        got = geomfit._point_curve_rms(*args)
+        want = _reference_point_curve_rms(*args)
+        assert abs(got - want) <= 1e-12, (got, want)
+
+
+def test_curve_search_reaches_the_true_distance_on_a_long_helix():
+    # bounded Brent stops within sqrt(eps) |t| of the minimizer, so on a
+    # helix thousands of nm long the reference overshoots the true RMS;
+    # the Newton search lands on it
+    mpmath = pytest.importorskip("mpmath")
+    cloud = _jittered(3, n=120, turns=20, R=20.0, b=150.0)
+    centered, axis, e1, e2, c1, c2, radius, slope, phi0 = _curve_args(cloud)
+    rel = centered - c1 * e1 - c2 * e2
+    period = TWO_PI / abs(slope)
+    mpmath.mp.dps = 30
+    total = mpmath.mpf(0)
+    for u, w, z in zip(rel @ e1, rel @ e2, rel @ axis):
+        # start from the best of a dense float scan over one period
+        scan = z + period * np.linspace(-0.5, 0.5, 4097)
+        th = slope * scan + phi0
+        start = scan[np.argmin((u - radius * np.cos(th)) ** 2
+                               + (w - radius * np.sin(th)) ** 2 + (z - scan) ** 2)]
+        u, w, z = mpmath.mpf(u), mpmath.mpf(w), mpmath.mpf(z)
+
+        def half_grad(t):
+            th = slope * t + phi0
+            return radius * slope * (u * mpmath.sin(th) - w * mpmath.cos(th)) - (z - t)
+
+        t = mpmath.findroot(half_grad, mpmath.mpf(start))
+        th = slope * t + phi0
+        total += (u - radius * mpmath.cos(th)) ** 2 \
+            + (w - radius * mpmath.sin(th)) ** 2 + (z - t) ** 2
+    truth = float(mpmath.sqrt(total / len(rel)))
+    got = geomfit._point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0)
+    ref = _reference_point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0)
+    assert abs(got - truth) <= 1e-14 * truth
+    assert ref - truth > 1e-12
+
+
+def test_curve_search_polishes_both_tied_end_nodes():
+    # a point 10 nm off the axis of a unit-radius, unit-pitch helix, where
+    # the curve's azimuth faces away from it: its nearest curve points are
+    # at heights 0 and 1, and the scan's end nodes (z -+ 1/2) tie exactly
+    axis, e1, e2 = np.eye(3)[2], np.eye(3)[0], np.eye(3)[1]
+    for eps in (-0.1, -0.01, -0.001, 0.001, 0.01, 0.1):
+        point = np.array([[10.0, 0.0, 0.5 + eps]])
+        got = geomfit._point_curve_rms(point, axis, e1, e2, 0.0, 0.0, 1.0, TWO_PI, 0.0)
+        t = np.linspace(-1.0, 2.0, 300001)
+        d2 = (10.0 - np.cos(TWO_PI * t)) ** 2 + np.sin(TWO_PI * t) ** 2 \
+            + (0.5 + eps - t) ** 2
+        assert abs(got - math.sqrt(d2.min())) < 1e-9, eps
+
+
+def test_fit_matches_the_all_axes_rule_bit_for_bit():
+    for seed in range(20):
+        cloud = _jittered(seed, sigma=0.05 + 0.01 * (seed % 5))
+        fit = fit_helix(cloud)
+        axis, R, b, hand = _reference_fit_all_axes(cloud)
+        assert np.array_equal(fit.axis_direction, axis), seed
+        assert (fit.R, fit.b, fit.handedness) == (R, b, hand), seed
+
+
+class _CountingLeastSquares:
+    """Wraps scipy.optimize.least_squares, recording each start axis and cost."""
+
+    def __init__(self, monkeypatch, inflate_first=None):
+        self.real = scipy.optimize.least_squares
+        self.calls = []
+        self.inflate_first = inflate_first
+        monkeypatch.setattr(scipy.optimize, "least_squares", self)
+
+    def __call__(self, fun, x0, args=(), **kwargs):
+        sol = self.real(fun, x0, args=args, **kwargs)
+        if not self.calls and self.inflate_first is not None:
+            sol.cost = self.inflate_first
+        self.calls.append((args[1], sol.cost))
+        return sol
+
+
+def _ranked_start_costs(cloud):
+    """n * score of every viable principal-axis start, lowest first."""
+    centered = cloud.positions - cloud.positions.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    costs = []
+    for row in vt:
+        v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
+        cand = geomfit._candidate_fit(centered, v0)
+        if cand is not None and cand[1][3] != 0.0:
+            costs.append(cloud.count * cand[0])
+    return sorted(costs)
+
+
+def test_well_posed_fit_refines_one_axis(monkeypatch):
+    for cloud in (synthetic_helix(11.2, 7.8, 200, turns=10), _jittered(5)):
+        counter = _CountingLeastSquares(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_helix(cloud)
+        assert len(counter.calls) == 1
+
+
+def test_later_axis_is_refined_while_it_starts_below_the_best(monkeypatch):
+    cloud = _jittered(6)
+    starts = _ranked_start_costs(cloud)
+    assert len(starts) == 3
+    # a best cost equal to the next start cost stops the loop
+    counter = _CountingLeastSquares(monkeypatch, inflate_first=starts[1])
+    plain = fit_helix(cloud)
+    assert len(counter.calls) == 1
+    # one just above it refines the next axis, which then wins
+    counter = _CountingLeastSquares(monkeypatch, inflate_first=starts[1] * (1 + 1e-9))
+    fit = fit_helix(cloud)
+    assert len(counter.calls) >= 2
+    second_axis, second_cost = counter.calls[1]
+    assert second_cost < counter.calls[0][1]
+    assert abs(fit.axis_direction @ second_axis) > 0.99
+    assert abs(fit.axis_direction @ plain.axis_direction) < 0.5
+
+
+def test_fit_warns_when_the_winner_hits_the_evaluation_cap(monkeypatch):
+    monkeypatch.setattr(geomfit, "_MAX_NFEV", 2)
+    with pytest.warns(FitWarning, match="stopped at 2 evaluations"):
+        fit = fit_helix(_jittered(7))
+    assert isinstance(fit, HelixFit)
