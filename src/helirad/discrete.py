@@ -12,6 +12,7 @@ a lone emitter has EV = gamma and probability decay rate 2 gamma; collective
 rates are classified against that 2 gamma baseline.
 """
 
+import ctypes
 import enum
 import math
 from dataclasses import dataclass
@@ -33,6 +34,32 @@ ORACLE_SIZE_LIMIT = 4000
 def _check_oracle_size(n: int):
     if n > ORACLE_SIZE_LIMIT:
         raise ValueError(f"N = {n} exceeds the dense-solver limit {ORACLE_SIZE_LIMIT}")
+
+
+def _load_malloc_trim():
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):  # not glibc
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _load_malloc_trim()
+
+
+def _release_freed_heap():
+    """Return free heap pages to the OS (glibc; a no-op elsewhere).
+
+    Once an N x N array of up to 32 MB has been freed, glibc serves arrays
+    of that size from the heap instead of mmap, and keeps up to twice that
+    much freed heap resident.  Without a trim before each N x N step, a
+    kernel built or solved after a smaller one would peak higher than the
+    same kernel built and solved first.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 class Orientation(enum.Enum):
@@ -136,6 +163,7 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
     """
     n = cloud.count
     _check_oracle_size(n)
+    _release_freed_heap()
     pos = cloud.positions
     kr = cdist(pos, pos)
     # the diagonal is overwritten below; inf keeps it out of the search for
@@ -167,6 +195,7 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     _check_oracle_size(m.shape[0])
+    _release_freed_heap()
     try:
         w = scipy.linalg.eigvals(m)
     except scipy.linalg.LinAlgError as exc:

@@ -1,11 +1,16 @@
 """Infinite discrete dipole line and the finite-N brute-force oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from helirad import discrete
 from helirad.discrete import (
     ORACLE_SIZE_LIMIT,
     DiscreteLineParams,
@@ -217,6 +222,33 @@ def test_kernel_rejects_coincident_emitters():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="coincident emitters at rows 0 and 2"):
         build_scalar_kernel(EmitterCloud(pos), PHYS)
+
+
+_REPEAT_PEAKS = """
+import resource, sys
+from helirad.discrete import build_scalar_kernel, helix_cloud, oracle_spectrum
+from helirad.spectra import EmitterPhysics
+phys = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)
+for _ in range(2):
+    for n in (300, 700):
+        oracle_spectrum(build_scalar_kernel(helix_cloud(n, 11.2, 7.8), phys))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(discrete._MALLOC_TRIM is None, reason="needs glibc malloc_trim")
+def test_repeated_oracle_solves_peak_no_higher():
+    # freed N x N arrays left resident in the heap raised the second pass's
+    # peak by 3.3 MB here (and by 34 MB at N = 2000); a fresh process keeps
+    # the count clean
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(discrete.__file__).resolve().parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _REPEAT_PEAKS], env=env,
+                          capture_output=True, text=True, check=True)
+    first, second = (int(line) for line in proc.stdout.split())
+    assert second - first < 1024  # KiB
 
 
 def test_cloud_validation():
