@@ -22,6 +22,7 @@ from .discrete import (
     DiscreteLineParams,
     Orientation,
     build_scalar_kernel,
+    check_oracle_size,
     discrete_line_decay,
     discrete_line_lamb,
     helix_cloud,
@@ -56,7 +57,8 @@ def _assert_contracted(value):
         raise ValueError(f"value {value!r} violates the finite-or-sentinel contract")
 
 
-def _write_output(path, text, subcommand, params):
+def _write_output(path, text, subcommand, params, **record):
+    """Write text and its manifest; record adds deterministic run facts."""
     data = text.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
@@ -65,6 +67,7 @@ def _write_output(path, text, subcommand, params):
         "params": params,
         "version": __version__,
         "sha256": hashlib.sha256(data).hexdigest(),
+        **record,
     }
     with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -259,6 +262,9 @@ def _build_cloud(args, parser):
         if args.s is None:
             parser.error("pair requires --s (separation, nm)")
         return pair_cloud(args.s)
+    if args.n is not None:
+        # before the generator allocates anything of size n
+        check_oracle_size(args.n)
     if kind == "line":
         if args.n is None or args.s is None:
             parser.error("line requires --n (count) and --s (spacing, nm)")
@@ -288,9 +294,12 @@ def cmd_oracle(args):
         "s": args.s, "R": args.R, "b": args.b, "spacing": args.spacing,
         "lambda0": physics.lambda0, "gamma": physics.gamma, "n0": physics.n0,
     }
-    _write_output(args.output, text, "oracle", params)
+    _write_output(args.output, text, "oracle", params, eigensolve=spect.eigensolve)
     single = 2.0 * physics.gamma
+    total = cloud.count * physics.gamma  # the kernel's trace
+    residual = abs(math.fsum(spect.eigenvalues.real) - total) / total
     print(f"emitters: {cloud.count}")
+    print(f"trace residual: {_fmt(residual)}")
     print(f"max Gamma_j / Gamma_single: {_fmt(float(spect.gamma_j.max()) / single)}")
     print(f"subradiant fraction: {_fmt(subradiant_fraction(spect, physics))}")
     return 0

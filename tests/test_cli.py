@@ -14,7 +14,12 @@ import pytest
 
 import helirad
 from helirad.cli import main
-from helirad.discrete import DiscreteLineParams, Orientation, discrete_line_decay
+from helirad.discrete import (
+    DiscreteLineParams,
+    Orientation,
+    discrete_line_decay,
+    helix_cloud,
+)
 from helirad.spectra import EmitterPhysics, HelixSpec, sweep
 from helirad.thermal import ThermalConfig, thermal_sweep
 
@@ -317,6 +322,55 @@ def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys, monkeypat
     rc = main(["oracle", "--cloud", str(cloud), "--output", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "N = 4001 exceeds the dense-solver limit 4000" in capsys.readouterr().err
+
+
+def test_oracle_size_limit_precedes_the_generator(tmp_path, capsys, monkeypatch):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator ran for an oversized cloud")
+
+    out = str(tmp_path / "x.csv")
+    for kind, shape in (("line", ["--s", "1"]), ("ring", ["--R", "1"]),
+                        ("helix", ["--R", "1", "--b", "1"])):
+        monkeypatch.setattr(f"helirad.cli.{kind}_cloud", no_generator)
+        rc = main(["oracle", "--generate", kind, "--n", "4001", *shape, "--output", out])
+        assert rc == 1
+        assert "N = 4001 exceeds the dense-solver limit 4000" in capsys.readouterr().err
+
+
+def _write_cloud(path, positions):
+    path.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in positions))
+
+
+def test_oracle_reports_trace_residual_and_eigensolve(tmp_path, capsys):
+    out = tmp_path / "helix.csv"
+    rc = main(["oracle", "--generate", "helix", "--n", "60", "--R", "11.2",
+               "--b", "7.8", "--output", str(out)])
+    assert rc == 0
+    assert _manifest(out)["eigensolve"] == "centrosymmetric"
+    lines = capsys.readouterr().out.splitlines()
+    residual = float(dict(line.split(": ") for line in lines)["trace residual"])
+    assert 0.0 <= residual < 1e-13
+    _, rows = _rows(out)
+    total = 60 * 0.514
+    assert residual == abs(math.fsum(float(r[1]) for r in rows) - total) / total
+
+    cloud = tmp_path / "random.xyz"
+    _write_cloud(cloud, np.random.default_rng(3).uniform(0.0, 50.0, size=(60, 3)))
+    out = tmp_path / "random.csv"
+    assert main(["oracle", "--cloud", str(cloud), "--output", str(out)]) == 0
+    assert _manifest(out)["eigensolve"] == "dense"
+    assert "trace residual: " in capsys.readouterr().out
+
+
+def test_oracle_cloud_file_of_a_generated_helix_matches_generate(tmp_path):
+    cloud = tmp_path / "helix.xyz"
+    _write_cloud(cloud, helix_cloud(81, 11.2, 7.8, 1.0).positions)
+    a, b = tmp_path / "file.csv", tmp_path / "gen.csv"
+    assert main(["oracle", "--cloud", str(cloud), "--output", str(a)]) == 0
+    assert main(["oracle", "--generate", "helix", "--n", "81", "--R", "11.2",
+                 "--b", "7.8", "--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert _manifest(a)["eigensolve"] == _manifest(b)["eigensolve"] == "centrosymmetric"
 
 
 def test_oracle_missing_cloud_file_exits_one(tmp_path, capsys):

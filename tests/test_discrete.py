@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from mpmath import mp
+from scipy.optimize import linear_sum_assignment
 
 from helirad import discrete
 from helirad.discrete import (
@@ -328,6 +330,62 @@ def test_oracle_rejects_bad_matrices():
         oracle_spectrum(big)
 
 
+def _matched_error(got, want):
+    """Largest distance between two eigenvalue sets paired one to one."""
+    assert got.shape == want.shape
+    rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    return float(np.max(np.abs(got[rows] - want[cols]), initial=0.0))
+
+
+def _mirrored_random(n, seed):
+    # centrosymmetric but not symmetric: the split must not assume M = M^T
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return r + r[::-1, ::-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 65, 500, 501])
+def test_centrosymmetric_split_matches_the_dense_solve(n):
+    kernel = build_scalar_kernel(helix_cloud(n, 1.2, 0.8, 0.05), PHYS)
+    for m in (kernel, _mirrored_random(n, n)):
+        sp = oracle_spectrum(m)
+        assert sp.eigensolve == "centrosymmetric"
+        want = scipy.linalg.eigvals(m)
+        scale = np.max(np.abs(want))
+        assert _matched_error(sp.eigenvalues, want) <= 1e-13 * scale
+        assert np.all(np.diff(sp.eigenvalues.real) <= 0.0)
+
+
+def test_split_solves_two_half_size_blocks(monkeypatch):
+    shapes = []
+    eigvals = scipy.linalg.eigvals
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", spy)
+    sp = oracle_spectrum(build_scalar_kernel(helix_cloud(101, 11.2, 7.8), PHYS))
+    assert sp.eigensolve == "centrosymmetric"
+    assert shapes == [(50, 50), (51, 51)]
+    shapes.clear()
+    cloud = EmitterCloud(np.random.default_rng(5).uniform(0.0, 10.0, size=(101, 3)))
+    sp = oracle_spectrum(build_scalar_kernel(cloud, PHYS))
+    assert sp.eigensolve == "dense"
+    assert shapes == [(101, 101)]
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_ring_spectrum_is_the_fft_of_its_circulant_row(n):
+    # equally spaced emitters on a circle give a circulant kernel, whose
+    # spectrum is the discrete Fourier transform of its first row
+    m = build_scalar_kernel(ring_cloud(n, 1.0), PHYS)
+    exact = np.fft.fft(m[0])
+    scale = np.max(np.abs(exact))
+    assert _matched_error(oracle_spectrum(m).eigenvalues, exact) <= 1e-13 * scale
+    assert _matched_error(scipy.linalg.eigvals(m), exact) <= 1e-13 * scale
+
+
 # ---------------------------------------------------------------- classification
 
 
@@ -381,7 +439,7 @@ def test_line_cloud_geometry():
     c = line_cloud(5, 1.25)
     assert c.count == 5
     assert np.array_equal(c.positions[:, :2], np.zeros((5, 2)))
-    assert np.array_equal(c.positions[:, 2], 1.25 * np.arange(5))
+    assert np.array_equal(c.positions[:, 2], 1.25 * (np.arange(5) - 2))
 
 
 def test_ring_cloud_geometry():
@@ -405,7 +463,26 @@ def test_helix_cloud_geometry():
     chords = np.linalg.norm(np.diff(c.positions, axis=0), axis=1)
     assert np.allclose(chords, spacing, rtol=1e-4)
     # right-handed: moving up in z, the phase angle advances counterclockwise
-    assert c.positions[1, 1] > 0.0 and c.positions[1, 2] > 0.0
+    assert np.all(dz > 0.0)
+    turn = np.cross(c.positions[:-1], c.positions[1:])[:, 2]
+    assert np.all(turn > 0.0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 6, 500, 501])
+def test_generators_mirror_bitwise_under_reversal(count):
+    # emitter N-1-j is emitter j reflected through the x axis, bit for bit
+    for cloud in (line_cloud(count, 0.3), ring_cloud(count, 2.0),
+                  helix_cloud(count, 11.2, 7.8, 0.9)):
+        p = cloud.positions
+        assert np.array_equal(p[::-1], p * [1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("count", [64, 65])
+def test_generated_kernels_are_centrosymmetric(count):
+    for cloud in (line_cloud(count, 0.3), ring_cloud(count, 2.0),
+                  helix_cloud(count, 1.2, 0.8, 0.05)):
+        m = build_scalar_kernel(cloud, PHYS)
+        assert np.array_equal(m, m[::-1, ::-1])
 
 
 def test_generator_validation():
