@@ -26,11 +26,16 @@ physics = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)
 
 # --- the Dicke pair ------------------------------------------------------
 print("Dicke pair, separation s:")
-print(f"{'k0 s':>8} {'Gamma+/gamma':>13} {'closed form':>13} {'Gamma-/gamma':>13}")
+print(f"{'k0 s':>8} {'branch':>7} {'Gamma/gamma':>13} {'2(1 +- sinc)':>13}")
 for x in (0.5, math.pi / 2.0, 4.0):
     sp = oracle_spectrum(build_scalar_kernel(pair_cloud(x / physics.k0), physics))
-    want = 2.0 * (1.0 + math.sin(x) / x)
-    print(f"{x:>8.4f} {sp.gamma_j[0]:>13.10f} {want:>13.10f} {sp.gamma_j[1]:>13.10f}")
+    sinc = math.sin(x) / x
+    # the modes come out by descending rate, so the + branch leads iff sinc > 0
+    branches = [("+", 2.0 * (1.0 + sinc)), ("-", 2.0 * (1.0 - sinc))]
+    if sinc < 0.0:
+        branches.reverse()
+    for got, (sign, want) in zip(sp.gamma_j, branches):
+        print(f"{x:>8.4f} {sign:>7} {got:>13.10f} {want:>13.10f}")
 
 # --- a dense helix chain -------------------------------------------------
 b = 1.0 / 3.0               # Omega = lambda0 / b = 3

@@ -10,6 +10,7 @@ load_emitters / the fit-estimate subcommand instead.
 """
 
 import math
+import os
 import tempfile
 
 import numpy as np
@@ -35,6 +36,7 @@ with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
     path = fh.name
 
 cloud = load_emitters(path)
+os.remove(path)
 fit = fit_helix(cloud)
 
 print(f"R    = {fit.R:8.4f} nm   (true {R_true})")

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from .spectra import EmitterPhysics, snap_near_integer
+from .spectra import EmitterPhysics, m_bounds
 from .specfun import polylog_unit_circle
 
 _TWO_PI = 2.0 * math.pi
@@ -142,10 +142,9 @@ def discrete_line_decay(params: DiscreteLineParams, kappa: float) -> float:
     zero when no branch qualifies (every such kappa is trapped).
     """
     d = params.k0d
-    g_lo = math.ceil(snap_near_integer((-1.0 - kappa) * d / _TWO_PI))
-    g_hi = math.floor(snap_near_integer((1.0 - kappa) * d / _TWO_PI))
+    b = m_bounds(kappa, _TWO_PI / d)  # |kappa + g 2 pi/d| <= 1 for g = -m
     total = 0.0
-    for g in range(g_lo, g_hi + 1):
+    for g in range(-b.m_max, -b.m_min + 1):
         q = kappa + _TWO_PI * g / d
         q2 = min(q * q, 1.0)  # branch admitted by the bounds; clamp edge fuzz
         if params.orientation is Orientation.PARALLEL:

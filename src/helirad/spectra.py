@@ -43,16 +43,17 @@ _SNAP_TOL = 1e-9
 # kappa_grid refuses grids longer than this before allocating them
 MAX_GRID_POINTS = 1_000_000
 
+# elements per (rows, window length) block of _helix_decay: 32 kB per temporary
+_DECAY_BLOCK = 1 << 12
+
 LINE_LAMB_NORMALIZATION = "k0*E/(gamma*n0)"
 HELIX_LAMB_NORMALIZATION = "k0*E/(pi*gamma*n0)"
 
 
-def snap_near_integer(v: float) -> float:
-    """Round v to the nearest integer when it is within rounding fuzz of one."""
-    rv = round(v)
-    if abs(v - rv) <= _SNAP_TOL * max(1.0, abs(rv)):
-        return float(rv)
-    return v
+def snap_near_integer(v):
+    """Round v elementwise to the nearest integer where it is within rounding fuzz of one."""
+    rv = np.round(v)
+    return np.where(np.abs(v - rv) <= _SNAP_TOL * np.maximum(1.0, np.abs(rv)), rv, v)
 
 
 @dataclass(frozen=True)
@@ -162,30 +163,56 @@ def line_lamb_norm(kappa: float) -> float:
     return -2.0 * EULER_GAMMA - math.log(abs(v))
 
 
-def m_bounds(kappa: float, Omega: float) -> MBounds:
-    """Range of Bessel orders m with |kappa - m Omega| <= 1 (real arguments)."""
+def _order_window(kappa, Omega: float) -> tuple:
+    """(m_lo, m_hi) int arrays: orders with |kappa - m Omega| <= 1, empty where m_lo > m_hi."""
     if not (Omega > 0.0):
         raise ValueError(f"Omega must be > 0, got {Omega}")
-    lo = math.ceil(snap_near_integer((kappa - 1.0) / Omega))
-    hi = math.floor(snap_near_integer((kappa + 1.0) / Omega))
-    return MBounds(int(lo), int(hi))
+    kappa = np.asarray(kappa, dtype=float)
+    bad = kappa[~(np.abs(kappa) + 1.0 < 2.0**61 * Omega)]  # nan, +-inf, hi - lo past int64
+    if bad.size:
+        raise ValueError(f"kappa must be finite with |kappa| + 1 < 2^61 Omega, got {bad[0]}")
+    lo = np.ceil(snap_near_integer((kappa - 1.0) / Omega))
+    hi = np.floor(snap_near_integer((kappa + 1.0) / Omega))
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
+def m_bounds(kappa: float, Omega: float) -> MBounds:
+    """Range of Bessel orders m with |kappa - m Omega| <= 1: the one-element order window."""
+    lo, hi = _order_window([kappa], Omega)
+    return MBounds(int(lo[0]), int(hi[0]))
+
+
+def _helix_decay(kappa, spec: HelixSpec):
+    """Sum of J_m^2 over each kappa's order window, 0 where it is empty.
+
+    np.sum along the C-contiguous rows of (rows, n) blocks of equal window
+    length n gives each point the pairwise bits of np.sum over its window.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    m_lo, m_hi = _order_window(kappa, spec.Omega)
+    n = m_hi - m_lo + 1
+    out = np.zeros(kappa.shape)
+    for length in np.unique(n[n > 0]).tolist():
+        points = np.flatnonzero(n == length)
+        step = max(1, _DECAY_BLOCK // length)
+        for rows in np.split(points, range(step, len(points), step)):
+            m = m_lo[rows, None] + np.arange(length)
+            u = kappa[rows, None] - m * spec.Omega
+            rad = (1.0 - u) * (1.0 + u)
+            rad[np.abs(rad) <= RADICAND_TOL] = 0.0
+            rad = np.maximum(rad, 0.0)  # paired with the window: anything here is real
+            vals = _sp.jv(m, np.sqrt(rad) * spec.r)
+            out[rows] = np.sum(vals * vals, axis=1)
+    return out
 
 
 def helix_decay_norm(kappa: float, spec: HelixSpec) -> float:
     """Normalized helix decay rate: sum of J_m^2 over the real-argument orders.
 
-    Zero exactly when no order qualifies (the trapped condition).
+    Zero exactly when no order qualifies (the trapped condition).  The
+    one-element view of the grid-wide decay column.
     """
-    b = m_bounds(kappa, spec.Omega)
-    if b.empty:
-        return 0.0
-    m = np.arange(b.m_min, b.m_max + 1)
-    u = kappa - m * spec.Omega
-    rad = (1.0 - u) * (1.0 + u)
-    rad[np.abs(rad) <= RADICAND_TOL] = 0.0
-    rad = np.maximum(rad, 0.0)  # paired with m_bounds: anything here is real
-    vals = _sp.jv(m, np.sqrt(rad) * spec.r)
-    return float(np.sum(vals * vals))
+    return float(_helix_decay([kappa], spec)[0])
 
 
 def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int,
@@ -216,13 +243,11 @@ def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int,
 def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
     if M < 0:
         raise ValueError(f"truncation half-width M must be >= 0, got {M}")
-    for kappa in kappa_grid:
-        b = m_bounds(kappa, spec.Omega)
-        if not b.empty and (b.m_min < -M or b.m_max > M):
-            raise ValueError(
-                f"M={M} excludes real-argument orders [{b.m_min}, {b.m_max}]; "
-                f"raise the truncation"
-            )
+    m_lo, m_hi = _order_window(kappa_grid, spec.Omega)
+    cut = (m_lo <= m_hi) & ((m_lo < -M) | (m_hi > M))
+    if cut.any():  # reported for the first failing point
+        raise ValueError(f"M={M} excludes real-argument orders [{m_lo[cut][0]}, "
+                         f"{m_hi[cut][0]}]; raise the truncation")
     return _jh_sum(kappa_grid, spec.Omega, spec.r, -M, M)[1]
 
 
@@ -303,22 +328,9 @@ def trapped_intervals(Omega: float, kappa_max: float) -> TrappedIntervals:
     return TrappedIntervals(tuple(out), (Omega - 2.0) / Omega)
 
 
-def _eigen_point(kappa, gamma_norm, lamb_norm, physics) -> EigenPoint:
-    # gamma/gamma_single against the strict 0/1 thresholds
-    gog = physics.n0 * physics.lambda0 * gamma_norm
-    if gog == 0.0:
-        cls = Classification.TRAPPED
-    elif gog > 1.0:
-        cls = Classification.SUPERRADIANT
-    else:
-        cls = Classification.SUBRADIANT
-    return EigenPoint(kappa, gamma_norm, lamb_norm, gog, cls)
-
-
 def classify(kappa: float, spec: HelixSpec, physics: EmitterPhysics, M: int = 10) -> EigenPoint:
-    """Full helix eigenpoint at one kappa: rates, shift, and the 0/1-threshold class."""
-    return _eigen_point(kappa, helix_decay_norm(kappa, spec),
-                        helix_lamb_norm(kappa, spec, M), physics)
+    """Full helix eigenpoint (rates, shift, 0/1-threshold class): the one-point sweep."""
+    return sweep([kappa], spec, physics, M).points[0]
 
 
 def _check_ascending(kappa_grid):
@@ -328,42 +340,41 @@ def _check_ascending(kappa_grid):
     return grid
 
 
+def _table(grid, gamma, lamb, physics, geometry, params,
+           lamb_normalization=HELIX_LAMB_NORMALIZATION) -> SpectrumTable:
+    points = []
+    for kappa, g, e in zip(grid, gamma, lamb):
+        # gamma/gamma_single against the strict 0/1 thresholds
+        gog = physics.n0 * physics.lambda0 * g
+        if gog == 0.0:
+            cls = Classification.TRAPPED
+        elif gog > 1.0:
+            cls = Classification.SUPERRADIANT
+        else:
+            cls = Classification.SUBRADIANT
+        points.append(EigenPoint(kappa, g, e, gog, cls))
+    return SpectrumTable(tuple(points), geometry, lamb_normalization, params)
+
+
 def sweep(kappa_grid, spec: HelixSpec, physics: EmitterPhysics, M: int = 10) -> SpectrumTable:
     """Helix eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-    lamb = _helix_lamb(grid, spec, M).tolist()
-    return SpectrumTable(
-        points=tuple(_eigen_point(k, helix_decay_norm(k, spec), e, physics)
-                     for k, e in zip(grid, lamb)),
-        geometry="helix",
-        lamb_normalization=HELIX_LAMB_NORMALIZATION,
-        params={"Omega": spec.Omega, "r": spec.r, "M": M},
-    )
+    return _table(grid, _helix_decay(grid, spec).tolist(), _helix_lamb(grid, spec, M).tolist(),
+                  physics, "helix", {"Omega": spec.Omega, "r": spec.r, "M": M})
 
 
 def line_table(kappa_grid, physics: EmitterPhysics) -> SpectrumTable:
     """Line eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-    return SpectrumTable(
-        points=tuple(_eigen_point(k, line_decay_norm(k), line_lamb_norm(k), physics)
-                     for k in grid),
-        geometry="line",
-        lamb_normalization=LINE_LAMB_NORMALIZATION,
-        params={},
-    )
+    return _table(grid, map(line_decay_norm, grid), map(line_lamb_norm, grid), physics,
+                  "line", {}, LINE_LAMB_NORMALIZATION)
 
 
 def cylinder_table(kappa_grid, n: int, r: float, physics: EmitterPhysics) -> SpectrumTable:
     """Cylinder order-n eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
     g, e = _cylinder_sum(n, grid, r)
-    return SpectrumTable(
-        points=tuple(_eigen_point(k, gk, ek, physics)
-                     for k, gk, ek in zip(grid, g.tolist(), e.tolist())),
-        geometry="cylinder",
-        lamb_normalization=HELIX_LAMB_NORMALIZATION,
-        params={"n": n, "r": r},
-    )
+    return _table(grid, g.tolist(), e.tolist(), physics, "cylinder", {"n": n, "r": r})
 
 
 def kappa_grid(lo: float, hi: float, step: float):

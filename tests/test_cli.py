@@ -96,6 +96,21 @@ def test_spectrum_compute_error_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    # a comma list gets nan past the parser; the order window refuses it
+    (["--omega", "3", "--kappa", "0,nan"], "kappa must be finite"),
+    # kappa = 1 is the first point whose real-argument orders pass M = 3
+    (["--omega", "0.5", "--kappa", "0:3:0.5", "--M", "3"], "orders [0, 4]"),
+])
+def test_spectrum_helix_refusals_write_nothing(tmp_path, capsys, args, message):
+    out = tmp_path / "x.csv"
+    rc = main(["spectrum", "helix", "--radius", "1", *args, "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_records_run(tmp_path):
     out = tmp_path / "line.csv"
     main(["spectrum", "line", "--kappa", "0:1:0.5", "--output", str(out)])

@@ -28,9 +28,10 @@ from helirad.discrete import (
     ring_cloud,
     subradiant_fraction,
 )
-from helirad.spectra import EmitterPhysics, HelixSpec, helix_decay_norm, line_lamb_norm
+from helirad.spectra import EmitterPhysics, HelixSpec, helix_decay_norm, kappa_grid, line_lamb_norm
 
 from . import oracles
+from .test_spectra import _scalar_window
 
 PHYS = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)
 
@@ -125,6 +126,36 @@ def test_decay_rejects_bad_spacing():
         DiscreteLineParams(k0d=0.0, orientation=Orientation.PARALLEL)
     with pytest.raises(ValueError):
         DiscreteLineParams(k0d=-2.0, orientation=Orientation.PERPENDICULAR)
+
+
+def _reference_decay(params, kappa):
+    # the branch sum with its own scalar g-window, as before the shared order window
+    d = params.k0d
+    g_lo, g_hi = _scalar_window((-1.0 - kappa) * d / (2.0 * math.pi),
+                                (1.0 - kappa) * d / (2.0 * math.pi))
+    total = 0.0
+    for g in range(g_lo, g_hi + 1):
+        q = kappa + 2.0 * math.pi * g / d
+        q2 = min(q * q, 1.0)
+        total += 1.0 - q2 if params.orientation is Orientation.PARALLEL else 1.0 + q2
+    return 1.5 * math.pi * total / d
+
+
+@pytest.mark.parametrize("d_over_lambda", [0.05, 0.25, 0.5, 1.0, 1.5, 3.3])
+def test_decay_matches_the_per_branch_reference_bitwise(d_over_lambda):
+    # kappa = +-1 - g lambda/d puts branch g exactly on the light line
+    edges = [s - g / d_over_lambda for g in range(-70, 71) for s in (-1.0, 1.0)]
+    grid = kappa_grid(-3.0, 3.0, 0.005) + [k for k in edges if abs(k) <= 3.0]
+    for perp in (False, True):
+        p = _params(2.0 * math.pi * d_over_lambda, perp)
+        assert [discrete_line_decay(p, k).hex() for k in grid] == \
+            [_reference_decay(p, k).hex() for k in grid]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decay_refuses_non_finite_kappa(bad):
+    with pytest.raises(ValueError, match=f"kappa must be finite .*, got {bad}$"):
+        discrete_line_decay(_params(1.0), bad)
 
 
 # ---------------------------------------------------------------- Lamb shift

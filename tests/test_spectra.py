@@ -1,11 +1,14 @@
 """Unit tests for the analytical line/helix/cylinder spectra."""
 
 import math
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy import special
 
+from helirad import spectra
 from helirad.spectra import (
     HELIX_LAMB_NORMALIZATION,
     LINE_LAMB_NORMALIZATION,
@@ -354,6 +357,68 @@ def test_reference_cases_reach_both_fallbacks_and_the_sentinel():
         _scalar_lamb(k, HelixSpec(Omega=0.05, r=0.5), 120, fired)
     assert fired["jy"] > 0 and fired["ik"] > 0
     assert _scalar_lamb(1.0, HelixSpec(Omega=3.0, r=3.0), 10) == -math.inf
+
+
+# The per-point decay formula the grid pass replaced, kept as its reference:
+# np.sum of J_m^2 over one kappa's window, the window found with scalar
+# math.ceil/floor after snapping within 1e-9 relative of an integer.
+def _snap(v):
+    rv = round(v)
+    return float(rv) if abs(v - rv) <= 1e-9 * max(1.0, abs(rv)) else v
+
+
+def _scalar_window(lo, hi):
+    return math.ceil(_snap(lo)), math.floor(_snap(hi))
+
+
+def _reference_decay(kappa, spec):
+    m_min, m_max = _scalar_window((kappa - 1.0) / spec.Omega, (kappa + 1.0) / spec.Omega)
+    if m_min > m_max:
+        return 0.0
+    m = np.arange(m_min, m_max + 1)
+    u = kappa - m * spec.Omega
+    rad = (1.0 - u) * (1.0 + u)
+    rad[np.abs(rad) <= RADICAND_TOL] = 0.0
+    vals = special.jv(m, np.sqrt(np.maximum(rad, 0.0)) * spec.r)
+    return float(np.sum(vals * vals))
+
+
+# Windows of 10 to 41 orders, so np.sum adds pairwise.  At Omega = 0.13 the
+# windows hold 15 or 16 orders, and padding a 15 with a zero would regroup
+# its pairwise sum.  kappa = +-1 + m Omega puts band edges on the grid.  A
+# block of 7 elements splits one window length over many blocks.
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("Omega", [0.05, 0.1, 0.13, 0.2])
+def test_sweep_decay_matches_per_point_reference_bitwise(Omega, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(spectra, "_DECAY_BLOCK", block)
+    edges = sorted({k for m in range(-100, 101) for k in (m * Omega - 1.0, m * Omega + 1.0)
+                    if abs(k) <= 3.0})
+    for r in (0.0, 0.5, 3.0):
+        spec = HelixSpec(Omega=Omega, r=r)
+        for grid in (kappa_grid(-3.0, 3.0, 0.01), edges):
+            table = sweep(grid, spec, PHYS_UNIT, M=math.ceil(4.0 / Omega))
+            assert [p.gamma_norm.hex() for p in table.points] == \
+                [_reference_decay(k, spec).hex() for k in grid]
+            assert [helix_decay_norm(k, spec).hex() for k in grid[::37]] == \
+                [p.gamma_norm.hex() for p in table.points[::37]]
+
+
+@pytest.mark.parametrize("bad, grid", [
+    (math.nan, [0.0, math.nan]),
+    (math.inf, [0.0, math.inf]),
+    (-math.inf, [-math.inf, 0.0]),
+    (1e300, [0.0, 1e300]),  # finite, but its orders leave the int64 range
+])
+def test_order_window_refuses_non_finite_kappa(bad, grid):
+    spec = HelixSpec(Omega=0.5, r=1.0)
+    message = f"kappa must be finite .*, got {re.escape(str(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        m_bounds(bad, spec.Omega)
+    with pytest.raises(ValueError, match=message):
+        helix_decay_norm(bad, spec)
+    with pytest.raises(ValueError, match=message):
+        sweep(grid, spec, PHYS_UNIT, M=10)
 
 
 def test_upper_bound_matches_scalar_reference_bitwise():
