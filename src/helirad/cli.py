@@ -21,10 +21,10 @@ from . import __version__
 from .discrete import (
     DiscreteLineParams,
     Orientation,
+    _chain_decay,
+    _chain_lamb,
     build_scalar_kernel,
     check_oracle_size,
-    discrete_line_decay,
-    discrete_line_lamb,
     helix_cloud,
     line_cloud,
     oracle_spectrum,
@@ -238,10 +238,7 @@ def cmd_discrete_line(args):
     orientation = Orientation(args.orientation)
     k0d = 2.0 * math.pi * args.d_over_lambda
     params = DiscreteLineParams(k0d=k0d, orientation=orientation)
-    rows = [
-        (kappa, discrete_line_lamb(params, kappa), discrete_line_decay(params, kappa))
-        for kappa in grid
-    ]
+    rows = zip(grid, _chain_lamb(params, grid).tolist(), _chain_decay(params, grid).tolist())
     text = _csv("kappa,E_over_gamma,Gamma_over_gamma", rows)
     _write_output(args.output, text, "discrete-line", {
         "d_over_lambda": args.d_over_lambda, "orientation": args.orientation,

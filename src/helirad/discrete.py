@@ -21,10 +21,8 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from .spectra import EmitterPhysics, m_bounds
-from .specfun import polylog_unit_circle
-
-_TWO_PI = 2.0 * math.pi
+from .spectra import EmitterPhysics, _check_ascending, _order_window
+from .specfun import _TWO_PI, _libm, _polylogs
 
 # dense all-eigenvalue solves stay comfortable on a desktop to about here;
 # beyond it memory and O(N^3) time both turn painful
@@ -107,6 +105,21 @@ class OracleSpectrum:
     eigensolve: str  # "centrosymmetric" (two half-size blocks) or "dense"
 
 
+def _chain_lamb(params: DiscreteLineParams, kappa) -> np.ndarray:
+    """discrete_line_lamb over an ascending kappa grid, one polylog series for all."""
+    d = params.k0d
+    kappa = np.array(_check_ascending(kappa))
+    # rows: the reduced phases of k0 d (1 + kappa) and of k0 d (1 - kappa)
+    t = _libm(math.remainder, [d * (1.0 + kappa), d * (1.0 - kappa)], _TWO_PI)
+    li2, li3 = _polylogs(t)
+    bracket = li3.real.sum(axis=0) + d * li2.imag.sum(axis=0)
+    if params.orientation is Orientation.PARALLEL:
+        return -1.5 * bracket / d**3
+    mod = np.abs(2.0 * _libm(math.sin, 0.5 * t))  # |1 - e^{it}|
+    logs = _libm(lambda m: math.log(m) if m else -math.inf, mod)  # -inf carries to the sum
+    return 0.75 * (bracket + d * d * logs.sum(axis=0)) / d**3
+
+
 def discrete_line_lamb(params: DiscreteLineParams, kappa: float) -> float:
     """Collective Lamb shift of the infinite chain, in units of gamma.
 
@@ -115,23 +128,21 @@ def discrete_line_lamb(params: DiscreteLineParams, kappa: float) -> float:
     those points are returned as the -inf sentinel.  The parallel shift is
     finite everywhere.
     """
+    return float(_chain_lamb(params, [kappa])[0])
+
+
+def _chain_decay(params: DiscreteLineParams, kappa) -> np.ndarray:
+    """discrete_line_decay over an ascending kappa grid, one pass per branch g."""
     d = params.k0d
-    tp = d * (1.0 + kappa)
-    tm = d * (1.0 - kappa)
-    bracket = (
-        polylog_unit_circle(3, tp).real
-        + polylog_unit_circle(3, tm).real
-        + d * (polylog_unit_circle(2, tp).imag + polylog_unit_circle(2, tm).imag)
-    )
-    if params.orientation is Orientation.PARALLEL:
-        return -1.5 * bracket / d**3
-    logs = 0.0
-    for t in (tp, tm):
-        mod = abs(2.0 * math.sin(0.5 * math.remainder(t, _TWO_PI)))  # |1 - e^{it}|
-        if mod == 0.0:
-            return float("-inf")
-        logs += math.log(mod)
-    return 0.75 * (bracket + d * d * logs) / d**3
+    kappa = np.array(_check_ascending(kappa))
+    m_lo, m_hi = _order_window(kappa, _TWO_PI / d)  # |kappa + g 2 pi/d| <= 1 for g = -m
+    sign = -1.0 if params.orientation is Orientation.PARALLEL else 1.0  # weights 1 -+ q^2
+    total = np.zeros(kappa.shape)
+    for j in range(int(np.max(m_hi - m_lo, initial=-1)) + 1):  # ascending g = j - m_hi
+        q = kappa + _TWO_PI * (j - m_hi) / d
+        q2 = np.minimum(q * q, 1.0)  # branch admitted by the window; clamp edge fuzz
+        np.add(total, 1.0 + sign * q2, out=total, where=j <= m_hi - m_lo)
+    return 1.5 * math.pi * total / d
 
 
 def discrete_line_decay(params: DiscreteLineParams, kappa: float) -> float:
@@ -141,17 +152,7 @@ def discrete_line_decay(params: DiscreteLineParams, kappa: float) -> float:
     q = kappa + 2 pi g/(k0 d) that stay inside the light line |q| <= 1;
     zero when no branch qualifies (every such kappa is trapped).
     """
-    d = params.k0d
-    b = m_bounds(kappa, _TWO_PI / d)  # |kappa + g 2 pi/d| <= 1 for g = -m
-    total = 0.0
-    for g in range(-b.m_max, -b.m_min + 1):
-        q = kappa + _TWO_PI * g / d
-        q2 = min(q * q, 1.0)  # branch admitted by the bounds; clamp edge fuzz
-        if params.orientation is Orientation.PARALLEL:
-            total += 1.0 - q2
-        else:
-            total += 1.0 + q2
-    return 1.5 * math.pi * total / d
+    return float(_chain_decay(params, [kappa])[0])
 
 
 def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndarray:

@@ -152,27 +152,38 @@ def jh_product(m: int, arg: BesselArg) -> complex:
     return complex(re[0], im[0])
 
 
-# zeta(s - k) coefficients for the unit-circle polylog expansion; trivial
-# zeros at negative even integers make half the table vanish
-_BERNOULLI = _sp.bernoulli(72)
+# zeta(3 - k) for k <= 64: the coefficient of mu^k / k! in Li_3, and of
+# mu^(k-1) / (k-1)! in Li_2.  None marks the zeta(1) pole, whose term
+# _polylogs replaces by its finite part.  Past it, zeta(1 - n) = -B_n / n
+# with B_1 = +1/2 (scipy's B_1 is -1/2), zero at every odd n >= 3.
+_ZETA = [float(_sp.zeta(3)), float(_sp.zeta(2)), None, -0.5] + [
+    -float(b) / n for n, b in enumerate(_sp.bernoulli(62)[2:], start=2)]
 
 
-def _zeta_int(n: int) -> float:
-    if n >= 2:
-        return float(_sp.zeta(n))
-    if n == 0:
-        # the -B_{k+1}/(k+1) identity needs B_1 = +1/2, scipy uses -1/2
-        return -0.5
-    k = -n
-    return -float(_BERNOULLI[k + 1]) / (k + 1)
+def _libm(f, x, *args) -> np.ndarray:
+    """f(v, *args) for each v in x through libm; numpy's SIMD log rounds some v differently."""
+    x = np.asarray(x, dtype=float)
+    return np.reshape([f(v, *args) for v in x.ravel().tolist()], x.shape)
 
 
-# zeta(s - k) for k < 64, built once per order; None marks the k = s - 1
-# pole, whose term polylog_unit_circle replaces by its finite part
-_ZETA_SERIES = {
-    s: [None if k == s - 1 else _zeta_int(s - k) for k in range(64)]
-    for s in (2, 3)
-}
+def _polylogs(t) -> tuple:
+    """(Li_2, Li_3) complex arrays at e^{it} for phases t already in [-pi, pi].
+
+    The series of polylog_unit_circle over a whole array, element by element
+    in the same operations.  At t = 0 every term past k = 0 is zero, which
+    leaves zeta(s) exactly.
+    """
+    log = _libm(lambda v: cmath.log(complex(0.0, -v)) if v else 0j, t)  # ln(-mu)
+    li2 = np.zeros(t.shape, dtype=complex)
+    li3 = np.zeros(t.shape, dtype=complex)
+    muk = np.ones(t.shape, dtype=complex)  # mu^k / k!
+    for k, (z3, z2) in enumerate(zip(_ZETA, _ZETA[1:])):
+        li2 += muk * ((1.0 - log) if z2 is None else z2)
+        li3 += muk * ((1.5 - log) if z3 is None else z3)
+        # mu / (k + 1) with mu = it, bit for bit; numpy's complex division
+        # would multiply by 1 / (k + 1) and round differently
+        muk *= (t / (k + 1)) * 1j
+    return li2, li3
 
 
 def polylog_unit_circle(s: int, phase: float) -> complex:
@@ -186,14 +197,4 @@ def polylog_unit_circle(s: int, phase: float) -> complex:
     """
     if s not in (2, 3):
         raise ValueError(f"polylog order must be 2 or 3, got {s}")
-    t = math.remainder(float(phase), _TWO_PI)
-    if t == 0.0:
-        return complex(_ZETA_SERIES[s][0], 0.0)
-    mu = complex(0.0, t)
-    log_term = (1.0 if s == 2 else 1.5) - cmath.log(-mu)
-    total = 0.0 + 0.0j
-    muk = 1.0 + 0.0j  # mu^k / k!
-    for k, zeta in enumerate(_ZETA_SERIES[s]):
-        total += muk * (log_term if zeta is None else zeta)
-        muk *= mu / (k + 1)
-    return total
+    return complex(_polylogs(_libm(math.remainder, [phase], _TWO_PI))[s - 2][0])

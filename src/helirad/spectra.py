@@ -28,9 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import EULER_GAMMA, jh_products
-
-_TWO_PI = 2.0 * math.pi
+from .specfun import _TWO_PI, EULER_GAMMA, jh_products
 
 # radicand 1-(kappa-m Omega)^2 is clamped to 0 this close to the boundary so
 # it cannot go negative by rounding where m_bounds says the order is real
@@ -335,6 +333,9 @@ def classify(kappa: float, spec: HelixSpec, physics: EmitterPhysics, M: int = 10
 
 def _check_ascending(kappa_grid):
     grid = [float(k) for k in kappa_grid]
+    bad = [k for k in grid if not math.isfinite(k)]
+    if bad:  # nan and +-inf have no eigenpoint on any table
+        raise ValueError(f"kappa must be finite at every grid node, got {bad[0]}")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("kappa grid must be sorted ascending")
     return grid

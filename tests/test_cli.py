@@ -111,6 +111,22 @@ def test_spectrum_helix_refusals_write_nothing(tmp_path, capsys, args, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "line", "--kappa", "0,inf"],
+    ["spectrum", "cylinder", "--radius", "1", "--kappa", "0,nan"],
+    ["discrete-line", "--d-over-lambda", "0.05", "--orientation", "par", "--kappa", "0,inf"],
+    ["discrete-line", "--d-over-lambda", "0.05", "--orientation", "perp", "--kappa", "0,nan"],
+], ids=["line-inf", "cylinder-nan", "discrete-par-inf", "discrete-perp-nan"])
+def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, argv):
+    # a comma list gets nan and inf past the parser; every table refuses them
+    rc = main([*argv, "--output", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"kappa must be finite at every grid node, got {argv[-1][2:]}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_records_run(tmp_path):
     out = tmp_path / "line.csv"
     main(["spectrum", "line", "--kappa", "0:1:0.5", "--output", str(out)])

@@ -1,5 +1,6 @@
 """Infinite discrete dipole line and the finite-N brute-force oracle."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from mpmath import mp
+from scipy import special
 from scipy.optimize import linear_sum_assignment
 
 from helirad import discrete
@@ -141,21 +143,84 @@ def _reference_decay(params, kappa):
     return 1.5 * math.pi * total / d
 
 
+def _reference_zeta(n):
+    if n >= 2:
+        return float(special.zeta(n))
+    if n == 0:
+        return -0.5
+    return -float(special.bernoulli(72)[1 - n]) / (1 - n)
+
+
+_REFERENCE_ZETA = {s: [None if k == s - 1 else _reference_zeta(s - k) for k in range(64)]
+                   for s in (2, 3)}
+
+
+def _reference_polylog(s, phase):
+    # the one-phase series, complex division by k + 1 and cmath.log included
+    t = math.remainder(float(phase), 2.0 * math.pi)
+    if t == 0.0:
+        return complex(_REFERENCE_ZETA[s][0], 0.0)
+    mu = complex(0.0, t)
+    log_term = (1.0 if s == 2 else 1.5) - cmath.log(-mu)
+    total = 0.0 + 0.0j
+    muk = 1.0 + 0.0j
+    for k, zeta in enumerate(_REFERENCE_ZETA[s]):
+        total += muk * (log_term if zeta is None else zeta)
+        muk *= mu / (k + 1)
+    return total
+
+
+def _reference_lamb(params, kappa):
+    # the one-point Lamb shift, four polylog calls and a scalar log term
+    d = params.k0d
+    tp = d * (1.0 + kappa)
+    tm = d * (1.0 - kappa)
+    bracket = (
+        _reference_polylog(3, tp).real
+        + _reference_polylog(3, tm).real
+        + d * (_reference_polylog(2, tp).imag + _reference_polylog(2, tm).imag)
+    )
+    if params.orientation is Orientation.PARALLEL:
+        return -1.5 * bracket / d**3
+    logs = 0.0
+    for t in (tp, tm):
+        mod = abs(2.0 * math.sin(0.5 * math.remainder(t, 2.0 * math.pi)))
+        if mod == 0.0:
+            return float("-inf")
+        logs += math.log(mod)
+    return 0.75 * (bracket + d * d * logs) / d**3
+
+
+# At d/lambda = 1.5 and 3.3, k0 d (1 +- kappa) passes 2 pi on this grid, so
+# the phase reduction runs; the perpendicular column holds -inf at kappa = +-1.
 @pytest.mark.parametrize("d_over_lambda", [0.05, 0.25, 0.5, 1.0, 1.5, 3.3])
 def test_decay_matches_the_per_branch_reference_bitwise(d_over_lambda):
     # kappa = +-1 - g lambda/d puts branch g exactly on the light line
     edges = [s - g / d_over_lambda for g in range(-70, 71) for s in (-1.0, 1.0)]
-    grid = kappa_grid(-3.0, 3.0, 0.005) + [k for k in edges if abs(k) <= 3.0]
+    grid = sorted(kappa_grid(-3.0, 3.0, 0.005) + [k for k in edges if abs(k) <= 3.0])
     for perp in (False, True):
         p = _params(2.0 * math.pi * d_over_lambda, perp)
-        assert [discrete_line_decay(p, k).hex() for k in grid] == \
-            [_reference_decay(p, k).hex() for k in grid]
+        decay = [_reference_decay(p, k).hex() for k in grid]
+        assert [discrete_line_decay(p, k).hex() for k in grid] == decay
+        assert [v.hex() for v in discrete._chain_decay(p, grid).tolist()] == decay
+        lamb = [_reference_lamb(p, k).hex() for k in grid]
+        assert [v.hex() for v in discrete._chain_lamb(p, grid).tolist()] == lamb
+        assert (float("-inf").hex() in lamb) is perp
+        # the public scalar is a one-element view of the same pass
+        assert [discrete_line_lamb(p, k).hex() for k in grid[::37]] == lamb[::37]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_decay_refuses_non_finite_kappa(bad):
     with pytest.raises(ValueError, match=f"kappa must be finite .*, got {bad}$"):
         discrete_line_decay(_params(1.0), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lamb_refuses_non_finite_kappa(bad):
+    for perp in (False, True):
+        with pytest.raises(ValueError, match=f"kappa must be finite .*, got {bad}$"):
+            discrete_line_lamb(_params(1.0, perp), bad)
 
 
 # ---------------------------------------------------------------- Lamb shift
