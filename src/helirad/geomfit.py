@@ -27,9 +27,9 @@ import numpy as np
 import scipy.optimize
 
 from .discrete import EmitterCloud
+from .specfun import _TWO_PI
 from .spectra import EmitterPhysics
 
-_TWO_PI = 2.0 * math.pi
 _DEGENERACY_RTOL = 1e-10
 # least_squares evaluation cap for one axis; a winner that reaches it gets a
 # FitWarning
@@ -273,12 +273,11 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
         raise ValueError(f"need at least 8 emitters to fit a helix, got {n}")
     centroid = pos.mean(axis=0)
     centered = pos - centroid
-    svals = np.linalg.svd(centered, compute_uv=False)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[1] <= _DEGENERACY_RTOL * svals[0]:
         raise FitDegeneracyError("cloud is collinear; helix axis is undetermined")
     if svals[2] <= _DEGENERACY_RTOL * svals[0]:
         raise FitDegeneracyError("cloud is coplanar; pitch is undetermined")
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
 
     cands = []
     for row in vt:

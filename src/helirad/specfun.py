@@ -7,8 +7,9 @@ used by the discrete dipole line.
 
 Two conventions run through everything here:
 
-* Arguments are either real (x) or purely imaginary (ix); `BesselArg` carries
-  that distinction explicitly so callers never pass complex numbers around.
+* An argument is a finite magnitude x >= 0 plus an `imaginary` flag saying
+  whether it means the real x or the purely imaginary ix, so callers never
+  pass complex numbers around.
 * Logarithmic divergences are explicit ``-inf`` sentinels inside otherwise
   finite results, never NaN.  The only such divergence is the m = 0,
   zero-argument product J_0 H_0^(1)(0) = 1 - i*inf.
@@ -17,9 +18,7 @@ All functions are pure and hold no mutable state.
 """
 
 import cmath
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -29,36 +28,14 @@ EULER_GAMMA = 0.5772156649015329
 _TWO_PI = 2.0 * math.pi
 
 
-class ArgKind(enum.Enum):
-    REAL = "real"
-    IMAGINARY = "imaginary"
-
-
-@dataclass(frozen=True)
-class BesselArg:
-    """Argument magnitude plus a tag saying whether it means x or ix."""
-
-    kind: ArgKind
-    magnitude: float
-
-    def __post_init__(self):
-        if not (self.magnitude >= 0.0):
-            raise ValueError(f"Bessel argument magnitude must be >= 0, got {self.magnitude}")
-
-
 def bessel_j(m: int, x: float) -> float:
     """J_m(x) for integer order and x >= 0.
 
-    Negative orders go through the reflection J_{-m} = (-1)^m J_m so the
-    identity holds bitwise, not just to rounding.
+    Negative orders come from scipy, which keeps J_{-m} = (-1)^m J_m bitwise.
     """
     if x < 0.0:
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    m = int(m)
-    if m < 0:
-        v = float(_sp.jv(-m, x))
-        return -v if m % 2 else v
-    return float(_sp.jv(m, x))
+    return float(_sp.jv(int(m), x))
 
 
 def bessel_y(m: int, x: float) -> float:
@@ -66,15 +43,12 @@ def bessel_y(m: int, x: float) -> float:
 
     x = 0 is a domain error: Y_m diverges there, and callers that need the
     limiting behavior (the kappa = +-1 asymptotes) go through jh_product,
-    which represents it as a sentinel instead.
+    which represents it as a sentinel instead.  Negative orders come from
+    scipy, which keeps Y_{-m} = (-1)^m Y_m bitwise.
     """
     if x <= 0.0:
         raise ValueError(f"bessel_y requires x > 0 (logarithmic divergence at 0), got {x}")
-    m = int(m)
-    if m < 0:
-        v = float(_sp.yv(-m, x))
-        return -v if m % 2 else v
-    return float(_sp.yv(m, x))
+    return float(_sp.yv(int(m), x))
 
 
 def bessel_ik(m: int, x: float) -> tuple:
@@ -83,10 +57,11 @@ def bessel_ik(m: int, x: float) -> tuple:
     Overflow of either value is raised, never returned as inf: the product
     I_m K_m stays modest even where the factors explode, and callers wanting
     the product should use jh_product, which evaluates it in scaled form.
+    Both are even in m, and scipy returns the same bits for -m as for m.
     """
     if x <= 0.0:
         raise ValueError(f"bessel_ik requires x > 0, got {x}")
-    m = abs(int(m))
+    m = int(m)
     i = float(_sp.iv(m, x))
     k = float(_sp.kv(m, x))
     if not (math.isfinite(i) and math.isfinite(k)):
@@ -95,7 +70,7 @@ def bessel_ik(m: int, x: float) -> tuple:
 
 
 def jh_products(m: int, x, imaginary) -> tuple:
-    """(Re, Im) arrays of J_m H_m^(1) over an array of magnitudes x >= 0.
+    """(Re, Im) arrays of J_m H_m^(1) over an array of finite magnitudes x >= 0.
 
     `imaginary` is a boolean mask, or one bool for the whole array: where it
     holds, the magnitude stands for the argument ix.  Each branch (real J Y,
@@ -105,10 +80,9 @@ def jh_products(m: int, x, imaginary) -> tuple:
     """
     m = abs(int(m))
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):
-        raise ValueError(
-            f"Bessel argument magnitude must be >= 0, got {x[~(x >= 0.0)][0]}"
-        )
+    ok = (x >= 0.0) & (x < math.inf)  # nan fails both
+    if not ok.all():
+        raise ValueError(f"Bessel argument magnitude must be finite and >= 0, got {x[~ok][0]}")
     zero = x == 0.0
     real = ~zero & ~np.asarray(imaginary, dtype=bool)
     imag = ~zero & ~real
@@ -138,17 +112,18 @@ def jh_products(m: int, x, imaginary) -> tuple:
     return re, im
 
 
-def jh_product(m: int, arg: BesselArg) -> complex:
-    """J_m H_m^(1) evaluated at a real or purely imaginary argument.
+def jh_product(m: int, x: float, imaginary: bool = False) -> complex:
+    """J_m H_m^(1) at the real argument x, or at ix where `imaginary` holds.
 
     Real x > 0:       J_m(x)^2 + i J_m(x) Y_m(x)
     Imaginary ix:     -i (2/pi) I_m(x) K_m(x)   (real part exactly 0)
     Zero, m = 0:      1 - i*inf (sentinel for the logarithmic divergence)
     Zero, m != 0:     -i / (|m| pi)
 
-    The product is even in m, so the order is reduced to |m| up front.
+    The product is even in m, so the order is reduced to |m| up front.  The
+    one-element view of jh_products.
     """
-    re, im = jh_products(m, [arg.magnitude], arg.kind is ArgKind.IMAGINARY)
+    re, im = jh_products(m, [x], imaginary)
     return complex(re[0], im[0])
 
 

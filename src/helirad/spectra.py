@@ -23,7 +23,6 @@ contribute.
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
@@ -75,34 +74,16 @@ class EmitterPhysics:
 
 @dataclass(frozen=True)
 class HelixSpec:
-    """Dimensionless helix parameters Omega = 2 pi/(k0 b) and r = k0 R.
-
-    The physical pitch b and radius R (nm) may be attached as provenance;
-    when present they must be consistent with the dimensionless values.
-    """
+    """Dimensionless helix parameters Omega = 2 pi/(k0 b) and r = k0 R."""
 
     Omega: float
     r: float
-    b: Optional[float] = None
-    R: Optional[float] = None
-    k0: Optional[float] = None
 
     def __post_init__(self):
         if not (self.Omega > 0.0 and math.isfinite(self.Omega)):
             raise ValueError(f"HelixSpec.Omega must be > 0, got {self.Omega}")
         if not (self.r >= 0.0 and math.isfinite(self.r)):
             raise ValueError(f"HelixSpec.r must be >= 0, got {self.r}")
-        if self.b is not None or self.R is not None:
-            if self.k0 is None:
-                raise ValueError("provenance b/R requires k0")
-            if self.b is not None and abs(self.Omega * self.k0 * self.b - _TWO_PI) > 1e-12 * _TWO_PI:
-                raise ValueError("inconsistent provenance: Omega*k0*b != 2*pi")
-            if self.R is not None and abs(self.r - self.k0 * self.R) > 1e-12 * max(self.r, 1e-300):
-                raise ValueError("inconsistent provenance: r != k0*R")
-
-    @classmethod
-    def from_geometry(cls, R: float, b: float, k0: float) -> "HelixSpec":
-        return cls(Omega=_TWO_PI / (k0 * b), r=k0 * R, b=b, R=R, k0=k0)
 
 
 class Classification(enum.Enum):
@@ -146,6 +127,7 @@ class SpectrumTable:
 
 def line_decay_norm(kappa: float) -> float:
     """Normalized line decay rate: 1 on |kappa| <= 1 (boundary included), else 0."""
+    (kappa,) = _check_ascending([kappa])
     return 1.0 if abs(kappa) <= 1.0 else 0.0
 
 
@@ -155,6 +137,7 @@ def line_lamb_norm(kappa: float) -> float:
     The kappa = +-1 divergence is reported as the -inf sentinel, matching the
     sign convention of the helix/cylinder asymptotes.
     """
+    (kappa,) = _check_ascending([kappa])
     v = (1.0 - kappa) * (1.0 + kappa)
     if v == 0.0:
         return float("-inf")
@@ -273,8 +256,8 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
 
 
 def _cylinder_sum(n: int, kappa, r: float) -> tuple:
-    if r < 0.0:
-        raise ValueError(f"cylinder radius must be >= 0, got {r}")
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise ValueError(f"cylinder radius must be finite and >= 0, got {r}")
     return _jh_sum(kappa, 0.0, r, int(n), int(n))
 
 
@@ -286,7 +269,7 @@ def cylinder_norms(n: int, kappa: float, r: float) -> tuple:
     -(2/pi) I_n K_n outside.  These are the n-th order analogues of the
     single-order helix terms and share their normalization.
     """
-    g, e = _cylinder_sum(n, [kappa], r)
+    g, e = _cylinder_sum(n, _check_ascending([kappa]), r)
     return float(g[0]), float(e[0])
 
 
@@ -307,14 +290,18 @@ def trapped_intervals(Omega: float, kappa_max: float) -> TrappedIntervals:
 
     Empty for Omega < 2; for Omega = 2 the ranges degenerate to the odd
     integers.  The fraction (Omega-2)/Omega is the trapped share of the whole
-    kappa axis, independent of the clipping window.
+    kappa axis, independent of the clipping window.  Windows holding
+    MAX_GRID_POINTS or more periods are refused before any is listed.
     """
-    if not (Omega > 0.0):
-        raise ValueError(f"Omega must be > 0, got {Omega}")
-    if not (kappa_max > 0.0):
-        raise ValueError(f"kappa_max must be > 0, got {kappa_max}")
+    if not (Omega > 0.0 and math.isfinite(Omega)):
+        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
+    if not (kappa_max > 0.0 and math.isfinite(kappa_max)):
+        raise ValueError(f"kappa_max must be finite and > 0, got {kappa_max}")
     if Omega < 2.0:
         return TrappedIntervals((), 0.0)
+    if kappa_max / Omega >= MAX_GRID_POINTS:
+        raise ValueError(f"kappa_max/Omega = {kappa_max / Omega} exceeds the limit of "
+                         f"{MAX_GRID_POINTS} trapped intervals")
     out = []
     j = 0
     while True:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -111,18 +112,25 @@ def test_spectrum_helix_refusals_write_nothing(tmp_path, capsys, args, message):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "line", "--kappa", "0,inf"],
-    ["spectrum", "cylinder", "--radius", "1", "--kappa", "0,nan"],
-    ["discrete-line", "--d-over-lambda", "0.05", "--orientation", "par", "--kappa", "0,inf"],
-    ["discrete-line", "--d-over-lambda", "0.05", "--orientation", "perp", "--kappa", "0,nan"],
-], ids=["line-inf", "cylinder-nan", "discrete-par-inf", "discrete-perp-nan"])
-def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, argv):
+_KAPPA_REFUSAL = "kappa must be finite at every grid node, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "line", "--kappa", "0,inf"], _KAPPA_REFUSAL + "inf"),
+    (["spectrum", "cylinder", "--radius", "1", "--kappa", "0,nan"], _KAPPA_REFUSAL + "nan"),
+    (["discrete-line", "--d-over-lambda", "0.05", "--orientation", "par", "--kappa", "0,inf"],
+     _KAPPA_REFUSAL + "inf"),
+    (["discrete-line", "--d-over-lambda", "0.05", "--orientation", "perp", "--kappa", "0,nan"],
+     _KAPPA_REFUSAL + "nan"),
+    (["spectrum", "cylinder", "--radius", "inf", "--kappa", "0,1"],
+     "cylinder radius must be finite and >= 0, got inf"),
+], ids=["line-inf", "cylinder-nan", "discrete-par-inf", "discrete-perp-nan", "cylinder-radius-inf"])
+def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, argv, message):
     # a comma list gets nan and inf past the parser; every table refuses them
     rc = main([*argv, "--output", str(tmp_path / "x.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"kappa must be finite at every grid node, got {argv[-1][2:]}" in err
+    assert message in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -218,6 +226,27 @@ def test_trapped_wide_first_interval(tmp_path):
     out = tmp_path / "t.json"
     assert main(["trapped", "--omega", "10", "--output", str(out)]) == 0
     assert json.loads(_read(out))["intervals"][0] == [1.0, 9.0]
+
+
+def _cap_address_space():
+    cap = 768 << 20  # the imports need about 320 MB of address space
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--omega", "3", "--kappa-max", "inf"], "kappa_max must be finite and > 0, got inf"),
+    (["--omega", "3", "--kappa-max", "1e12"], "exceeds the limit of 1000000 trapped intervals"),
+    (["--omega", "inf"], "Omega must be finite and > 0, got inf"),
+], ids=["kappa-max-inf", "kappa-max-1e12", "omega-inf"])
+def test_trapped_unbounded_input_is_refused(tmp_path, args, message):
+    # an unbounded window once listed intervals until memory ran out; in a
+    # child with capped address space and a timeout, a regression fails here
+    out = tmp_path / "t.json"
+    proc = _run_entry_point(["trapped", *args, "--output", str(out)],
+                            preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- thermal
@@ -480,11 +509,12 @@ def _console_entry_point():
     return scripts["helirad"]
 
 
-def _run_entry_point(args):
+def _run_entry_point(args, **run_kwargs):
     """Run the console entry point the way pip's generated script does.
 
     The child finds the package where this process imported it, so the test
-    needs no install and no particular working directory.
+    needs no install and no particular working directory.  `run_kwargs` go
+    to subprocess.run.
     """
     module, func = _console_entry_point().split(":")
     env = dict(os.environ)
@@ -497,6 +527,7 @@ def _run_entry_point(args):
         capture_output=True,
         text=True,
         env=env,
+        **run_kwargs,
     )
 
 

@@ -11,8 +11,6 @@ import math
 import pytest
 
 from helirad.specfun import (
-    ArgKind,
-    BesselArg,
     bessel_ik,
     bessel_j,
     bessel_y,
@@ -101,10 +99,10 @@ def test_bessel_domain_errors():
         bessel_ik(1, 0.0)
     with pytest.raises(OverflowError):
         bessel_ik(0, 800.0)  # I_0 alone exceeds double range
-    with pytest.raises(ValueError):
-        BesselArg(ArgKind.REAL, -1.0)
-    with pytest.raises(ValueError):
-        BesselArg(ArgKind.REAL, float("nan"))
+    for m, x in ((0, -1.0), (0, float("nan")), (0, math.inf), (3, math.inf)):
+        for imaginary in (False, True):
+            with pytest.raises(ValueError, match="magnitude must be finite and >= 0"):
+                jh_product(m, x, imaginary)
 
 
 def test_y_small_argument_divergence_direction():
@@ -114,21 +112,21 @@ def test_y_small_argument_divergence_direction():
 
 
 def test_jh_product_zero_argument_sentinel():
-    for kind in (ArgKind.REAL, ArgKind.IMAGINARY):
-        v = jh_product(0, BesselArg(kind, 0.0))
+    for imaginary in (False, True):
+        v = jh_product(0, 0.0, imaginary)
         assert v.real == 1.0
         assert v.imag == float("-inf")
 
 
 def test_jh_product_zero_argument_finite_orders():
     for m in (1, 3, -3, 12):
-        v = jh_product(m, BesselArg(ArgKind.REAL, 0.0))
+        v = jh_product(m, 0.0)
         assert v == complex(0.0, -1.0 / (abs(m) * math.pi))
 
 
 def test_jh_product_real_case_components():
     for m, x in ((0, 0.9), (2, 4.2), (5, 1.3)):
-        v = jh_product(m, BesselArg(ArgKind.REAL, x))
+        v = jh_product(m, x)
         j = bessel_j(m, x)
         y = bessel_y(m, x)
         assert v.real == pytest.approx(j * j, rel=1e-14, abs=1e-300)
@@ -137,7 +135,7 @@ def test_jh_product_real_case_components():
 
 def test_jh_product_imaginary_case_is_negative_imaginary():
     for m, x in ((0, 0.4), (1, 2.0), (4, 7.7)):
-        v = jh_product(m, BesselArg(ArgKind.IMAGINARY, x))
+        v = jh_product(m, x, imaginary=True)
         i, k = bessel_ik(m, x)
         assert v.real == 0.0
         assert v.imag == pytest.approx(-(2.0 / math.pi) * i * k, rel=1e-13)
@@ -145,9 +143,8 @@ def test_jh_product_imaginary_case_is_negative_imaginary():
 
 
 def test_jh_product_even_in_order():
-    arg = BesselArg(ArgKind.REAL, 2.6)
     for m in (1, 2, 7):
-        assert jh_product(-m, arg) == jh_product(m, arg)
+        assert jh_product(-m, 2.6) == jh_product(m, 2.6)
 
 
 def test_jh_product_real_part_stays_in_unit_interval():
@@ -155,22 +152,22 @@ def test_jh_product_real_part_stays_in_unit_interval():
     for m in range(0, 7):
         for k in range(1, 60):
             x = 0.05 * k * k
-            v = jh_product(m, BesselArg(ArgKind.REAL, x))
+            v = jh_product(m, x)
             assert 0.0 <= v.real < 1.0
 
 
 def test_jh_product_extreme_order_fallbacks():
     # m >> x: J underflows while Y overflows, hit the -1/(m pi) limit
-    v = jh_product(200, BesselArg(ArgKind.REAL, 1e-8))
+    v = jh_product(200, 1e-8)
     assert v.imag == pytest.approx(-1.0 / (200 * math.pi), rel=1e-12)
     assert math.isfinite(v.imag)
-    w = jh_product(200, BesselArg(ArgKind.IMAGINARY, 1e-8))
+    w = jh_product(200, 1e-8, imaginary=True)
     assert w.imag == pytest.approx(-1.0 / (200 * math.pi), rel=1e-12)
 
 
 def test_jh_product_imaginary_large_argument_scaled():
     # I_0 K_0 -> 1/(2x): the scaled route must survive where I_0 overflows
-    v = jh_product(0, BesselArg(ArgKind.IMAGINARY, 800.0))
+    v = jh_product(0, 800.0, imaginary=True)
     assert v.imag == pytest.approx(-(2.0 / math.pi) / 1600.0, rel=1e-3)
 
 

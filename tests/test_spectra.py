@@ -200,8 +200,9 @@ def test_cylinder_light_line_values():
 
 
 def test_cylinder_norms_reject_negative_radius():
-    with pytest.raises(ValueError):
-        cylinder_norms(0, 0.5, -1.0)
+    for r in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"cylinder radius must be finite and >= 0, got {r}"):
+            cylinder_norms(0, 0.5, r)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -419,6 +420,10 @@ def test_order_window_refuses_non_finite_kappa(bad, grid):
         helix_decay_norm(bad, spec)
     with pytest.raises(ValueError, match=message):
         sweep(grid, spec, PHYS_UNIT, M=10)
+    if not math.isfinite(bad):  # the line and cylinder have no order window to overflow
+        for scalar in (line_decay_norm, line_lamb_norm, lambda k: cylinder_norms(0, k, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                scalar(bad)
 
 
 def test_upper_bound_matches_scalar_reference_bitwise():
@@ -486,18 +491,6 @@ def test_physics_and_spec_validation():
         HelixSpec(Omega=0.0, r=1.0)
     with pytest.raises(ValueError):
         HelixSpec(Omega=3.0, r=-0.5)
-    with pytest.raises(ValueError):
-        HelixSpec(Omega=3.0, r=1.0, b=10.0)  # provenance without k0
-    with pytest.raises(ValueError):
-        HelixSpec(Omega=3.0, r=1.0, b=10.0, k0=1.0)  # Omega*k0*b != 2 pi
-
-
-def test_from_geometry_round_trip():
-    k0 = 2.0 * math.pi / 280.0
-    spec = HelixSpec.from_geometry(R=11.2, b=7.8, k0=k0)
-    assert spec.Omega == pytest.approx(280.0 / 7.8, rel=1e-15)
-    assert spec.r == pytest.approx(k0 * 11.2, rel=1e-15)
-    assert spec.b == 7.8 and spec.R == 11.2
 
 
 def test_line_limit_of_helix_small_omega():
