@@ -69,6 +69,10 @@ def bessel_ik(m: int, x: float) -> tuple:
     return i, k
 
 
+def _k0_small(x):
+    return math.log(2.0) - EULER_GAMMA - np.log(x)
+
+
 def jh_products(m: int, x, imaginary) -> tuple:
     """(Re, Im) arrays of J_m H_m^(1) over an array of finite magnitudes x >= 0.
 
@@ -99,15 +103,16 @@ def jh_products(m: int, x, imaginary) -> tuple:
         re[real] = j * j
         # scaled forms: ive = I e^-x, kve = K e^x, so the exponentials cancel
         q = _sp.ive(m, x[imag]) * _sp.kve(m, x[imag])
+    # deep in the m >> x regime J underflows while Y overflows; the product
+    # limit there is -1/(m pi) to O(x^2/m).  At m = 0, scipy's Y_0 and K_0
+    # overflow below x ~ 1e-307, where K_0 = ln 2 - gamma_E - ln x to O(x^2 ln x)
     bad = ~np.isfinite(p)
     if bad.any():
-        # deep in the m >> x regime J underflows while Y overflows;
-        # the product limit there is -1/(m pi) to O(x^2/m)
-        p[bad] = -1.0 / (m * math.pi)
+        p[bad] = -1.0 / (m * math.pi) if m else -(2.0 / math.pi) * _k0_small(x[real][bad])
     im[real] = p
     bad = ~np.isfinite(q)
-    if bad.any():
-        q[bad] = 0.5 / m  # small-argument limit of I_m K_m, same regime as above
+    if bad.any():  # I_m K_m -> 1/(2m), and K_0 at m = 0 where I_0 = 1
+        q[bad] = 0.5 / m if m else _k0_small(x[imag][bad])
     im[imag] = -(2.0 / math.pi) * q
     return re, im
 

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .specfun import _TWO_PI, EULER_GAMMA, jh_products
+from .specfun import _TWO_PI, EULER_GAMMA, _libm, jh_products
 
-# radicand 1-(kappa-m Omega)^2 is clamped to 0 this close to the boundary so
-# it cannot go negative by rounding where m_bounds says the order is real
+# _bessel_arg zeroes a radicand this close to 0: a band edge up to rounding
 RADICAND_TOL = 1e-14
 
 # relative slack when snapping (kappa -+ 1)/Omega to an integer, keeping
@@ -125,23 +124,27 @@ class SpectrumTable:
     params: dict
 
 
+def _line(grid) -> tuple:
+    """(decay, lamb) arrays of the line over a checked grid: one pass, libm's log."""
+    kappa = np.asarray(grid, dtype=float)
+    v = np.abs((1.0 - kappa) * (1.0 + kappa))
+    lamb = -2.0 * EULER_GAMMA - _libm(lambda a: math.log(a) if a else math.inf, v)
+    return (np.abs(kappa) <= 1.0).astype(float), lamb
+
+
 def line_decay_norm(kappa: float) -> float:
     """Normalized line decay rate: 1 on |kappa| <= 1 (boundary included), else 0."""
-    (kappa,) = _check_ascending([kappa])
-    return 1.0 if abs(kappa) <= 1.0 else 0.0
+    return float(_line(_check_ascending([kappa]))[0][0])
 
 
 def line_lamb_norm(kappa: float) -> float:
     """Normalized line Lamb shift -2 gamma_E - ln|1 - kappa^2|.
 
     The kappa = +-1 divergence is reported as the -inf sentinel, matching the
-    sign convention of the helix/cylinder asymptotes.
+    sign convention of the helix/cylinder asymptotes.  The one-element view
+    of the line table's pass.
     """
-    (kappa,) = _check_ascending([kappa])
-    v = (1.0 - kappa) * (1.0 + kappa)
-    if v == 0.0:
-        return float("-inf")
-    return -2.0 * EULER_GAMMA - math.log(abs(v))
+    return float(_line(_check_ascending([kappa]))[1][0])
 
 
 def _order_window(kappa, Omega: float) -> tuple:
@@ -178,11 +181,7 @@ def _helix_decay(kappa, spec: HelixSpec):
         step = max(1, _DECAY_BLOCK // length)
         for rows in np.split(points, range(step, len(points), step)):
             m = m_lo[rows, None] + np.arange(length)
-            u = kappa[rows, None] - m * spec.Omega
-            rad = (1.0 - u) * (1.0 + u)
-            rad[np.abs(rad) <= RADICAND_TOL] = 0.0
-            rad = np.maximum(rad, 0.0)  # paired with the window: anything here is real
-            vals = _sp.jv(m, np.sqrt(rad) * spec.r)
+            vals = _sp.jv(m, _bessel_arg(kappa[rows, None], m, spec.Omega, spec.r, True)[0])
             out[rows] = np.sum(vals * vals, axis=1)
     return out
 
@@ -196,26 +195,33 @@ def helix_decay_norm(kappa: float, spec: HelixSpec) -> float:
     return float(_helix_decay([kappa], spec)[0])
 
 
-def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int,
-            real_only: bool = False) -> tuple:
+def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
+    """(x, imaginary): order m's argument r sqrt|1 - (kappa - m Omega)^2| and its branch.
+
+    The one place the radicand is formed and its branch chosen: 0 within
+    RADICAND_TOL, clamped to >= 0 where `real` holds (m in kappa's order
+    window, which may snap it onto a band edge), else imaginary if negative.
+    """
+    u = kappa - m * Omega
+    rad = (1.0 - u) * (1.0 + u)
+    rad[np.abs(rad) <= RADICAND_TOL] = 0.0
+    rad = np.where(real, np.maximum(rad, 0.0), rad)
+    return np.sqrt(np.abs(rad)) * r, rad < 0.0
+
+
+def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int, window=None) -> tuple:
     """(Re, Im) arrays of the sum of J_m H_m^(1) over m = m_lo..m_hi per kappa.
 
-    Order m takes the argument r sqrt|1 - (kappa - m Omega)^2|, imaginary
-    where the radicand is negative; real_only clamps a negative radicand to
-    0 instead.  The cylinder is the single order n at Omega = 0.  Orders run
-    outermost and left to right, so each kappa sees the additions of a
-    one-point loop in the same order and gets the same bits.
+    Orders inside kappa's (lo, hi) `window` are real; the cylinder, the single
+    order n at Omega = 0, has none.  Orders run outermost and left to right,
+    so each kappa gets the bits of a one-point loop.
     """
     kappa = np.asarray(kappa, dtype=float)
     re = np.zeros(kappa.shape)
     im = np.zeros(kappa.shape)
     for m in range(m_lo, m_hi + 1):
-        u = kappa - m * Omega
-        rad = (1.0 - u) * (1.0 + u)
-        rad[np.abs(rad) <= RADICAND_TOL] = 0.0
-        if real_only:
-            rad = np.maximum(rad, 0.0)
-        p_re, p_im = jh_products(m, np.sqrt(np.abs(rad)) * r, rad < 0.0)
+        real = False if window is None else (window[0] <= m) & (m <= window[1])
+        p_re, p_im = jh_products(m, *_bessel_arg(kappa, m, Omega, r, real))
         re += p_re
         im += p_im
     return re, im
@@ -229,16 +235,16 @@ def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
     if cut.any():  # reported for the first failing point
         raise ValueError(f"M={M} excludes real-argument orders [{m_lo[cut][0]}, "
                          f"{m_hi[cut][0]}]; raise the truncation")
-    return _jh_sum(kappa_grid, spec.Omega, spec.r, -M, M)[1]
+    return _jh_sum(kappa_grid, spec.Omega, spec.r, -M, M, (m_lo, m_hi))[1]
 
 
 def helix_lamb_norm(kappa: float, spec: HelixSpec, M: int = 10) -> float:
     """Truncated helix Lamb shift: Im J_m H_m^(1) summed over m in [-M, M].
 
-    Real-argument orders contribute J_m Y_m, imaginary ones -(2/pi) I_m K_m.
-    Requires every real-argument order to sit inside [-M, M]; returns the
+    The order window's (real-argument) orders contribute J_m Y_m, the rest
+    -(2/pi) I_m K_m.  Requires the window to sit inside [-M, M]; returns the
     -inf sentinel when the m = 0 term hits its zero-argument divergence
-    (kappa = +-1).
+    (kappa = +-1, up to the window's snap).
     """
     return float(_helix_lamb([kappa], spec, M)[0])
 
@@ -247,12 +253,11 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     """Real-argument-orders-only Lamb sum; an upper bound for helix_lamb_norm.
 
     Every order dropped relative to the full sum contributes a strictly
-    negative -(2/pi) I_m K_m, so any truncated sum sits below this value.
-    Empty bounds give 0 (the empty sum).
+    negative -(2/pi) I_m K_m, so any truncated sum sits below this value, or
+    equals it at the -inf sentinel.  Empty bounds give 0 (the empty sum).
     """
-    b = m_bounds(kappa, spec.Omega)
-    im = _jh_sum([kappa], spec.Omega, spec.r, b.m_min, b.m_max, real_only=True)[1]
-    return float(im[0])
+    lo, hi = _order_window([kappa], spec.Omega)
+    return float(_jh_sum([kappa], spec.Omega, spec.r, int(lo[0]), int(hi[0]), (lo, hi))[1][0])
 
 
 def _cylinder_sum(n: int, kappa, r: float) -> tuple:
@@ -320,9 +325,11 @@ def classify(kappa: float, spec: HelixSpec, physics: EmitterPhysics, M: int = 10
 
 def _check_ascending(kappa_grid):
     grid = [float(k) for k in kappa_grid]
-    bad = [k for k in grid if not math.isfinite(k)]
-    if bad:  # nan and +-inf have no eigenpoint on any table
-        raise ValueError(f"kappa must be finite at every grid node, got {bad[0]}")
+    bad = [k for k in grid if not math.isfinite((1.0 - k) * (1.0 + k))]
+    if bad:  # nan, +-inf, and |kappa| > 1.3e154 where 1 - kappa^2 overflows
+        where = ("with (1 - kappa)(1 + kappa) in double range" if math.isfinite(bad[0])
+                 else "at every grid node")
+        raise ValueError(f"kappa must be finite {where}, got {bad[0]}")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("kappa grid must be sorted ascending")
     return grid
@@ -354,8 +361,8 @@ def sweep(kappa_grid, spec: HelixSpec, physics: EmitterPhysics, M: int = 10) -> 
 def line_table(kappa_grid, physics: EmitterPhysics) -> SpectrumTable:
     """Line eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-    return _table(grid, map(line_decay_norm, grid), map(line_lamb_norm, grid), physics,
-                  "line", {}, LINE_LAMB_NORMALIZATION)
+    g, e = _line(grid)
+    return _table(grid, g.tolist(), e.tolist(), physics, "line", {}, LINE_LAMB_NORMALIZATION)
 
 
 def cylinder_table(kappa_grid, n: int, r: float, physics: EmitterPhysics) -> SpectrumTable:

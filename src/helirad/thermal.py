@@ -19,9 +19,9 @@ from .spectra import (
     EmitterPhysics,
     HelixSpec,
     SpectrumTable,
+    _order_window,
     cylinder_table,
     kappa_grid,
-    m_bounds,
     sweep,
 )
 
@@ -111,9 +111,8 @@ def required_truncation(spec: HelixSpec, config: ThermalConfig) -> int:
     The extreme orders occur at the grid endpoints because both bounds grow
     monotonically with kappa.
     """
-    lo = m_bounds(config.kappa_min, spec.Omega)
-    hi = m_bounds(config.kappa_max, spec.Omega)
-    return max(0, -lo.m_min, -hi.m_min, lo.m_max, hi.m_max)
+    lo, hi = _order_window([config.kappa_min, config.kappa_max], spec.Omega)
+    return int(max(0, -lo.min(), hi.max()))
 
 
 def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig):

@@ -58,14 +58,19 @@ def test_spectrum_line_schema_and_sentinels(tmp_path):
 
 def test_spectrum_helix_matches_library(tmp_path):
     out = tmp_path / "helix.csv"
+    # 1.00000000001 is past the band edge by less than the order window's
+    # snap, so it reads as the edge: decay 1 and the -inf sentinel
     rc = main([
         "spectrum", "helix", "--omega", "3", "--radius", "3",
-        "--kappa", "0:2:0.5", "--output", str(out),
+        "--kappa", "0,0.5,1,1.00000000001,1.5,2", "--output", str(out),
     ])
     assert rc == 0
     physics = EmitterPhysics(gamma=0.514, lambda0=280.0, n0=1.0 / 280.0)
-    table = sweep([0.0, 0.5, 1.0, 1.5, 2.0], HelixSpec(Omega=3.0, r=3.0), physics)
+    grid = [0.0, 0.5, 1.0, 1.00000000001, 1.5, 2.0]
+    table = sweep(grid, HelixSpec(Omega=3.0, r=3.0), physics)
     _, rows = _rows(out)
+    assert len(rows) == len(grid)
+    assert rows[3][1:3] == ["1", "-inf"]
     for row, p in zip(rows, table.points):
         assert float(row[1]) == p.gamma_norm
         assert float(row[2]) == p.lamb_norm
@@ -113,6 +118,7 @@ def test_spectrum_helix_refusals_write_nothing(tmp_path, capsys, args, message):
 
 
 _KAPPA_REFUSAL = "kappa must be finite at every grid node, got "
+_KAPPA_OVERFLOW = "kappa must be finite with (1 - kappa)(1 + kappa) in double range, got 1e+200"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -124,8 +130,12 @@ _KAPPA_REFUSAL = "kappa must be finite at every grid node, got "
      _KAPPA_REFUSAL + "nan"),
     (["spectrum", "cylinder", "--radius", "inf", "--kappa", "0,1"],
      "cylinder radius must be finite and >= 0, got inf"),
-], ids=["line-inf", "cylinder-nan", "discrete-par-inf", "discrete-perp-nan", "cylinder-radius-inf"])
-def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, argv, message):
+    # finite, but (1 - kappa)(1 + kappa) overflows
+    (["spectrum", "line", "--kappa", "0,1e200"], _KAPPA_OVERFLOW),
+    (["spectrum", "cylinder", "--radius", "1", "--kappa", "0,1e200"], _KAPPA_OVERFLOW),
+], ids=["line-inf", "cylinder-nan", "discrete-par-inf", "discrete-perp-nan", "cylinder-radius-inf",
+        "line-1e200", "cylinder-1e200"])
+def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, recwarn, argv, message):
     # a comma list gets nan and inf past the parser; every table refuses them
     rc = main([*argv, "--output", str(tmp_path / "x.csv")])
     assert rc == 1
@@ -133,6 +143,7 @@ def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, argv, message
     assert message in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_manifest_records_run(tmp_path):

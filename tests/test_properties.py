@@ -1,5 +1,6 @@
 """Hypothesis property tests: the CLI grid and list parsers, the cloud loader,
-and the Bessel-order and trapped-interval rules against brute force."""
+the Bessel-order and trapped-interval rules against brute force, and the
+helix Lamb sum against its upper bound at band edges."""
 
 import argparse
 import contextlib
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 
 from helirad.cli import _parse_grid, _parse_list, main
 from helirad.geomfit import load_emitters
-from helirad.spectra import kappa_grid, m_bounds, trapped_intervals
+from helirad.spectra import (
+    HelixSpec,
+    helix_lamb_norm,
+    helix_lamb_upper_bound,
+    kappa_grid,
+    m_bounds,
+    trapped_intervals,
+)
 
 # no example database: runs leave nothing behind and repeat across machines
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -167,3 +175,22 @@ def test_trapped_fraction_is_the_scanned_share_of_a_period(omega):
     scan = np.linspace(0.0, omega, 4001)[:-1]
     share = np.mean([m_bounds(float(k), omega).empty for k in scan])
     assert abs(share - frac) <= 2.0 / 4000
+
+
+# kappa = m Omega +- 1 moved by up to 1e-10 relative, so some draws fall past
+# the edge yet inside the order window's 1e-9 snap; the window's orders are
+# real in the Lamb sum as in the bound, and the orders beyond add only
+# negative -(2/pi) I K terms
+@SETTINGS
+@given(st.floats(0.05, 10.0), st.floats(0.0, 5.0), st.integers(-5, 5), st.sampled_from([-1.0, 1.0]),
+       st.floats(-1e-10, 1e-10))
+def test_helix_lamb_stays_below_its_upper_bound_at_band_edges(omega, r, m, side, nudge):
+    kappa = (m * omega + side) * (1.0 + nudge)
+    spec = HelixSpec(Omega=omega, r=r)
+    b = m_bounds(kappa, omega)
+    lamb = helix_lamb_norm(kappa, spec, M=max(10, abs(b.m_min), abs(b.m_max)))
+    bound = helix_lamb_upper_bound(kappa, spec)
+    if bound == -math.inf:
+        assert lamb == -math.inf
+    else:
+        assert lamb <= bound + 4.0 * math.ulp(bound), (lamb, bound)

@@ -1,4 +1,4 @@
-"""README and the package's public names stay in step."""
+"""README and the package's public names stay in step, and its library tour runs."""
 
 import re
 from pathlib import Path
@@ -15,3 +15,14 @@ def test_readme_and_all_name_the_same_api():
     undocumented = [name for name in helirad.__all__
                     if name != "__version__" and not re.search(rf"\b{name}\b", README)]
     assert undocumented == []
+
+
+def test_readme_library_tour_runs():
+    # the python blocks in order, in one namespace; the fitting block reads a
+    # cloud file the tour does not ship
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+    ran = [b for b in blocks if "emitters.xyz" not in b]
+    assert len(ran) == len(blocks) - 1
+    namespace = {}
+    for block in ran:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -165,6 +165,15 @@ def test_jh_product_extreme_order_fallbacks():
     assert w.imag == pytest.approx(-1.0 / (200 * math.pi), rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-307, 1e-310, 5e-324])
+def test_jh_product_order_zero_at_tiny_arguments(x):
+    # scipy's Y_0 and K_0 overflow below x ~ 1e-307; the product stays finite
+    jy = float(oracles.oracle_j(0, x) * oracles.oracle_y(0, x))
+    ik = float(oracles.oracle_i(0, x) * oracles.oracle_k(0, x))
+    assert jh_product(0, x).imag == pytest.approx(jy, rel=1e-14)
+    assert jh_product(0, x, imaginary=True).imag == pytest.approx(-(2.0 / math.pi) * ik, rel=1e-14)
+
+
 def test_jh_product_imaginary_large_argument_scaled():
     # I_0 K_0 -> 1/(2x): the scaled route must survive where I_0 overflows
     v = jh_product(0, 800.0, imaginary=True)

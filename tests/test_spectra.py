@@ -167,6 +167,23 @@ def test_helix_lamb_upper_bound_empty_window_is_zero():
     assert helix_lamb_upper_bound(1.5, HelixSpec(Omega=3.0, r=1.0)) == 0.0
 
 
+# kappa past a band edge by less than the order window's 1e-9 snap: the window
+# holds the edge order, so the Lamb sum, like the decay and the bound, takes
+# it as real with the edge's zero argument.  Order 0 there gives -inf.
+@pytest.mark.parametrize("kappa, edge_lamb", [
+    (1.0 + 1e-11, -math.inf),
+    (-1.0 - 1e-12, -math.inf),
+    (2.0 - 1e-11, None),  # order 1 at its zero argument: finite
+])
+def test_helix_lamb_at_a_snapped_band_edge_keeps_its_bound(kappa, edge_lamb):
+    spec = HelixSpec(Omega=3.0, r=1.0)
+    lamb, bound = helix_lamb_norm(kappa, spec), helix_lamb_upper_bound(kappa, spec)
+    assert lamb <= bound
+    if edge_lamb is not None:
+        assert lamb == bound == edge_lamb
+        assert helix_decay_norm(kappa, spec) == 1.0
+
+
 def test_helix_lamb_decreases_with_truncation():
     # every order added beyond the real window contributes a negative term
     spec = HelixSpec(Omega=3.0, r=1.0)
@@ -295,6 +312,10 @@ def test_sweep_rejects_descending_grid():
 # calls, with the same fallbacks, summed one order at a time.  The tables must
 # reproduce it bit for bit.  `fired` counts how often each fallback replaced
 # a product that left double range.
+def _k0_near_zero(x):  # K_0(x) as x -> 0, where scipy's order-0 Y and K overflow
+    return math.log(2.0) - EULER_GAMMA - math.log(x)
+
+
 def _scalar_jh(m, rad, r, fired=None):
     fired = Counter() if fired is None else fired
     m = abs(m)
@@ -306,12 +327,12 @@ def _scalar_jh(m, rad, r, fired=None):
         p = j * float(special.yv(m, x))
         if not math.isfinite(p):
             fired["jy"] += 1
-            p = -1.0 / (m * math.pi)
+            p = -1.0 / (m * math.pi) if m else -(2.0 / math.pi) * _k0_near_zero(x)
         return complex(j * j, p)
     q = float(special.ive(m, x)) * float(special.kve(m, x))
     if not math.isfinite(q):
         fired["ik"] += 1
-        q = 0.5 / m
+        q = 0.5 / m if m else _k0_near_zero(x)
     return complex(0.0, -(2.0 / math.pi) * q)
 
 
@@ -320,10 +341,24 @@ def _radicand(u):
     return 0.0 if abs(rad) <= RADICAND_TOL else rad
 
 
+# The order window found with scalar math.ceil/floor after snapping within
+# 1e-9 relative of an integer.  Its orders are real: a negative radicand there
+# is clamped to 0.
+def _snap(v):
+    rv = round(v)
+    return float(rv) if abs(v - rv) <= 1e-9 * max(1.0, abs(rv)) else v
+
+
+def _scalar_window(lo, hi):
+    return math.ceil(_snap(lo)), math.floor(_snap(hi))
+
+
 def _scalar_lamb(kappa, spec, M, fired=None):
+    m_min, m_max = _scalar_window((kappa - 1.0) / spec.Omega, (kappa + 1.0) / spec.Omega)
     total = 0.0
     for m in range(-M, M + 1):
-        total += _scalar_jh(m, _radicand(kappa - m * spec.Omega), spec.r, fired).imag
+        rad = _radicand(kappa - m * spec.Omega)
+        total += _scalar_jh(m, max(rad, 0.0) if m_min <= m <= m_max else rad, spec.r, fired).imag
     return total
 
 
@@ -333,10 +368,12 @@ def _bits(points):
 
 
 # kappa = +-1 + m Omega lands on grid nodes (zero arguments, the -inf
-# sentinel at +-1); r = 0 makes every argument zero; Omega = 0.05 at M = 120
-# and r = 0.5 drives both fallbacks at high order
+# sentinel at +-1), or within the window's snap of them; r = 0 makes every
+# argument zero; Omega = 0.05 at M = 120 and r = 0.5 drives both fallbacks at
+# high order
 SWEEP_CASES = [
     (3.0, 3.0, 10, kappa_grid(-4.0, 7.0, 0.25)),
+    (3.0, 1.0, 10, [-1.0 - 1e-12, 1.0 + 1e-11, 2.0 - 1e-11, 4.0 - 1e-11]),
     (2.5, 1.9, 12, kappa_grid(-2.0, 2.0, 0.05)),
     (3.0, 0.0, 10, kappa_grid(-2.0, 2.0, 0.5)),
     (0.05, 0.5, 120, kappa_grid(0.0, 5.0, 0.05)),
@@ -361,17 +398,7 @@ def test_reference_cases_reach_both_fallbacks_and_the_sentinel():
 
 
 # The per-point decay formula the grid pass replaced, kept as its reference:
-# np.sum of J_m^2 over one kappa's window, the window found with scalar
-# math.ceil/floor after snapping within 1e-9 relative of an integer.
-def _snap(v):
-    rv = round(v)
-    return float(rv) if abs(v - rv) <= 1e-9 * max(1.0, abs(rv)) else v
-
-
-def _scalar_window(lo, hi):
-    return math.ceil(_snap(lo)), math.floor(_snap(hi))
-
-
+# np.sum of J_m^2 over one kappa's scalar window.
 def _reference_decay(kappa, spec):
     m_min, m_max = _scalar_window((kappa - 1.0) / spec.Omega, (kappa + 1.0) / spec.Omega)
     if m_min > m_max:
@@ -409,7 +436,7 @@ def test_sweep_decay_matches_per_point_reference_bitwise(Omega, block, monkeypat
     (math.nan, [0.0, math.nan]),
     (math.inf, [0.0, math.inf]),
     (-math.inf, [-math.inf, 0.0]),
-    (1e300, [0.0, 1e300]),  # finite, but its orders leave the int64 range
+    (1e300, [0.0, 1e300]),  # finite, but 1 - kappa^2 and its orders leave their ranges
 ])
 def test_order_window_refuses_non_finite_kappa(bad, grid):
     spec = HelixSpec(Omega=0.5, r=1.0)
@@ -420,10 +447,9 @@ def test_order_window_refuses_non_finite_kappa(bad, grid):
         helix_decay_norm(bad, spec)
     with pytest.raises(ValueError, match=message):
         sweep(grid, spec, PHYS_UNIT, M=10)
-    if not math.isfinite(bad):  # the line and cylinder have no order window to overflow
-        for scalar in (line_decay_norm, line_lamb_norm, lambda k: cylinder_norms(0, k, 1.0)):
-            with pytest.raises(ValueError, match=message):
-                scalar(bad)
+    for scalar in (line_decay_norm, line_lamb_norm, lambda k: cylinder_norms(0, k, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            scalar(bad)
 
 
 def test_upper_bound_matches_scalar_reference_bitwise():
