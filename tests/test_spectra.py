@@ -373,10 +373,10 @@ def _bits(points):
 # high order
 SWEEP_CASES = [
     (3.0, 3.0, 10, kappa_grid(-4.0, 7.0, 0.25)),
-    (3.0, 1.0, 10, [-1.0 - 1e-12, 1.0 + 1e-11, 2.0 - 1e-11, 4.0 - 1e-11]),
     (2.5, 1.9, 12, kappa_grid(-2.0, 2.0, 0.05)),
     (3.0, 0.0, 10, kappa_grid(-2.0, 2.0, 0.5)),
     (0.05, 0.5, 120, kappa_grid(0.0, 5.0, 0.05)),
+    (3.0, 1.0, 10, [-1.0 - 1e-12, 1.0 + 1e-11, 2.0 - 1e-11, 4.0 - 1e-11]),
 ]
 
 
