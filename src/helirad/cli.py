@@ -117,7 +117,9 @@ def _parse_list(text, parser):
 
 
 def _physics(args):
-    n0 = args.n0 if args.n0 is not None else 1.0 / args.lambda0
+    n0 = args.n0
+    if n0 is None:  # 1/lambda0, once EmitterPhysics has checked lambda0
+        n0 = 1.0 / EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0, n0=1.0).lambda0
     return EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0, n0=n0)
 
 
@@ -127,7 +129,7 @@ def _add_physics_flags(p):
     p.add_argument("--gamma", type=float, default=0.514,
                    help="single-emitter decay rate in 1/ns (default 0.514)")
     p.add_argument("--n0", type=float, default=None,
-                   help="line density in 1/nm (default 1/lambda0)")
+                   help="line density in 1/nm (default 1/lambda0; fit-estimate: the fitted one)")
 
 
 def _add_output_flag(p):
@@ -249,11 +251,7 @@ def cmd_discrete_line(args):
 
 def _build_cloud(args, parser):
     if args.cloud is not None:
-        if args.generate is not None:
-            parser.error("--cloud and --generate are mutually exclusive")
         return load_emitters(args.cloud)
-    if args.generate is None:
-        parser.error("one of --cloud or --generate is required")
     kind = args.generate
     if kind == "pair":
         if args.s is None:
@@ -303,11 +301,10 @@ def cmd_oracle(args):
 
 
 def cmd_fit_estimate(args):
-    physics = EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0,
-                             n0=1.0 / args.lambda0)
+    physics = _physics(args)
     fit = fit_helix(load_emitters(args.cloud))
-    if args.override_n0 is not None:
-        fit = with_density(fit, args.override_n0)
+    if args.n0 is not None:
+        fit = with_density(fit, args.n0)
     report = estimate(fit, physics)
     pairs = [
         ("R_nm", fit.R),
@@ -328,8 +325,7 @@ def cmd_fit_estimate(args):
         _assert_contracted(v)
     text = "".join(f"{k}={_fmt(v)}\n" for k, v in pairs)
     _write_output(args.output, text, "fit-estimate", {
-        "cloud": args.cloud, "lambda0": args.lambda0,
-        "n0_override": args.override_n0,
+        "cloud": args.cloud, "lambda0": physics.lambda0, "n0_override": args.n0,
     })
     sys.stdout.write(text)
     return 0
@@ -398,9 +394,10 @@ def build_parser():
     p.set_defaults(func=cmd_discrete_line, parser=p)
 
     p = sub.add_parser("oracle", help="finite-N kernel eigenvalues")
-    p.add_argument("--cloud", default=None, help="emitter cloud file")
-    p.add_argument("--generate", choices=["pair", "line", "ring", "helix"],
-                   default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cloud", default=None, help="emitter cloud file")
+    source.add_argument("--generate", choices=["pair", "line", "ring", "helix"],
+                        default=None)
     p.add_argument("--n", type=int, default=None, help="emitter count")
     p.add_argument("--s", type=float, default=None, help="separation/spacing, nm")
     p.add_argument("--R", type=float, default=None, help="radius, nm")
@@ -414,10 +411,7 @@ def build_parser():
     p = sub.add_parser("fit-estimate",
                        help="fit a helix to a cloud and report estimates")
     p.add_argument("--cloud", required=True, help="emitter cloud file")
-    p.add_argument("--n0", type=float, default=None, dest="override_n0",
-                   help="override the fitted line density, 1/nm")
-    p.add_argument("--lambda0", type=float, default=280.0)
-    p.add_argument("--gamma", type=float, default=0.514)
+    _add_physics_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_fit_estimate, parser=p)
 

@@ -15,13 +15,14 @@ rates are classified against that 2 gamma baseline.
 import ctypes
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from .spectra import EmitterPhysics, _check_ascending, _order_window
+from .spectra import MAX_GRID_POINTS, EmitterPhysics, _check_ascending, _window_sum
 from .specfun import _TWO_PI, _libm, _polylogs
 
 # dense all-eigenvalue solves stay comfortable on a desktop to about here;
@@ -74,6 +75,9 @@ class DiscreteLineParams:
     def __post_init__(self):
         if not (self.k0d > 0.0 and math.isfinite(self.k0d)):
             raise ValueError(f"k0d must be > 0, got {self.k0d}")
+        # the Lamb shift divides by k0d^3, which must be a normal, finite double
+        if not (sys.float_info.min <= self.k0d * self.k0d * self.k0d < math.inf):
+            raise ValueError(f"spacing k0d = {self.k0d} has a cube outside double range")
 
 
 @dataclass(frozen=True)
@@ -132,16 +136,15 @@ def discrete_line_lamb(params: DiscreteLineParams, kappa: float) -> float:
 
 
 def _chain_decay(params: DiscreteLineParams, kappa) -> np.ndarray:
-    """discrete_line_decay over an ascending kappa grid, one pass per branch g."""
+    """discrete_line_decay over an ascending kappa grid, one window sum for all."""
     d = params.k0d
-    kappa = np.array(_check_ascending(kappa))
-    m_lo, m_hi = _order_window(kappa, _TWO_PI / d)  # |kappa + g 2 pi/d| <= 1 for g = -m
+    if not (d / math.pi < MAX_GRID_POINTS):  # the order window's 2/Omega bound, named by spacing
+        raise ValueError(f"d/lambda = {d / _TWO_PI:.6g} puts {MAX_GRID_POINTS} or more branches "
+                         f"in the light cone; it must stay below {MAX_GRID_POINTS // 2}")
     sign = -1.0 if params.orientation is Orientation.PARALLEL else 1.0  # weights 1 -+ q^2
-    total = np.zeros(kappa.shape)
-    for j in range(int(np.max(m_hi - m_lo, initial=-1)) + 1):  # ascending g = j - m_hi
-        q = kappa + _TWO_PI * (j - m_hi) / d
-        q2 = np.minimum(q * q, 1.0)  # branch admitted by the window; clamp edge fuzz
-        np.add(total, 1.0 + sign * q2, out=total, where=j <= m_hi - m_lo)
+    # -kappa's window at 2 pi/d: ascending g, |kappa + g 2 pi/d| <= 1; k - 2 pi g/d = -q exactly
+    total = _window_sum(-np.array(_check_ascending(kappa)), _TWO_PI / d,
+                        lambda k, g: 1.0 + sign * np.minimum(np.square(k - _TWO_PI * g / d), 1.0))
     return 1.5 * math.pi * total / d
 
 

@@ -39,7 +39,7 @@ _SNAP_TOL = 1e-9
 # kappa_grid refuses grids longer than this before allocating them
 MAX_GRID_POINTS = 1_000_000
 
-# elements per (rows, window length) block of _helix_decay: 32 kB per temporary
+# elements per (rows, window length) block of _window_sum: 32 kB per temporary
 _DECAY_BLOCK = 1 << 12
 
 LINE_LAMB_NORMALIZATION = "k0*E/(gamma*n0)"
@@ -151,6 +151,9 @@ def _order_window(kappa, Omega: float) -> tuple:
     """(m_lo, m_hi) int arrays: orders with |kappa - m Omega| <= 1, empty where m_lo > m_hi."""
     if not (Omega > 0.0):
         raise ValueError(f"Omega must be > 0, got {Omega}")
+    if not (2.0 / Omega < MAX_GRID_POINTS):  # before any window of 2/Omega orders is formed
+        raise ValueError(f"Omega = {Omega} gives order windows of 2/Omega >= "
+                         f"{MAX_GRID_POINTS} orders; it must exceed {2 / MAX_GRID_POINTS}")
     kappa = np.asarray(kappa, dtype=float)
     bad = kappa[~(np.abs(kappa) + 1.0 < 2.0**61 * Omega)]  # nan, +-inf, hi - lo past int64
     if bad.size:
@@ -166,14 +169,12 @@ def m_bounds(kappa: float, Omega: float) -> MBounds:
     return MBounds(int(lo[0]), int(hi[0]))
 
 
-def _helix_decay(kappa, spec: HelixSpec):
-    """Sum of J_m^2 over each kappa's order window, 0 where it is empty.
+def _window_sum(kappa, Omega: float, term):
+    """Sum of term(kappa rows, orders) over each kappa's order window, 0 where it is empty.
 
-    np.sum along the C-contiguous rows of (rows, n) blocks of equal window
-    length n gives each point the pairwise bits of np.sum over its window.
-    """
+    Summing C-contiguous rows of (rows, n) blocks gives np.sum's pairwise bits per window."""
     kappa = np.asarray(kappa, dtype=float)
-    m_lo, m_hi = _order_window(kappa, spec.Omega)
+    m_lo, m_hi = _order_window(kappa, Omega)
     n = m_hi - m_lo + 1
     out = np.zeros(kappa.shape)
     for length in np.unique(n[n > 0]).tolist():
@@ -181,9 +182,14 @@ def _helix_decay(kappa, spec: HelixSpec):
         step = max(1, _DECAY_BLOCK // length)
         for rows in np.split(points, range(step, len(points), step)):
             m = m_lo[rows, None] + np.arange(length)
-            vals = _sp.jv(m, _bessel_arg(kappa[rows, None], m, spec.Omega, spec.r, True)[0])
-            out[rows] = np.sum(vals * vals, axis=1)
+            out[rows] = np.sum(term(kappa[rows, None], m), axis=1)
     return out
+
+
+def _helix_decay(kappa, spec: HelixSpec):
+    """Sum of J_m^2 over each kappa's order window, 0 where it is empty."""
+    return _window_sum(kappa, spec.Omega, lambda k, m: np.square(
+        _sp.jv(m, _bessel_arg(k, m, spec.Omega, spec.r, True)[0])))
 
 
 def helix_decay_norm(kappa: float, spec: HelixSpec) -> float:
@@ -230,6 +236,9 @@ def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int, window=None) ->
 def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
     if M < 0:
         raise ValueError(f"truncation half-width M must be >= 0, got {M}")
+    if 2 * M + 1 > MAX_GRID_POINTS:  # one pass per order, so refused before the first
+        raise ValueError(f"truncation half-width M={M} sums 2M + 1 orders, over the limit "
+                         f"of {MAX_GRID_POINTS}")
     m_lo, m_hi = _order_window(kappa_grid, spec.Omega)
     cut = (m_lo <= m_hi) & ((m_lo < -M) | (m_hi > M))
     if cut.any():  # reported for the first failing point
@@ -376,10 +385,12 @@ def kappa_grid(lo: float, hi: float, step: float):
     """Uniform grid lo, lo+step, ... covering [lo, hi] inclusive of the endpoint.
 
     The count is computed once from the span so accumulated rounding cannot
-    drop or duplicate the endpoint; each node is lo + i*step.  Grids of more
-    than MAX_GRID_POINTS nodes, or without a finite count, are refused
-    before anything is allocated.
+    drop or duplicate the endpoint; each node is lo + i*step.  Non-finite
+    bounds, and grids of more than MAX_GRID_POINTS nodes, are refused before
+    anything is allocated.
     """
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"grid bounds must be finite, got {lo}:{hi}:{step}")
     if not (step > 0.0):
         raise ValueError(f"step must be > 0, got {step}")
     if hi < lo:

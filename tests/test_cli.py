@@ -188,6 +188,20 @@ def test_threads_flag_is_gone(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bounds", ["nan:1:0.5", "0:inf:0.5", "0:1:inf"])
+def test_non_finite_grid_bounds_are_named(tmp_path, capsys, bounds):
+    # a nan or inf span was once reported as a grid over the size limit
+    out = str(tmp_path / "x.csv")
+    for argv in (["spectrum", "line"], ["thermal", "--series", "cylinder", "--r", "1"],
+                 ["discrete-line", "--d-over-lambda", "0.05", "--orientation", "par"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kappa", bounds, "--output", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "grid bounds must be finite, got " in err and "limit" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oversized_grid_is_refused_with_a_message(tmp_path, capsys):
     huge = "0:1e12:1e-3"  # 10^15 nodes
     out = str(tmp_path / "x.csv")
@@ -254,6 +268,28 @@ def test_trapped_unbounded_input_is_refused(tmp_path, args, message):
     # child with capped address space and a timeout, a regression fails here
     out = tmp_path / "t.json"
     proc = _run_entry_point(["trapped", *args, "--output", str(out)],
+                            preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "helix", "--omega", "1e-12", "--radius", "1", "--kappa", "0:1:0.5"],
+     "Omega = 1e-12 gives order windows of 2/Omega >= 1000000 orders"),
+    (["thermal", "--series", "helix-fix-r", "--r", "1", "--omega", "1e-12"],
+     "Omega = 1e-12 gives order windows of 2/Omega >= 1000000 orders"),
+    (["discrete-line", "--d-over-lambda", "1e7", "--orientation", "par", "--kappa", "0:1:0.5"],
+     "d/lambda = 1e+07 puts 1000000 or more branches in the light cone"),
+    (["spectrum", "helix", "--omega", "3", "--radius", "1", "--kappa", "0:1:0.5",
+      "--M", "100000000"],
+     "M=100000000 sums 2M + 1 orders, over the limit of 1000000"),
+], ids=["helix-tiny-omega", "thermal-tiny-omega", "discrete-huge-spacing", "helix-huge-M"])
+def test_unbounded_order_sums_are_refused(tmp_path, argv, message):
+    # these once allocated TiB-sized windows or looped for hours over orders
+    # or branches; a regression fails here, in a capped child, not the machine
+    out = tmp_path / "x.csv"
+    proc = _run_entry_point([*argv, "--output", str(out)],
                             preexec_fn=_cap_address_space, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr and "Traceback" not in proc.stderr
@@ -334,6 +370,18 @@ def test_discrete_line_finite_off_asymptote(tmp_path):
     _, rows = _rows(out)
     for row in rows:
         assert math.isfinite(float(row[1])) and math.isfinite(float(row[2]))
+
+
+@pytest.mark.parametrize("d_over_lambda, orientation", [("1e-300", "perp"), ("1e300", "par")])
+def test_discrete_line_spacing_outside_double_range(tmp_path, capsys, d_over_lambda,
+                                                    orientation):
+    # k0d^3 once underflowed to 0, giving an inf shift, or overflowed in k0d**3
+    rc = main(["discrete-line", "--d-over-lambda", d_over_lambda, "--orientation", orientation,
+               "--kappa", "0:1:0.5", "--output", str(tmp_path / "d.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "has a cube outside double range" in err and "spacing k0d = " in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- oracle
@@ -503,6 +551,24 @@ def test_fit_estimate_degenerate_cloud_exits_one(tmp_path, capsys):
                "--output", str(tmp_path / "x.txt")])
     assert rc == 1
     assert "collinear" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "line", "--kappa", "0:1:0.5"],
+    ["thermal", "--series", "cylinder", "--r", "1", "--kappa", "0:1:0.5"],
+    ["oracle", "--generate", "pair", "--s", "1"],
+    ["fit-estimate", "--cloud", "cloud.txt"],
+], ids=["spectrum", "thermal", "oracle", "fit-estimate"])
+def test_zero_wavelength_is_refused_before_dividing(tmp_path, capsys, monkeypatch, argv):
+    # the default n0 = 1/lambda0 once divided by zero first
+    monkeypatch.chdir(tmp_path)
+    pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
+    (tmp_path / "cloud.txt").write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pos))
+    rc = main([*argv, "--lambda0", "0", "--output", "x.out"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "EmitterPhysics.lambda0 must be positive and finite, got 0.0" in err
+    assert not (tmp_path / "x.out").exists()
 
 
 # ---------------------------------------------------------------- entry point

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +209,49 @@ def test_decay_matches_the_per_branch_reference_bitwise(d_over_lambda):
         assert (float("-inf").hex() in lamb) is perp
         # the public scalar is a one-element view of the same pass
         assert [discrete_line_lamb(p, k).hex() for k in grid[::37]] == lamb[::37]
+
+
+@pytest.mark.parametrize("d_over_lambda", [4.0, 10.0, 100.0])
+def test_decay_matches_an_fsum_reference(d_over_lambda):
+    # 8 or more branches are added pairwise, so the bits may leave the
+    # sequential reference; they stay within a few ulp of the exact sum
+    grid = kappa_grid(-3.0, 3.0, 0.005)
+    for perp in (False, True):
+        p = _params(2.0 * math.pi * d_over_lambda, perp)
+        want = []
+        for kappa in grid:
+            d = p.k0d
+            g_lo, g_hi = _scalar_window((-1.0 - kappa) * d / (2.0 * math.pi),
+                                        (1.0 - kappa) * d / (2.0 * math.pi))
+            q2 = [min((kappa + 2.0 * math.pi * g / d) ** 2, 1.0) for g in range(g_lo, g_hi + 1)]
+            want.append(1.5 * math.pi * math.fsum(1.0 + v if perp else 1.0 - v for v in q2) / d)
+        want = np.array(want)
+        got = discrete._chain_decay(p, grid)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
+def test_decay_refuses_a_million_branches():
+    # the window's 2/Omega bound at Omega = lambda/d, named by the spacing
+    message = "d/lambda = 500000 puts 1000000 or more branches in the light cone"
+    with pytest.raises(ValueError, match=message):
+        discrete_line_decay(_params(2.0 * math.pi * 5e5), 0.5)
+    assert discrete_line_decay(_params(2.0 * math.pi * 4.9e5), 0.5) > 0.0
+
+
+@pytest.mark.parametrize("d_over_lambda", [1e-300, 4.4e-104, 1e103, 1e300])
+def test_spacing_with_a_cube_outside_double_range_is_refused(d_over_lambda):
+    # the Lamb shift divides by k0d^3; it overflowed to inf or raised OverflowError
+    k0d = 2.0 * math.pi * d_over_lambda
+    message = re.escape(f"spacing k0d = {k0d} has a cube outside double range")
+    with pytest.raises(ValueError, match=message):
+        _params(k0d)
+
+
+def test_spacing_just_inside_double_range_gives_finite_values():
+    for perp in (False, True):
+        p = _params(2.0 * math.pi * 4.5e-104, perp)
+        assert math.isfinite(discrete_line_lamb(p, 0.5))
+        assert math.isfinite(discrete_line_decay(p, 0.5))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,8 +1,12 @@
 """Unit tests for the analytical line/helix/cylinder spectra."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,38 @@ def test_m_bounds_examples():
 def test_m_bounds_requires_positive_omega():
     with pytest.raises(ValueError):
         m_bounds(0.0, 0.0)
+
+
+def test_order_window_refuses_a_million_orders():
+    # an unbounded window once held 2e7 orders here
+    message = r"Omega = 1e-07 gives order windows of 2/Omega >= 1000000 orders"
+    with pytest.raises(ValueError, match=message):
+        m_bounds(0.5, 1e-7)
+    with pytest.raises(ValueError, match=message):
+        helix_decay_norm(0.5, HelixSpec(Omega=1e-7, r=1.0))
+    # just inside the bound a window holds 999,999 orders
+    b = m_bounds(0.5, 2.0 / (MAX_GRID_POINTS - 1))
+    assert b.m_max - b.m_min + 1 == MAX_GRID_POINTS - 1
+
+
+@pytest.mark.parametrize("call, message", [
+    ("helix_lamb_upper_bound(0.5, HelixSpec(1e-12, 1.0))",
+     "Omega = 1e-12 gives order windows of 2/Omega >= 1000000 orders"),
+    ("helix_lamb_norm(0.5, HelixSpec(3.0, 1.0), M=100_000_000)",
+     "truncation half-width M=100000000 sums 2M + 1 orders, over the limit of 1000000"),
+], ids=["upper-bound-tiny-omega", "lamb-huge-M"])
+def test_per_order_loops_are_refused_before_they_start(call, message):
+    # both loop once per order and once ran 2e12 or 2e8 passes here; in a
+    # child with a timeout, a regression fails instead of stalling the suite
+    env = dict(os.environ)
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (f"from helirad.spectra import *\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout
 
 
 def test_helix_decay_at_band_edge_is_unity():
@@ -503,9 +539,20 @@ def test_kappa_grid_validation():
 def test_kappa_grid_size_cap():
     assert len(kappa_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
     for lo, hi, step in ((0.0, float(MAX_GRID_POINTS), 1.0), (0.0, 1e12, 1e-3),
-                         (0.0, math.inf, 1.0), (0.0, math.nan, 1.0)):
+                         (-1e308, 1e308, 1.0)):
         with pytest.raises(ValueError, match="1000000 points"):
             kappa_grid(lo, hi, step)
+
+
+@pytest.mark.parametrize("lo, hi, step", [
+    (math.nan, 1.0, 0.5), (0.0, math.inf, 0.5), (0.0, math.nan, 1.0), (-math.inf, 1.0, 0.5),
+    (0.0, 1.0, math.inf), (0.0, 1.0, math.nan),
+])
+def test_kappa_grid_names_non_finite_bounds(lo, hi, step):
+    # a nan or inf span was once reported as a grid over the size limit
+    message = re.escape(f"grid bounds must be finite, got {lo}:{hi}:{step}")
+    with pytest.raises(ValueError, match=message):
+        kappa_grid(lo, hi, step)
 
 
 def test_physics_and_spec_validation():
