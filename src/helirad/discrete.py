@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial.distance import cdist
 
 from .spectra import MAX_GRID_POINTS, EmitterPhysics, _check_ascending, _window_sum
 from .specfun import _TWO_PI, _libm, _polylogs
@@ -166,6 +164,7 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
     M_jj = gamma.  Clouds beyond ORACLE_SIZE_LIMIT are refused before the
     N x N arrays are allocated.
     """
+    from scipy.spatial.distance import cdist
     n = cloud.count
     check_oracle_size(n)
     _release_freed_heap()
@@ -230,6 +229,7 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     and their kernels always split.  Any other matrix, such as a cloud of
     arbitrary geometry, takes one dense solve.
     """
+    import scipy.linalg
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")

@@ -24,11 +24,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .discrete import EmitterCloud
 from .specfun import _TWO_PI
-from .spectra import EmitterPhysics
+from .spectra import EmitterPhysics, HelixSpec, _helix_decay
 
 _DEGENERACY_RTOL = 1e-10
 # least_squares evaluation cap for one axis; a winner that reaches it gets a
@@ -36,6 +35,8 @@ _DEGENERACY_RTOL = 1e-10
 _MAX_NFEV = 2000
 # bisection from a pitch/16 bracket to 1e-12 relative takes about 40 steps
 _CURVE_SEARCH_ITERATIONS = 100
+# nodes of the kappa grid that estimate scans for the decay's peak
+_PEAK_GRID = 257
 
 
 class CloudFormatError(ValueError):
@@ -87,7 +88,7 @@ class HelixFit:
 class EstimateReport:
     Omega: float  # lambda0 / b
     r: float  # k0 R
-    gamma_max_over_gamma: float  # n0 lambda0
+    gamma_max_over_gamma: float  # n0 lambda0 times the peak unit-normalised decay
     trapped_percent: float  # in [0, 100)
 
 
@@ -267,6 +268,7 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
     below the best refined cost; the lowest-cost solution wins.  A winning
     pass that stopped at its evaluation cap gets a FitWarning.
     """
+    import scipy.optimize
     pos = cloud.positions
     n = cloud.count
     if n < 8:
@@ -364,13 +366,32 @@ def line_density(cloud: EmitterCloud, fit: HelixFit) -> float:
     return _density(cloud.count, span, fit.R, fit.b)
 
 
+def _peak_decay(spec: HelixSpec) -> float:
+    """Largest unit-normalised helix decay over the period 1 - Omega <= kappa <= 1.
+
+    The candidates are a uniform grid over that period and its band edges
+    kappa = m Omega +- 1, where an order enters its window at zero
+    argument: the ends, and m Omega - 1 for the one or two m between
+    2/Omega - 1 and 2/Omega.  The m = 0 edge kappa = 1 adds J_0(0)^2 = 1
+    to whatever the other orders in its window give.  For Omega >= 2 no
+    other order there has a nonzero J_m, so the peak is exactly 1.
+    """
+    omega = spec.Omega
+    edges = np.array([np.ceil(2.0 / omega - 1.0), np.floor(2.0 / omega)]) * omega - 1.0
+    kappa = np.concatenate([np.linspace(1.0 - omega, 1.0, _PEAK_GRID), edges])
+    return float(_helix_decay(kappa, spec).max())
+
+
 def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:
     """Dimensionless parameters and the peak-rate estimate for a fitted helix.
 
-    The peak collective rate over the spectrum equals n0 lambda0 times the
-    unit-normalized maximum, so gamma_max_over_gamma = n0 lambda0; the
-    trapped share is the measure (Omega - 2)/Omega of the axial-momentum
-    line, zero below Omega = 2.
+    The maximally superradiant rate is n0 lambda0 times the peak of the
+    unit-normalised decay (see _peak_decay): exactly n0 lambda0 for
+    Omega >= 2, and more below, where other orders share the window of
+    the band edge kappa = 1 (1.34 n0 lambda0 at Omega = 1, r = 1.84).
+    The trapped share is the measure (Omega - 2)/Omega of the
+    axial-momentum line, zero below Omega = 2.  An Omega too small for an
+    order window is refused with its message.
     """
     omega = physics.lambda0 / fit.b
     r = physics.k0 * fit.R
@@ -378,7 +399,7 @@ def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:
     return EstimateReport(
         Omega=omega,
         r=r,
-        gamma_max_over_gamma=fit.n0 * physics.lambda0,
+        gamma_max_over_gamma=fit.n0 * physics.lambda0 * _peak_decay(HelixSpec(omega, r)),
         trapped_percent=trapped,
     )
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .spectra import (
+    MAX_GRID_POINTS,
     EmitterPhysics,
     HelixSpec,
     SpectrumTable,
@@ -120,7 +121,9 @@ def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig):
 
     Each entry is either a HelixSpec or a bare cylinder radius (the n = 0
     branch).  Helix entries widen the Lamb truncation to whatever the grid
-    needs, so tightly wound and nearly straight helices can share a config.
+    needs, so tightly wound and nearly straight helices can share a config;
+    a widening past MAX_GRID_POINTS orders is refused with a message that
+    names it.
     Returns [(entry, ThermalResult), ...] in input order.
     """
     grid = config.grid()
@@ -128,6 +131,11 @@ def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig):
     for entry in entries:
         if isinstance(entry, HelixSpec):
             m_eff = max(config.M, required_truncation(entry, config))
+            if m_eff > config.M and 2 * m_eff + 1 > MAX_GRID_POINTS:
+                raise ValueError(
+                    f"Omega = {entry.Omega}, r = {entry.r}: the kappa grid's endpoints "
+                    f"{config.kappa_min} and {config.kappa_max} widen the requested M={config.M} "
+                    f"to M={m_eff}, whose 2M + 1 orders are over the limit of {MAX_GRID_POINTS}")
             table = sweep(grid, entry, physics, M=m_eff)
         else:
             table = cylinder_table(grid, 0, float(entry), physics)

@@ -284,7 +284,11 @@ def test_trapped_unbounded_input_is_refused(tmp_path, args, message):
     (["spectrum", "helix", "--omega", "3", "--radius", "1", "--kappa", "0:1:0.5",
       "--M", "100000000"],
      "M=100000000 sums 2M + 1 orders, over the limit of 1000000"),
-], ids=["helix-tiny-omega", "thermal-tiny-omega", "discrete-huge-spacing", "helix-huge-M"])
+    (["thermal", "--series", "helix-fix-r", "--r", "1", "--omega", "1e-5"],
+     "Omega = 1e-05, r = 1.0: the kappa grid's endpoints 0.0 and 5.0 widen the requested "
+     "M=10 to M=600000, whose 2M + 1 orders are over the limit of 1000000"),
+], ids=["helix-tiny-omega", "thermal-tiny-omega", "discrete-huge-spacing", "helix-huge-M",
+        "thermal-widened-M"])
 def test_unbounded_order_sums_are_refused(tmp_path, argv, message):
     # these once allocated TiB-sized windows or looped for hours over orders
     # or branches; a regression fails here, in a capped child, not the machine
@@ -435,7 +439,7 @@ def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys, monkeypat
     def no_cdist(*args, **kwargs):
         raise AssertionError("cdist ran on an oversized cloud")
 
-    monkeypatch.setattr("helirad.discrete.cdist", no_cdist)
+    monkeypatch.setattr("scipy.spatial.distance.cdist", no_cdist)
     cloud = tmp_path / "big.txt"
     cloud.write_text("".join(f"0 0 {z}\n" for z in range(4001)))
     rc = main(["oracle", "--cloud", str(cloud), "--output", str(tmp_path / "x.csv")])
@@ -544,6 +548,19 @@ def test_fit_estimate_uses_fitted_density_without_override(tmp_path):
     )
 
 
+def test_fit_estimate_refuses_an_omega_without_order_windows(tmp_path, capsys):
+    # Omega = lambda0/b = 1e-6/7.8 leaves no order window to take the peak over
+    cloud = tmp_path / "h.txt"
+    pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
+    cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
+    out = tmp_path / "x.txt"
+    rc = main(["fit-estimate", "--cloud", str(cloud), "--lambda0", "1e-6",
+               "--output", str(out)])
+    assert rc == 1
+    assert "gives order windows of 2/Omega >= 1000000 orders" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_estimate_degenerate_cloud_exits_one(tmp_path, capsys):
     cloud = tmp_path / "line.txt"
     cloud.write_text("".join(f"0 0 {z}\n" for z in range(10)))
@@ -594,18 +611,23 @@ def _run_entry_point(args, **run_kwargs):
     to subprocess.run.
     """
     module, func = _console_entry_point().split(":")
-    env = dict(os.environ)
-    src = str(Path(helirad.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c",
          f"import sys; from {module} import {func}; sys.exit({func}())", *args],
         input="",
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         **run_kwargs,
     )
+
+
+def _child_env():
+    """This environment, with the helirad this process imported first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(helirad.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_console_script_smoke(tmp_path):
@@ -619,6 +641,51 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists() and _manifest(out)["subcommand"] == "spectrum"
+
+
+_IMPORT_GUARD = """
+import json, sys
+loaded = lambda: [m for m in ("scipy.linalg", "scipy.spatial", "scipy.optimize")
+                  if m in sys.modules]
+import helirad, helirad.cli
+steps = [("import", 0, loaded())]
+for argv in {argvs!r}:
+    steps.append((argv[0], helirad.cli.main(argv), loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path):
+    # scipy.linalg, scipy.spatial and scipy.optimize cost about 0.3 s of a
+    # fresh import; only the oracle and the fit use them, on first call
+    cloud = tmp_path / "h.txt"
+    pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
+    cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
+    table_runs = [
+        ["spectrum", "line", "--kappa", "0:1:0.5"],
+        ["spectrum", "helix", "--omega", "3", "--radius", "1", "--kappa", "0:1:0.5"],
+        ["thermal", "--series", "helix-fix-omega", "--omega", "3", "--r", "1",
+         "--kappa", "0:1:0.5"],
+        ["trapped", "--omega", "3", "--kappa-max", "4"],
+        ["discrete-line", "--d-over-lambda", "0.3", "--orientation", "par",
+         "--kappa", "0:1:0.5"],
+    ]
+    heavy_runs = [
+        ["oracle", "--generate", "pair", "--s", "100"],
+        ["fit-estimate", "--cloud", str(cloud)],
+    ]
+    argvs = [[*argv, "--output", str(tmp_path / f"out{i}.txt")]
+             for i, argv in enumerate(table_runs + heavy_runs)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD.format(argvs=argvs)],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps[:1 + len(table_runs)] == [["import", 0, []]] + [
+        [argv[0], 0, []] for argv in table_runs]
+    assert [(name, rc) for name, rc, _ in steps[1 + len(table_runs):]] == [
+        ("oracle", 0), ("fit-estimate", 0)]
 
 
 @pytest.mark.skipif(shutil.which("helirad") is None,

@@ -23,7 +23,7 @@ from helirad.geomfit import (
     load_emitters,
     with_density,
 )
-from helirad.spectra import EmitterPhysics
+from helirad.spectra import EmitterPhysics, HelixSpec, _helix_decay, helix_decay_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,6 +225,22 @@ def test_estimate_tryptophan_structures():
         assert round(est.r, 3) == r
         assert math.isclose(est.gamma_max_over_gamma, gmax, rel_tol=1e-12)
         assert round(est.trapped_percent, 2) == trapped
+
+
+def test_estimate_peak_rate_below_omega_two_matches_a_dense_scan():
+    # below Omega = 2 other orders share the window of kappa = 1 with order 0,
+    # so the peak of the unit-normalised decay exceeds J_0(0)^2 = 1
+    phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
+    for omega, r in ((1.0, 1.84), (1.6, 2.32), (0.2, 4.0), (1.99, 12.0)):
+        est = estimate(_plain_fit(R=r * 280.0 / TWO_PI, b=280.0 / omega, n0=1.58), phys)
+        spec = HelixSpec(est.Omega, est.r)
+        scan = float(_helix_decay(np.linspace(-6.0, 6.0, 24001), spec).max())
+        assert scan > 1.0
+        assert math.isclose(est.gamma_max_over_gamma, 1.58 * 280.0 * scan, rel_tol=1e-12)
+    est = estimate(_plain_fit(R=1.84 * 280.0 / TWO_PI, b=280.0), phys)
+    assert math.isclose(est.gamma_max_over_gamma / 280.0, 1.33857, rel_tol=1e-5)
+    assert math.isclose(est.gamma_max_over_gamma / 280.0,
+                        helix_decay_norm(1.0, HelixSpec(est.Omega, est.r)), rel_tol=1e-12)
 
 
 def test_trapped_percent_zero_below_two_then_increasing():
