@@ -289,10 +289,11 @@ def cmd_oracle(args):
         "s": args.s, "R": args.R, "b": args.b, "spacing": args.spacing,
         "lambda0": physics.lambda0, "gamma": physics.gamma, "n0": physics.n0,
     }
-    _write_output(args.output, text, "oracle", params, eigensolve=spect.eigensolve)
-    single = 2.0 * physics.gamma
     total = cloud.count * physics.gamma  # the kernel's trace
     residual = abs(math.fsum(spect.eigenvalues.real) - total) / total
+    _write_output(args.output, text, "oracle", params, eigensolve=spect.eigensolve,
+                  blas_threads=spect.blas_threads, trace_residual=residual)
+    single = 2.0 * physics.gamma
     print(f"emitters: {cloud.count}")
     print(f"trace residual: {_fmt(residual)}")
     print(f"max Gamma_j / Gamma_single: {_fmt(float(spect.gamma_j.max()) / single)}")

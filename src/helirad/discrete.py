@@ -12,6 +12,7 @@ a lone emitter has EV = gamma and probability decay rate 2 gamma; collective
 rates are classified against that 2 gamma baseline.
 """
 
+import contextlib
 import ctypes
 import enum
 import math
@@ -45,6 +46,23 @@ def _load_malloc_trim():
 
 
 _MALLOC_TRIM = _load_malloc_trim()
+
+
+def _load_set_blas_threads():
+    # OpenBLAS >= 0.3.27; numpy's linalg extension links its bundled copy
+    try:
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (AttributeError, OSError):  # another BLAS, or an older OpenBLAS
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int  # the count before the call
+    return setter
+
+
+_SET_BLAS_THREADS = _load_set_blas_threads()
+
+# kernel rows built at a time: 256 rows of a 4000-emitter cloud are 8 MB
+_KERNEL_ROWS = 256
 
 
 def _release_freed_heap():
@@ -105,6 +123,7 @@ class OracleSpectrum:
     gamma_j: np.ndarray  # 2 Re EV
     lamb_j: np.ndarray  # Im EV
     eigensolve: str  # "centrosymmetric" (two half-size blocks) or "dense"
+    blas_threads: int | None  # OpenBLAS threads per solve; None where it cannot be set
 
 
 def _chain_lamb(params: DiscreteLineParams, kappa) -> np.ndarray:
@@ -164,28 +183,36 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
     M_jj = gamma.  Clouds beyond ORACLE_SIZE_LIMIT are refused before the
     N x N arrays are allocated.
     """
-    from scipy.spatial.distance import cdist
     n = cloud.count
     check_oracle_size(n)
     _release_freed_heap()
     pos = cloud.positions
-    kr = cdist(pos, pos)
-    # the diagonal is overwritten below; inf keeps it out of the search for
-    # the closest pair
-    np.fill_diagonal(kr, np.inf)
-    closest = int(np.argmin(kr))
-    if kr.flat[closest] <= 0.0:
-        j, k = divmod(closest, n)
-        raise ValueError(f"coincident emitters at rows {j} and {k}")
-    kr *= physics.k0
-    # one complex N x N array, in the operation order of
-    # -1j * gamma * exp(1j * kr) / kr
-    with np.errstate(invalid="ignore"):
-        m = kr * 1j
-        np.exp(m, out=m)
-        m *= -1j * physics.gamma
-        m /= kr
-    np.fill_diagonal(m, physics.gamma)
+    m = np.empty((n, n), dtype=complex)
+    # a fixed number of rows at a time, so that no real N x N array is ever
+    # alive next to the complex one
+    for lo in range(0, n, _KERNEL_ROWS):
+        rows = slice(lo, min(lo + _KERNEL_ROWS, n))
+        # sqrt of the squared differences summed over x, y, z in that order:
+        # bit for bit scipy's cdist(pos, pos)
+        kr = np.sqrt(sum(np.square(np.subtract.outer(pos[rows, c], pos[:, c]))
+                         for c in range(3)))
+        # the diagonal is overwritten below; inf keeps it out of the search
+        # for the closest pair, whose first zero in row-major order is named
+        diagonal = (np.arange(kr.shape[0]), np.arange(rows.start, rows.stop))
+        kr[diagonal] = np.inf
+        closest = int(np.argmin(kr))
+        if kr.flat[closest] <= 0.0:
+            j, k = divmod(closest, n)
+            raise ValueError(f"coincident emitters at rows {lo + j} and {k}")
+        kr *= physics.k0
+        # in the operation order of -1j * gamma * exp(1j * kr) / kr
+        block = m[rows]
+        with np.errstate(invalid="ignore"):
+            np.multiply(kr, 1j, out=block)
+            np.exp(block, out=block)
+            block *= -1j * physics.gamma
+            block /= kr
+        block[diagonal] = physics.gamma
     return m
 
 
@@ -204,15 +231,62 @@ def _centrosymmetric_blocks(m: np.ndarray):
     h = n // 2
     a = m[:h, :h]
     cj = m[:h, n - h:][:, ::-1]
-    # Fortran order lets LAPACK overwrite each block instead of copying it
-    yield np.subtract(a, cj, order="F")
-    even = np.empty((n - h, n - h), dtype=m.dtype, order="F")
+    even = np.empty((n - h, n - h), dtype=m.dtype)
     np.add(a, cj, out=even[:h, :h])
     if n % 2:
         even[:h, h] = m[:h, h]
         even[h, :h] = 2 * m[h, :h]
         even[h, h] = m[h, h]
-    yield even
+    return np.subtract(a, cj), even
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread, then restore the count it had.
+
+    A no-op where numpy's BLAS has no openblas_set_num_threads_local.
+    """
+    if _SET_BLAS_THREADS is None:
+        yield
+        return
+    old = _SET_BLAS_THREADS(1)
+    try:
+        yield
+    finally:
+        _SET_BLAS_THREADS(old)
+
+
+def _eigvals(block: np.ndarray) -> np.ndarray:
+    """numpy's eigvals at one OpenBLAS thread, always complex."""
+    with _one_blas_thread():
+        try:
+            w = np.linalg.eigvals(block)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    # numpy returns real eigenvalues of a real matrix as a real array
+    return w.astype(complex, copy=False)
+
+
+def _solve_blocks(blocks) -> list:
+    """The eigenvalues of each block, every solve at one OpenBLAS thread.
+
+    Two blocks are solved at the same time, the first in one worker thread
+    and the second in the calling thread: numpy's eigvals releases the GIL
+    during zgeev.  OpenBLAS's pthreads build keeps one thread count for the
+    whole process, so the calling thread holds it at 1 from before the
+    worker starts until after the worker has finished; the worker sets it
+    too, for builds that keep one count per thread.  One thread per solve
+    also makes the eigenvalues independent of OPENBLAS_NUM_THREADS.
+    Without the thread-count call the blocks are solved one after another.
+    """
+    with _one_blas_thread():
+        if _SET_BLAS_THREADS is None or len(blocks) == 1:
+            return [_eigvals(block) for block in blocks]
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            first = worker.submit(_eigvals, blocks[0])
+            second = _eigvals(blocks[1])
+            return [first.result(), second]
 
 
 def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
@@ -227,30 +301,33 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     The generators index their emitters about the chain's midpoint, so
     reversing the order mirrors a uniform line, ring or helix onto itself
     and their kernels always split.  Any other matrix, such as a cloud of
-    arbitrary geometry, takes one dense solve.
+    arbitrary geometry, takes one dense solve.  Every solve runs at one
+    OpenBLAS thread (see _solve_blocks), so the eigenvalues do not depend
+    on the BLAS thread count.
     """
-    import scipy.linalg
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     check_oracle_size(m.shape[0])
+    if not np.isfinite(m).all():
+        raise ValueError("matrix must be finite")
     if np.array_equal(m, m[::-1, ::-1]):
-        blocks, owned, eigensolve = _centrosymmetric_blocks(m), True, "centrosymmetric"
+        blocks, eigensolve = _centrosymmetric_blocks(m), "centrosymmetric"
     else:
-        blocks, owned, eigensolve = (m,), False, "dense"
-    parts = []
-    for block in blocks:
-        _release_freed_heap()
-        try:
-            parts.append(scipy.linalg.eigvals(block, overwrite_a=owned))
-        except scipy.linalg.LinAlgError as exc:
-            raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-        del block  # the next block is built without this one alive
+        blocks, eigensolve = (m,), "dense"
+    # when the caller passed a temporary, as the CLI does, this frees the
+    # split kernel before numpy copies the two blocks
+    del matrix, m
+    _release_freed_heap()
+    parts = _solve_blocks(blocks)
+    del blocks
+    _release_freed_heap()
     w = np.concatenate(parts)
     order = np.argsort(-w.real, kind="stable")
     w = w[order]
     return OracleSpectrum(eigenvalues=w, gamma_j=2.0 * w.real, lamb_j=w.imag,
-                          eigensolve=eigensolve)
+                          eigensolve=eigensolve,
+                          blas_threads=None if _SET_BLAS_THREADS is None else 1)
 
 
 def subradiant_fraction(spectrum: OracleSpectrum, physics: EmitterPhysics) -> float:

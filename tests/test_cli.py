@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import helirad
+from helirad import discrete
 from helirad.cli import main
 from helirad.discrete import (
     DiscreteLineParams,
@@ -469,10 +470,14 @@ def test_oracle_reports_trace_residual_and_eigensolve(tmp_path, capsys):
     rc = main(["oracle", "--generate", "helix", "--n", "60", "--R", "11.2",
                "--b", "7.8", "--output", str(out)])
     assert rc == 0
-    assert _manifest(out)["eigensolve"] == "centrosymmetric"
+    blas_threads = None if discrete._SET_BLAS_THREADS is None else 1
+    manifest = _manifest(out)
+    assert manifest["eigensolve"] == "centrosymmetric"
+    assert manifest["blas_threads"] == blas_threads
     lines = capsys.readouterr().out.splitlines()
     residual = float(dict(line.split(": ") for line in lines)["trace residual"])
     assert 0.0 <= residual < 1e-13
+    assert manifest["trace_residual"] == residual
     _, rows = _rows(out)
     total = 60 * 0.514
     assert residual == abs(math.fsum(float(r[1]) for r in rows) - total) / total
@@ -481,8 +486,33 @@ def test_oracle_reports_trace_residual_and_eigensolve(tmp_path, capsys):
     _write_cloud(cloud, np.random.default_rng(3).uniform(0.0, 50.0, size=(60, 3)))
     out = tmp_path / "random.csv"
     assert main(["oracle", "--cloud", str(cloud), "--output", str(out)]) == 0
-    assert _manifest(out)["eigensolve"] == "dense"
-    assert "trace residual: " in capsys.readouterr().out
+    manifest = _manifest(out)
+    assert manifest["eigensolve"] == "dense"
+    assert manifest["blas_threads"] == blas_threads
+    lines = capsys.readouterr().out.splitlines()
+    residual = float(dict(line.split(": ") for line in lines)["trace residual"])
+    assert manifest["trace_residual"] == residual
+
+
+@pytest.mark.skipif(discrete._SET_BLAS_THREADS is None,
+                    reason="needs OpenBLAS's openblas_set_num_threads_local")
+def test_oracle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    # odd N takes the bordered centrosymmetric split; a random cloud, the
+    # dense solve
+    cloud = tmp_path / "random.xyz"
+    _write_cloud(cloud, np.random.default_rng(13).uniform(0.0, 50.0, size=(60, 3)))
+    runs = {"helix": ["--generate", "helix", "--n", "501", "--R", "11.2", "--b", "7.8"],
+            "cloud": ["--cloud", str(cloud)]}
+    for name, argv in runs.items():
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            out = tmp_path / f"{name}-{threads}.csv"
+            proc = _run_entry_point(["oracle", *argv, "--output", str(out)], timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            manifest = tmp_path / (out.name + ".manifest.json")
+            written.append((out.read_bytes(), manifest.read_bytes()))
+        assert written[0] == written[1], name
 
 
 def test_oracle_cloud_file_of_a_generated_helix_matches_generate(tmp_path):
@@ -657,7 +687,7 @@ print(json.dumps(steps))
 
 def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path):
     # scipy.linalg, scipy.spatial and scipy.optimize cost about 0.3 s of a
-    # fresh import; only the oracle and the fit use them, on first call
+    # fresh import; only the fit uses one of them, on first call
     cloud = tmp_path / "h.txt"
     pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
     cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
@@ -684,8 +714,11 @@ def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert steps[:1 + len(table_runs)] == [["import", 0, []]] + [
         [argv[0], 0, []] for argv in table_runs]
-    assert [(name, rc) for name, rc, _ in steps[1 + len(table_runs):]] == [
-        ("oracle", 0), ("fit-estimate", 0)]
+    # the oracle needs none of the three; the fit's scipy.optimize brings in
+    # the other two
+    oracle, fit = steps[1 + len(table_runs):]
+    assert oracle == ["oracle", 0, []]
+    assert fit[:2] == ["fit-estimate", 0] and "scipy.optimize" in fit[2]
 
 
 @pytest.mark.skipif(shutil.which("helirad") is None,

@@ -379,11 +379,13 @@ for _ in range(2):
 
 
 @pytest.mark.skipif(discrete._MALLOC_TRIM is None, reason="needs glibc malloc_trim")
-def test_repeated_oracle_solves_peak_no_higher():
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_repeated_oracle_solves_peak_no_higher(blas_threads):
     # freed N x N arrays left resident in the heap raised the second pass's
     # peak by 3.3 MB here (and by 34 MB at N = 2000); a fresh process keeps
-    # the count clean
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    # the count clean.  One block is solved in a worker thread, whose heap
+    # would hold a leak of its own.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(Path(discrete.__file__).resolve().parents[1]),
                    os.environ.get("PYTHONPATH")])))
@@ -420,6 +422,16 @@ def test_diagonal_matrix_spectrum_is_its_diagonal():
     assert np.array_equal(sp.eigenvalues, [5.0 + 0.0j, 3.0 + 2.0j, 1.0 - 1.0j])
     assert np.array_equal(sp.gamma_j, [10.0, 6.0, 2.0])
     assert np.array_equal(sp.lamb_j, [0.0, 2.0, -1.0])
+
+
+def test_real_matrix_with_real_spectrum_gives_complex_eigenvalues():
+    # numpy's eigvals returns a real array when a real matrix's eigenvalues
+    # are all real
+    sp = oracle_spectrum(np.diag([1.0, 2.0]))
+    assert sp.eigenvalues.dtype == np.complex128
+    assert np.array_equal(sp.eigenvalues, [2.0 + 0.0j, 1.0 + 0.0j])
+    assert np.array_equal(sp.gamma_j, [4.0, 2.0])
+    assert np.array_equal(sp.lamb_j, [0.0, 0.0])
 
 
 def test_spectrum_sorted_by_descending_real_part():
@@ -468,6 +480,8 @@ def test_oracle_rejects_bad_matrices():
     big = np.zeros((ORACLE_SIZE_LIMIT + 1, ORACLE_SIZE_LIMIT + 1), dtype=np.int8)
     with pytest.raises(ValueError, match="exceeds the dense-solver limit"):
         oracle_spectrum(big)
+    with pytest.raises(ValueError, match="finite"):
+        oracle_spectrum(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def _matched_error(got, want):
@@ -498,16 +512,17 @@ def test_centrosymmetric_split_matches_the_dense_solve(n):
 
 def test_split_solves_two_half_size_blocks(monkeypatch):
     shapes = []
-    eigvals = scipy.linalg.eigvals
+    eigvals = np.linalg.eigvals
 
     def spy(a, *args, **kwargs):
         shapes.append(a.shape)
         return eigvals(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", spy)
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
     sp = oracle_spectrum(build_scalar_kernel(helix_cloud(101, 11.2, 7.8), PHYS))
     assert sp.eigensolve == "centrosymmetric"
-    assert shapes == [(50, 50), (51, 51)]
+    # the two blocks are solved at the same time, in either order
+    assert sorted(shapes) == [(50, 50), (51, 51)]
     shapes.clear()
     cloud = EmitterCloud(np.random.default_rng(5).uniform(0.0, 10.0, size=(101, 3)))
     sp = oracle_spectrum(build_scalar_kernel(cloud, PHYS))
