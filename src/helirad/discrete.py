@@ -17,6 +17,7 @@ import ctypes
 import enum
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,10 @@ def _load_set_blas_threads():
 
 
 _SET_BLAS_THREADS = _load_set_blas_threads()
+# the count _SET_BLAS_THREADS sets is process-wide in OpenBLAS's pthreads
+# build, so two oracle solves must not overlap: each would restore the
+# other's count in the middle of its solve
+_SOLVE_LOCK = threading.Lock()
 
 # kernel rows built at a time: 256 rows of a 4000-emitter cloud are 8 MB
 _KERNEL_ROWS = 256
@@ -123,7 +128,7 @@ class OracleSpectrum:
     gamma_j: np.ndarray  # 2 Re EV
     lamb_j: np.ndarray  # Im EV
     eigensolve: str  # "centrosymmetric" (two half-size blocks) or "dense"
-    blas_threads: int | None  # OpenBLAS threads per solve; None where it cannot be set
+    blas_threads: int | None = None  # OpenBLAS threads per solve; None where it cannot be set
 
 
 def _chain_lamb(params: DiscreteLineParams, kappa) -> np.ndarray:
@@ -278,8 +283,9 @@ def _solve_blocks(blocks) -> list:
     too, for builds that keep one count per thread.  One thread per solve
     also makes the eigenvalues independent of OPENBLAS_NUM_THREADS.
     Without the thread-count call the blocks are solved one after another.
+    Calls from several threads take turns.
     """
-    with _one_blas_thread():
+    with _SOLVE_LOCK, _one_blas_thread():
         if _SET_BLAS_THREADS is None or len(blocks) == 1:
             return [_eigvals(block) for block in blocks]
         from concurrent.futures import ThreadPoolExecutor

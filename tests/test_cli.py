@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -436,16 +437,20 @@ def test_oracle_flag_validation(tmp_path):
         assert exc.value.code == 2
 
 
-def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys, monkeypatch):
-    def no_cdist(*args, **kwargs):
-        raise AssertionError("cdist ran on an oversized cloud")
-
-    monkeypatch.setattr("scipy.spatial.distance.cdist", no_cdist)
+def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys):
     cloud = tmp_path / "big.txt"
     cloud.write_text("".join(f"0 0 {z}\n" for z in range(4001)))
-    rc = main(["oracle", "--cloud", str(cloud), "--output", str(tmp_path / "x.csv")])
+    # numpy reports its array buffers to tracemalloc, so the peak counts a
+    # kernel as soon as it is allocated: 4001 x 4001 complex is 256 MB
+    tracemalloc.start()
+    try:
+        rc = main(["oracle", "--cloud", str(cloud), "--output", str(tmp_path / "x.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert rc == 1
     assert "N = 4001 exceeds the dense-solver limit 4000" in capsys.readouterr().err
+    assert peak < 8 * 2**20
 
 
 def test_oracle_size_limit_precedes_the_generator(tmp_path, capsys, monkeypatch):

@@ -395,6 +395,41 @@ def test_repeated_oracle_solves_peak_no_higher(blas_threads):
     assert second - first < 1024  # KiB
 
 
+_CONCURRENT_SOLVES = """
+import threading
+from helirad import discrete
+from helirad.discrete import build_scalar_kernel, helix_cloud, oracle_spectrum
+from helirad.spectra import EmitterPhysics
+m = build_scalar_kernel(helix_cloud(101, 11.2, 7.8), EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0))
+want = oracle_spectrum(m).eigenvalues.tobytes()
+same = []
+def solve():
+    for _ in range(50):
+        same.append(oracle_spectrum(m).eigenvalues.tobytes() == want)
+threads = [threading.Thread(target=solve) for _ in range(3)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(all(same), discrete._SET_BLAS_THREADS(1))
+"""
+
+
+@pytest.mark.skipif(discrete._SET_BLAS_THREADS is None,
+                    reason="needs OpenBLAS's openblas_set_num_threads_local")
+def test_concurrent_oracle_calls_keep_the_blas_thread_count():
+    # the count is process-wide: overlapping solves that each restored the
+    # count they found left the process at one thread, and a solve that
+    # another caller's restore had put back at two threads changed its bytes
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(discrete.__file__).resolve().parents[1]),
+                   os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CONCURRENT_SOLVES], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "2"]
+
+
 def test_cloud_validation():
     with pytest.raises(ValueError, match=r"\(N, 3\)"):
         EmitterCloud(np.zeros((3, 2)))
