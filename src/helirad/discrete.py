@@ -36,31 +36,22 @@ def check_oracle_size(n: int):
         raise ValueError(f"N = {n} exceeds the dense-solver limit {ORACLE_SIZE_LIMIT}")
 
 
-def _load_malloc_trim():
+def _c_function(path, name, *argtypes):
+    """The int-valued C function name of the library at path, or None where it is missing."""
     try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError):  # not glibc
+        function = getattr(ctypes.CDLL(path), name)
+    except (AttributeError, OSError):
         return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
+    function.argtypes = list(argtypes)
+    function.restype = ctypes.c_int
+    return function
 
 
-_MALLOC_TRIM = _load_malloc_trim()
-
-
-def _load_set_blas_threads():
-    # OpenBLAS >= 0.3.27; numpy's linalg extension links its bundled copy
-    try:
-        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
-    except (AttributeError, OSError):  # another BLAS, or an older OpenBLAS
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int  # the count before the call
-    return setter
-
-
-_SET_BLAS_THREADS = _load_set_blas_threads()
+_MALLOPT = _c_function(None, "mallopt", ctypes.c_int, ctypes.c_int)  # glibc only
+# OpenBLAS >= 0.3.27, bundled with numpy and linked by its linalg extension;
+# returns the count before the call
+_SET_BLAS_THREADS = _c_function(np.linalg._umath_linalg.__file__,
+                                "openblas_set_num_threads_local", ctypes.c_int)
 # the count _SET_BLAS_THREADS sets is process-wide in OpenBLAS's pthreads
 # build, so two oracle solves must not overlap: each would restore the
 # other's count in the middle of its solve
@@ -70,17 +61,15 @@ _SOLVE_LOCK = threading.Lock()
 _KERNEL_ROWS = 256
 
 
-def _release_freed_heap():
-    """Return free heap pages to the OS (glibc; a no-op elsewhere).
+def _hold_mmap_threshold():
+    """Hold glibc's mmap threshold at its 128 KiB default (a no-op elsewhere).
 
-    Once an N x N array of up to 32 MB has been freed, glibc serves arrays
-    of that size from the heap instead of mmap, and keeps up to twice that
-    much freed heap resident.  Without a trim before each N x N step, a
-    kernel built or solved after a smaller one would peak higher than the
-    same kernel built and solved first.
+    Left alone, glibc raises it after each large free, and later N x N arrays
+    come from heap arenas that keep their freed pages resident.  Held, each
+    is unmapped when freed, in whichever thread frees it.
     """
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    if _MALLOPT is not None:
+        _MALLOPT(-3, 128 * 1024)  # M_MMAP_THRESHOLD
 
 
 class Orientation(enum.Enum):
@@ -190,28 +179,44 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
     """
     n = cloud.count
     check_oracle_size(n)
-    _release_freed_heap()
+    _hold_mmap_threshold()
     pos = cloud.positions
+    # k0 times the bounding box's diagonal, summed as below, bounds every pair's k0 r
+    with np.errstate(over="ignore"):
+        span = np.ptp(pos, axis=0)
+        x, y, z = np.square(span)
+        if not math.sqrt(x + y + z) * physics.k0 < math.inf:
+            raise ValueError(f"emitter separations overflow: the cloud spans {span.tolist()} nm "
+                             f"at k0 = {physics.k0:.6g}/nm")
     m = np.empty((n, n), dtype=complex)
-    # a fixed number of rows at a time, so that no real N x N array is ever
-    # alive next to the complex one
+    # a fixed number of rows at a time into two reused real buffers, so that
+    # no real N x N array is ever alive next to the complex one
+    kr_rows, sq_rows = np.empty((2, min(n, _KERNEL_ROWS), n))
     for lo in range(0, n, _KERNEL_ROWS):
-        rows = slice(lo, min(lo + _KERNEL_ROWS, n))
+        hi = min(lo + _KERNEL_ROWS, n)
+        kr, sq = kr_rows[:hi - lo], sq_rows[:hi - lo]
         # sqrt of the squared differences summed over x, y, z in that order:
         # bit for bit scipy's cdist(pos, pos)
-        kr = np.sqrt(sum(np.square(np.subtract.outer(pos[rows, c], pos[:, c]))
-                         for c in range(3)))
+        np.square(np.subtract.outer(pos[lo:hi, 0], pos[:, 0], out=kr), out=kr)
+        for c in (1, 2):
+            np.square(np.subtract.outer(pos[lo:hi, c], pos[:, c], out=sq), out=sq)
+            kr += sq
+        np.sqrt(kr, out=kr)
         # the diagonal is overwritten below; inf keeps it out of the search
         # for the closest pair, whose first zero in row-major order is named
-        diagonal = (np.arange(kr.shape[0]), np.arange(rows.start, rows.stop))
+        diagonal = (np.arange(hi - lo), np.arange(lo, hi))
         kr[diagonal] = np.inf
         closest = int(np.argmin(kr))
+        j, k = lo + closest // n, closest % n
         if kr.flat[closest] <= 0.0:
-            j, k = divmod(closest, n)
-            raise ValueError(f"coincident emitters at rows {lo + j} and {k}")
+            raise ValueError(f"coincident emitters at rows {j} and {k}")
         kr *= physics.k0
+        # numpy's complex division multiplies by 1 / (k0 r), largest at the closest pair
+        nearest = float(kr.flat[closest])
+        if not (nearest > 0.0 and physics.gamma * (1.0 / nearest) < math.inf):
+            raise ValueError(f"gamma / (k0 r) overflows at rows {j} and {k}, k0 r = {nearest:.6g}")
         # in the operation order of -1j * gamma * exp(1j * kr) / kr
-        block = m[rows]
+        block = m[lo:hi]
         with np.errstate(invalid="ignore"):
             np.multiply(kr, 1j, out=block)
             np.exp(block, out=block)
@@ -311,6 +316,7 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     OpenBLAS thread (see _solve_blocks), so the eigenvalues do not depend
     on the BLAS thread count.
     """
+    _hold_mmap_threshold()
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
@@ -324,11 +330,7 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     # when the caller passed a temporary, as the CLI does, this frees the
     # split kernel before numpy copies the two blocks
     del matrix, m
-    _release_freed_heap()
-    parts = _solve_blocks(blocks)
-    del blocks
-    _release_freed_heap()
-    w = np.concatenate(parts)
+    w = np.concatenate(_solve_blocks(blocks))
     order = np.argsort(-w.real, kind="stable")
     w = w[order]
     return OracleSpectrum(eigenvalues=w, gamma_j=2.0 * w.real, lamb_j=w.imag,
@@ -357,19 +359,23 @@ def _centred_index(count: int) -> np.ndarray:
     return np.arange(count) - 0.5 * (count - 1)
 
 
+def _check_generator(count, **sizes):
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    for name, v in sizes.items():
+        if not (0.0 < v < math.inf):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
 def pair_cloud(separation: float) -> EmitterCloud:
     """Two emitters spaced along z."""
-    if not (separation > 0.0):
-        raise ValueError(f"separation must be > 0, got {separation}")
+    _check_generator(2, separation=separation)
     return EmitterCloud(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, separation]]))
 
 
 def line_cloud(count: int, spacing: float) -> EmitterCloud:
     """count emitters spaced uniformly along z, centred on the origin."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if not (spacing > 0.0):
-        raise ValueError(f"spacing must be > 0, got {spacing}")
+    _check_generator(count, spacing=spacing)
     z = spacing * _centred_index(count)
     pos = np.zeros((count, 3))
     pos[:, 2] = z
@@ -382,10 +388,7 @@ def ring_cloud(count: int, radius: float) -> EmitterCloud:
     The emitters sit symmetrically about the +x axis, at phases
     (2 pi / count) u for the centred indices u.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if not (radius > 0.0):
-        raise ValueError(f"radius must be > 0, got {radius}")
+    _check_generator(count, radius=radius)
     phi = (_TWO_PI / count) * _centred_index(count)
     return EmitterCloud(np.column_stack([radius * np.cos(phi),
                                          radius * np.sin(phi),
@@ -400,11 +403,7 @@ def helix_cloud(count: int, radius: float, pitch: float, spacing: float = 1.0) -
     helix winds about the z axis with the middle of the chain at phase 0
     and height 0.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    for name, v in (("radius", radius), ("pitch", pitch), ("spacing", spacing)):
-        if not (v > 0.0):
-            raise ValueError(f"{name} must be > 0, got {v}")
+    _check_generator(count, radius=radius, pitch=pitch, spacing=spacing)
     dphi = spacing / math.hypot(radius, pitch / _TWO_PI)
     phi = dphi * _centred_index(count)
     return EmitterCloud(np.column_stack([radius * np.cos(phi),

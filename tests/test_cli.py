@@ -437,6 +437,31 @@ def test_oracle_flag_validation(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["line", "--n", "5", "--s", "inf"], "spacing must be finite and > 0, got inf"),
+    (["ring", "--n", "5", "--R", "inf"], "radius must be finite and > 0, got inf"),
+    (["helix", "--n", "5", "--R", "inf", "--b", "7.8"], "radius must be finite and > 0, got inf"),
+    (["helix", "--n", "5", "--R", "11.2", "--b", "inf"], "pitch must be finite and > 0, got inf"),
+    (["helix", "--n", "5", "--R", "11.2", "--b", "7.8", "--spacing", "inf"],
+     "spacing must be finite and > 0, got inf"),
+    (["pair", "--s", "1e300"],
+     "emitter separations overflow: the cloud spans [0.0, 0.0, 1e+300] nm at k0 = 0.0224399/nm"),
+    (["line", "--n", "3", "--s", "1e200"],
+     "emitter separations overflow: the cloud spans [0.0, 0.0, 2e+200] nm at k0 = 0.0224399/nm"),
+    (["pair", "--s", "1e150", "--lambda0", "1e-160"],
+     "emitter separations overflow: the cloud spans [0.0, 0.0, 1e+150] nm "
+     "at k0 = 6.28319e+160/nm"),
+    (["pair", "--s", "1", "--gamma", "1e308"],
+     "gamma / (k0 r) overflows at rows 0 and 1, k0 r = 0.0224399"),
+])
+def test_oracle_overflowing_input_is_refused_without_warnings(tmp_path, capsys, args, message):
+    # numpy's RuntimeWarnings are errors under this suite's filterwarnings
+    out = tmp_path / "x.csv"
+    assert main(["oracle", "--generate", *args, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys):
     cloud = tmp_path / "big.txt"
     cloud.write_text("".join(f"0 0 {z}\n" for z in range(4001)))

@@ -351,6 +351,8 @@ def test_kernel_is_bitwise_the_one_line_expression():
     clouds = [pair_cloud(0.25), helix_cloud(17, 11.2, 7.8, 1.0),
               helix_cloud(300, 2.64, 73.1, 0.7),
               EmitterCloud(rng.uniform(-50.0, 50.0, size=(120, 3)))]
+    # one full block of kernel rows, one row past it, one row past two
+    clouds += [EmitterCloud(rng.uniform(-50.0, 50.0, size=(n, 3))) for n in (256, 257, 513)]
     for cloud in clouds:
         kr = phys.k0 * cdist(cloud.positions, cloud.positions)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -367,24 +369,26 @@ def test_kernel_rejects_coincident_emitters():
 
 
 _REPEAT_PEAKS = """
-import resource, sys
+import re
 from helirad.discrete import build_scalar_kernel, helix_cloud, oracle_spectrum
 from helirad.spectra import EmitterPhysics
 phys = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)
 for _ in range(2):
     for n in (300, 700):
         oracle_spectrum(build_scalar_kernel(helix_cloud(n, 11.2, 7.8), phys))
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    with open("/proc/self/status") as status:
+        print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
 """
 
 
-@pytest.mark.skipif(discrete._MALLOC_TRIM is None, reason="needs glibc malloc_trim")
+@pytest.mark.skipif(discrete._MALLOPT is None, reason="needs glibc mallopt")
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_repeated_oracle_solves_peak_no_higher(blas_threads):
-    # freed N x N arrays left resident in the heap raised the second pass's
-    # peak by 3.3 MB here (and by 34 MB at N = 2000); a fresh process keeps
-    # the count clean.  One block is solved in a worker thread, whose heap
-    # would hold a leak of its own.
+    # with glibc's mmap threshold left to rise, N x N arrays came from heap
+    # arenas after the first pass, the worker thread's among them, and kept
+    # their freed pages resident, and the second pass peaked about 2.8 MB higher.
+    # The child's own VmHWM is read, because its ru_maxrss would also count
+    # the forking parent's RSS, which is the larger under pytest.
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(Path(discrete.__file__).resolve().parents[1]),
