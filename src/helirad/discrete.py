@@ -367,6 +367,13 @@ def _check_generator(count, **sizes):
             raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
+def _check_span(count, step, name, unit):
+    """Refuse a step whose count - 1 multiples overflow, before any position is formed."""
+    if not (count - 1) * step < math.inf:
+        raise ValueError(f"{name} = {step:.6g} {unit} is too large: {count} emitters "
+                         f"would span {count - 1} times it, beyond double range")
+
+
 def pair_cloud(separation: float) -> EmitterCloud:
     """Two emitters spaced along z."""
     _check_generator(2, separation=separation)
@@ -376,6 +383,7 @@ def pair_cloud(separation: float) -> EmitterCloud:
 def line_cloud(count: int, spacing: float) -> EmitterCloud:
     """count emitters spaced uniformly along z, centred on the origin."""
     _check_generator(count, spacing=spacing)
+    _check_span(count, spacing, "spacing", "nm")
     z = spacing * _centred_index(count)
     pos = np.zeros((count, 3))
     pos[:, 2] = z
@@ -404,7 +412,10 @@ def helix_cloud(count: int, radius: float, pitch: float, spacing: float = 1.0) -
     and height 0.
     """
     _check_generator(count, radius=radius, pitch=pitch, spacing=spacing)
+    # the arc length bounds the height span, and the phase span is formed below
+    _check_span(count, spacing, "spacing", "nm")
     dphi = spacing / math.hypot(radius, pitch / _TWO_PI)
+    _check_span(count, dphi, "phase step spacing / hypot(radius, pitch / 2 pi)", "rad")
     phi = dphi * _centred_index(count)
     return EmitterCloud(np.column_stack([radius * np.cos(phi),
                                          radius * np.sin(phi),

@@ -18,10 +18,10 @@ All functions are pure and hold no mutable state.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -35,7 +35,8 @@ def bessel_j(m: int, x: float) -> float:
     """
     if x < 0.0:
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    return float(_sp.jv(int(m), x))
+    from scipy import special
+    return float(special.jv(int(m), x))
 
 
 def bessel_y(m: int, x: float) -> float:
@@ -48,7 +49,8 @@ def bessel_y(m: int, x: float) -> float:
     """
     if x <= 0.0:
         raise ValueError(f"bessel_y requires x > 0 (logarithmic divergence at 0), got {x}")
-    return float(_sp.yv(int(m), x))
+    from scipy import special
+    return float(special.yv(int(m), x))
 
 
 def bessel_ik(m: int, x: float) -> tuple:
@@ -61,9 +63,10 @@ def bessel_ik(m: int, x: float) -> tuple:
     """
     if x <= 0.0:
         raise ValueError(f"bessel_ik requires x > 0, got {x}")
+    from scipy import special
     m = int(m)
-    i = float(_sp.iv(m, x))
-    k = float(_sp.kv(m, x))
+    i = float(special.iv(m, x))
+    k = float(special.kv(m, x))
     if not (math.isfinite(i) and math.isfinite(k)):
         raise OverflowError(f"I_{m}({x}) or K_{m}({x}) exceeds double range")
     return i, k
@@ -82,6 +85,7 @@ def jh_products(m: int, x, imaginary) -> tuple:
     applies and gives the values jh_product documents.  This is the one place
     the products are formed.
     """
+    from scipy import special
     m = abs(int(m))
     x = np.asarray(x, dtype=float)
     ok = (x >= 0.0) & (x < math.inf)  # nan fails both
@@ -98,11 +102,11 @@ def jh_products(m: int, x, imaginary) -> tuple:
     else:
         im[zero] = -1.0 / (m * math.pi)
     with np.errstate(invalid="ignore", over="ignore"):
-        j = _sp.jv(m, x[real])
-        p = j * _sp.yv(m, x[real])
+        j = special.jv(m, x[real])
+        p = j * special.yv(m, x[real])
         re[real] = j * j
         # scaled forms: ive = I e^-x, kve = K e^x, so the exponentials cancel
-        q = _sp.ive(m, x[imag]) * _sp.kve(m, x[imag])
+        q = special.ive(m, x[imag]) * special.kve(m, x[imag])
     # deep in the m >> x regime J underflows while Y overflows; the product
     # limit there is -1/(m pi) to O(x^2/m).  At m = 0, scipy's Y_0 and K_0
     # overflow below x ~ 1e-307, where K_0 = ln 2 - gamma_E - ln x to O(x^2 ln x)
@@ -132,12 +136,19 @@ def jh_product(m: int, x: float, imaginary: bool = False) -> complex:
     return complex(re[0], im[0])
 
 
-# zeta(3 - k) for k <= 64: the coefficient of mu^k / k! in Li_3, and of
-# mu^(k-1) / (k-1)! in Li_2.  None marks the zeta(1) pole, whose term
-# _polylogs replaces by its finite part.  Past it, zeta(1 - n) = -B_n / n
-# with B_1 = +1/2 (scipy's B_1 is -1/2), zero at every odd n >= 3.
-_ZETA = [float(_sp.zeta(3)), float(_sp.zeta(2)), None, -0.5] + [
-    -float(b) / n for n, b in enumerate(_sp.bernoulli(62)[2:], start=2)]
+@functools.cache
+def _zeta_table() -> tuple:
+    """zeta(3 - k) for k <= 64: the coefficient of mu^k / k! in Li_3, and of
+    mu^(k-1) / (k-1)! in Li_2.
+
+    None marks the zeta(1) pole, whose term _polylogs replaces by its finite
+    part.  Past it, zeta(1 - n) = -B_n / n with B_1 = +1/2 (scipy's B_1 is
+    -1/2), zero at every odd n >= 3.  Built on first use, so that only the
+    polylogs load scipy.special for it.
+    """
+    from scipy import special
+    return tuple([float(special.zeta(3)), float(special.zeta(2)), None, -0.5] + [
+        -float(b) / n for n, b in enumerate(special.bernoulli(62)[2:], start=2)])
 
 
 def _libm(f, x, *args) -> np.ndarray:
@@ -157,7 +168,8 @@ def _polylogs(t) -> tuple:
     li2 = np.zeros(t.shape, dtype=complex)
     li3 = np.zeros(t.shape, dtype=complex)
     muk = np.ones(t.shape, dtype=complex)  # mu^k / k!
-    for k, (z3, z2) in enumerate(zip(_ZETA, _ZETA[1:])):
+    zeta = _zeta_table()
+    for k, (z3, z2) in enumerate(zip(zeta, zeta[1:])):
         li2 += muk * ((1.0 - log) if z2 is None else z2)
         li3 += muk * ((1.5 - log) if z3 is None else z3)
         # mu / (k + 1) with mu = it, bit for bit; numpy's complex division

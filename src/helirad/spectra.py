@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .specfun import _TWO_PI, EULER_GAMMA, _libm, jh_products
 
@@ -188,8 +187,9 @@ def _window_sum(kappa, Omega: float, term):
 
 def _helix_decay(kappa, spec: HelixSpec):
     """Sum of J_m^2 over each kappa's order window, 0 where it is empty."""
+    from scipy import special
     return _window_sum(kappa, spec.Omega, lambda k, m: np.square(
-        _sp.jv(m, _bessel_arg(k, m, spec.Omega, spec.r, True)[0])))
+        special.jv(m, _bessel_arg(k, m, spec.Omega, spec.r, True)[0])))
 
 
 def helix_decay_norm(kappa: float, spec: HelixSpec) -> float:

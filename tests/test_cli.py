@@ -462,6 +462,28 @@ def test_oracle_overflowing_input_is_refused_without_warnings(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["line", "--n", "5", "--s", "1e308"],
+     "spacing = 1e+308 nm is too large: 5 emitters would span 4 times it, beyond double range"),
+    (["helix", "--n", "10", "--R", "1", "--b", "7", "--spacing", "1e308"],
+     "spacing = 1e+308 nm is too large: 10 emitters would span 9 times it, beyond double range"),
+    (["helix", "--n", "10", "--R", "1e-300", "--b", "1e-300", "--spacing", "1e300"],
+     "phase step spacing / hypot(radius, pitch / 2 pi) = inf rad is too large: "
+     "10 emitters would span 9 times it, beyond double range"),
+])
+def test_oracle_generator_overflow_is_refused_under_warning_errors(tmp_path, args, message):
+    # a fresh interpreter, so the warning filter is the command line's and
+    # nothing else's; a numpy overflow would end in a traceback
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "helirad.cli",
+         "oracle", "--generate", *args, "--output", str(out)],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys):
     cloud = tmp_path / "big.txt"
     cloud.write_text("".join(f"0 0 {z}\n" for z in range(4001)))
@@ -705,50 +727,64 @@ def test_console_script_smoke(tmp_path):
 
 _IMPORT_GUARD = """
 import json, sys
-loaded = lambda: [m for m in ("scipy.linalg", "scipy.spatial", "scipy.optimize")
-                  if m in sys.modules]
-import helirad, helirad.cli
-steps = [("import", 0, loaded())]
+loaded = lambda: [m for m in ("scipy", "scipy.special", "scipy.linalg", "scipy.spatial",
+                              "scipy.optimize") if m in sys.modules]
+import helirad
+steps = [("import helirad", 0, loaded())]
+import helirad.cli
+steps.append(("import helirad.cli", 0, loaded()))
 for argv in {argvs!r}:
-    steps.append((argv[0], helirad.cli.main(argv), loaded()))
+    try:
+        code = helirad.cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    steps.append((argv[0], code, loaded()))
 print(json.dumps(steps))
 """
 
 
-def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path):
-    # scipy.linalg, scipy.spatial and scipy.optimize cost about 0.3 s of a
-    # fresh import; only the fit uses one of them, on first call
-    cloud = tmp_path / "h.txt"
-    pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
-    cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
-    table_runs = [
-        ["spectrum", "line", "--kappa", "0:1:0.5"],
-        ["spectrum", "helix", "--omega", "3", "--radius", "1", "--kappa", "0:1:0.5"],
-        ["thermal", "--series", "helix-fix-omega", "--omega", "3", "--r", "1",
-         "--kappa", "0:1:0.5"],
-        ["trapped", "--omega", "3", "--kappa-max", "4"],
-        ["discrete-line", "--d-over-lambda", "0.3", "--orientation", "par",
-         "--kappa", "0:1:0.5"],
-    ]
-    heavy_runs = [
-        ["oracle", "--generate", "pair", "--s", "100"],
-        ["fit-estimate", "--cloud", str(cloud)],
-    ]
-    argvs = [[*argv, "--output", str(tmp_path / f"out{i}.txt")]
-             for i, argv in enumerate(table_runs + heavy_runs)]
+def _import_guard(argvs):
+    """(name, exit code, scipy modules loaded after it) for the imports, then each argv."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD.format(argvs=argvs)],
         capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout.splitlines()[-1])
-    assert steps[:1 + len(table_runs)] == [["import", 0, []]] + [
-        [argv[0], 0, []] for argv in table_runs]
-    # the oracle needs none of the three; the fit's scipy.optimize brings in
-    # the other two
-    oracle, fit = steps[1 + len(table_runs):]
-    assert oracle == ["oracle", 0, []]
-    assert fit[:2] == ["fit-estimate", 0] and "scipy.optimize" in fit[2]
+    return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path):
+    # scipy.special costs about 0.3 s of a fresh import, and scipy.optimize
+    # with scipy.linalg and scipy.spatial about as much; each loads on the
+    # first call that computes with it
+    cloud = tmp_path / "h.txt"
+    pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
+    cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
+
+    def out(argv):
+        return [*argv, "--output", str(tmp_path / f"{argv[0]}.txt")]
+
+    scipy_free = [
+        ["spectrum", "line", "--kappa", "0:1:0.5"],
+        ["trapped", "--omega", "3", "--kappa-max", "4"],
+        ["oracle", "--generate", "pair", "--s", "100"],
+    ]
+    special = ["scipy", "scipy.special"]
+    steps = _import_guard([["--help"], *map(out, scipy_free),
+                           out(["spectrum", "helix", "--omega", "3", "--radius", "1",
+                                "--kappa", "0:1:0.5"]),
+                           out(["fit-estimate", "--cloud", str(cloud)])])
+    assert steps[:-2] == [("import helirad", 0, []), ("import helirad.cli", 0, []),
+                          ("--help", 0, [])] + [(argv[0], 0, []) for argv in scipy_free]
+    assert steps[-2] == ("spectrum", 0, special)
+    # the fit's scipy.optimize brings in scipy.linalg and scipy.spatial
+    assert steps[-1][:2] == ("fit-estimate", 0) and "scipy.optimize" in steps[-1][2]
+    # a fresh process each, since a module once loaded stays loaded
+    for argv in (["thermal", "--series", "helix-fix-omega", "--omega", "3", "--r", "1",
+                  "--kappa", "0:1:0.5"],
+                 ["discrete-line", "--d-over-lambda", "0.3", "--orientation", "par",
+                  "--kappa", "0:1:0.5"]):
+        assert _import_guard([out(argv)])[2] == (argv[0], 0, special)
 
 
 @pytest.mark.skipif(shutil.which("helirad") is None,
