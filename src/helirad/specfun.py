@@ -76,47 +76,44 @@ def _k0_small(x):
     return math.log(2.0) - EULER_GAMMA - np.log(x)
 
 
-def jh_products(m: int, x, imaginary) -> tuple:
-    """(Re, Im) arrays of J_m H_m^(1) over an array of finite magnitudes x >= 0.
+def jh_products(m, x, imaginary) -> tuple:
+    """(Re, Im) arrays of J_m H_m^(1) over integer orders m and finite magnitudes x >= 0.
 
-    `imaginary` is a boolean mask, or one bool for the whole array: where it
+    m, x and the boolean mask `imaginary` broadcast together: where the mask
     holds, the magnitude stands for the argument ix.  Each branch (real J Y,
     imaginary scaled I K, zero-argument sentinel) is evaluated only where it
     applies and gives the values jh_product documents.  This is the one place
     the products are formed.
     """
     from scipy import special
-    m = abs(int(m))
     x = np.asarray(x, dtype=float)
     ok = (x >= 0.0) & (x < math.inf)  # nan fails both
     if not ok.all():
         raise ValueError(f"Bessel argument magnitude must be finite and >= 0, got {x[~ok][0]}")
+    m, x, imaginary = np.broadcast_arrays(np.abs(np.asarray(m, dtype=np.int64)), x,
+                                          np.asarray(imaginary, dtype=bool))
     zero = x == 0.0
-    real = ~zero & ~np.asarray(imaginary, dtype=bool)
-    imag = ~zero & ~real
+    real, imag = ~zero & ~imaginary, ~zero & imaginary
+    mr, xr, mi, xi = m[real], x[real], m[imag], x[imag]
     re = np.zeros(x.shape)
     im = np.empty(x.shape)
-    if m == 0:
-        re[zero] = 1.0
-        im[zero] = -np.inf
-    else:
-        im[zero] = -1.0 / (m * math.pi)
-    with np.errstate(invalid="ignore", over="ignore"):
-        j = special.jv(m, x[real])
-        p = j * special.yv(m, x[real])
+    re[zero] = m[zero] == 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        im[zero] = -1.0 / (m[zero] * math.pi)  # -inf at m = 0: the sentinel
+        j = special.jv(mr, xr)
+        p = j * special.yv(mr, xr)
         re[real] = j * j
         # scaled forms: ive = I e^-x, kve = K e^x, so the exponentials cancel
-        q = special.ive(m, x[imag]) * special.kve(m, x[imag])
-    # deep in the m >> x regime J underflows while Y overflows; the product
-    # limit there is -1/(m pi) to O(x^2/m).  At m = 0, scipy's Y_0 and K_0
-    # overflow below x ~ 1e-307, where K_0 = ln 2 - gamma_E - ln x to O(x^2 ln x)
-    bad = ~np.isfinite(p)
-    if bad.any():
-        p[bad] = -1.0 / (m * math.pi) if m else -(2.0 / math.pi) * _k0_small(x[real][bad])
+        q = special.ive(mi, xi) * special.kve(mi, xi)
+        # deep in the m >> x regime J underflows while Y overflows; the product
+        # limit there is -1/(m pi) to O(x^2/m).  At m = 0, scipy's Y_0 and K_0
+        # overflow below x ~ 1e-307, where K_0 = ln 2 - gamma_E - ln x to O(x^2 ln x)
+        bad = ~np.isfinite(p)
+        p[bad] = np.where(mr[bad] > 0, -1.0 / (mr[bad] * math.pi),
+                          -(2.0 / math.pi) * _k0_small(xr[bad]))
+        bad = ~np.isfinite(q)  # I_m K_m -> 1/(2m), and K_0 at m = 0 where I_0 = 1
+        q[bad] = np.where(mi[bad] > 0, 0.5 / mi[bad], _k0_small(xi[bad]))
     im[real] = p
-    bad = ~np.isfinite(q)
-    if bad.any():  # I_m K_m -> 1/(2m), and K_0 at m = 0 where I_0 = 1
-        q[bad] = 0.5 / m if m else _k0_small(x[imag][bad])
     im[imag] = -(2.0 / math.pi) * q
     return re, im
 

@@ -38,8 +38,8 @@ _SNAP_TOL = 1e-9
 # kappa_grid refuses grids longer than this before allocating them
 MAX_GRID_POINTS = 1_000_000
 
-# elements per (rows, window length) block of _window_sum: 32 kB per temporary
-_DECAY_BLOCK = 1 << 12
+# elements per (rows, orders) block of _window_sum and _jh_sum: 32 kB per temporary
+_ORDER_BLOCK = 1 << 12
 
 LINE_LAMB_NORMALIZATION = "k0*E/(gamma*n0)"
 HELIX_LAMB_NORMALIZATION = "k0*E/(pi*gamma*n0)"
@@ -178,7 +178,7 @@ def _window_sum(kappa, Omega: float, term):
     out = np.zeros(kappa.shape)
     for length in np.unique(n[n > 0]).tolist():
         points = np.flatnonzero(n == length)
-        step = max(1, _DECAY_BLOCK // length)
+        step = max(1, _ORDER_BLOCK // length)
         for rows in np.split(points, range(step, len(points), step)):
             m = m_lo[rows, None] + np.arange(length)
             out[rows] = np.sum(term(kappa[rows, None], m), axis=1)
@@ -215,28 +215,27 @@ def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
     return np.sqrt(np.abs(rad)) * r, rad < 0.0
 
 
-def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int, window=None) -> tuple:
-    """(Re, Im) arrays of the sum of J_m H_m^(1) over m = m_lo..m_hi per kappa.
+def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int, window):
+    """Im of the sum of J_m H_m^(1) over m = m_lo..m_hi per kappa; orders in its `window` are real.
 
-    Orders inside kappa's (lo, hi) `window` are real; the cylinder, the single
-    order n at Omega = 0, has none.  Orders run outermost and left to right,
-    so each kappa gets the bits of a one-point loop.
+    Each (rows, orders) block is summed left to right from +0.0, so each kappa
+    gets the bits of a one-order-at-a-time loop.  `window` holds (lo, hi) arrays.
     """
     kappa = np.asarray(kappa, dtype=float)
-    re = np.zeros(kappa.shape)
-    im = np.zeros(kappa.shape)
-    for m in range(m_lo, m_hi + 1):
-        real = False if window is None else (window[0] <= m) & (m <= window[1])
-        p_re, p_im = jh_products(m, *_bessel_arg(kappa, m, Omega, r, real))
-        re += p_re
-        im += p_im
-    return re, im
+    m = np.arange(m_lo, m_hi + 1)
+    out = np.zeros(kappa.shape)
+    step = max(1, _ORDER_BLOCK // max(1, m.size))
+    for rows in np.split(np.arange(kappa.size), range(step, kappa.size, step)) if m.size else ():
+        real = (window[0][rows, None] <= m) & (m <= window[1][rows, None])
+        im = jh_products(m, *_bessel_arg(kappa[rows, None], m, Omega, r, real))[1]
+        out[rows] += np.cumsum(im, axis=1)[:, -1]
+    return out
 
 
 def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
     if M < 0:
         raise ValueError(f"truncation half-width M must be >= 0, got {M}")
-    if 2 * M + 1 > MAX_GRID_POINTS:  # one pass per order, so refused before the first
+    if 2 * M + 1 > MAX_GRID_POINTS:  # before a block of 2M + 1 orders is formed
         raise ValueError(f"truncation half-width M={M} sums 2M + 1 orders, over the limit "
                          f"of {MAX_GRID_POINTS}")
     m_lo, m_hi = _order_window(kappa_grid, spec.Omega)
@@ -244,7 +243,7 @@ def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
     if cut.any():  # reported for the first failing point
         raise ValueError(f"M={M} excludes real-argument orders [{m_lo[cut][0]}, "
                          f"{m_hi[cut][0]}]; raise the truncation")
-    return _jh_sum(kappa_grid, spec.Omega, spec.r, -M, M, (m_lo, m_hi))[1]
+    return _jh_sum(kappa_grid, spec.Omega, spec.r, -M, M, (m_lo, m_hi))
 
 
 def helix_lamb_norm(kappa: float, spec: HelixSpec, M: int = 10) -> float:
@@ -266,13 +265,14 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     equals it at the -inf sentinel.  Empty bounds give 0 (the empty sum).
     """
     lo, hi = _order_window([kappa], spec.Omega)
-    return float(_jh_sum([kappa], spec.Omega, spec.r, int(lo[0]), int(hi[0]), (lo, hi))[1][0])
+    return float(_jh_sum([kappa], spec.Omega, spec.r, int(lo[0]), int(hi[0]), (lo, hi))[0])
 
 
 def _cylinder_sum(n: int, kappa, r: float) -> tuple:
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError(f"cylinder radius must be finite and >= 0, got {r}")
-    return _jh_sum(kappa, 0.0, r, int(n), int(n))
+    re, im = jh_products(n, *_bessel_arg(np.asarray(kappa, dtype=float), 0, 0.0, r, False))
+    return re, im + 0.0  # +0.0 as the helix sums start from
 
 
 def cylinder_norms(n: int, kappa: float, r: float) -> tuple:

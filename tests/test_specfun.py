@@ -8,6 +8,7 @@ production code must land within a few ulp of them.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from helirad.specfun import (
@@ -15,6 +16,7 @@ from helirad.specfun import (
     bessel_j,
     bessel_y,
     jh_product,
+    jh_products,
     polylog_unit_circle,
 )
 
@@ -163,6 +165,22 @@ def test_jh_product_extreme_order_fallbacks():
     assert math.isfinite(v.imag)
     w = jh_product(200, 1e-8, imaginary=True)
     assert w.imag == pytest.approx(-1.0 / (200 * math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("imaginary", [False, True, "mask"])
+def test_jh_products_over_an_order_array_match_each_order_bitwise(imaginary):
+    # orders -250..250 (m = 0 among them) against magnitudes that include x = 0,
+    # m = 0's tiny-argument limit and m = 200's large-order fallbacks
+    m = np.arange(-250, 251, 25)[:, None]
+    x = np.array([0.0, 1e-310, 1e-8, 0.07, 0.5, 4.56, 30.0, 800.0])
+    mask = np.resize([False, True, True], m.shape[0])[:, None] if imaginary == "mask" \
+        else np.full((m.shape[0], 1), imaginary)
+    re, im = jh_products(m, x, mask)
+    want = np.array([[jh_product(int(k), float(v), bool(i)) for v in x]
+                     for k, i in zip(m[:, 0], mask[:, 0])])
+    assert re.tobytes() == want.real.tobytes()
+    assert im.tobytes() == want.imag.tobytes()
+    assert np.isneginf(im[m[:, 0] == 0, 0]).all()
 
 
 @pytest.mark.parametrize("x", [1e-300, 1e-307, 1e-310, 5e-324])

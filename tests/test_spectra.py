@@ -416,13 +416,23 @@ SWEEP_CASES = [
 ]
 
 
+# Blocks of 1 and 7 elements put one grid point per block, or split the grid
+# into many blocks of a full order row each.
 @pytest.mark.parametrize("Omega, r, M, grid", SWEEP_CASES)
-def test_sweep_matches_scalar_reference_bitwise(Omega, r, M, grid):
+def test_sweep_matches_scalar_reference_bitwise(Omega, r, M, grid, monkeypatch):
     spec = HelixSpec(Omega=Omega, r=r)
-    table = sweep(grid, spec, PHYS_UNIT, M=M)
-    assert _bits(table.points) == _bits(classify(k, spec, PHYS_UNIT, M) for k in grid)
-    assert [p.lamb_norm.hex() for p in table.points] == \
-        [_scalar_lamb(k, spec, M).hex() for k in grid]
+    want = [_scalar_lamb(k, spec, M).hex() for k in grid]
+    for block in (spectra._ORDER_BLOCK, 1, 7):
+        monkeypatch.setattr(spectra, "_ORDER_BLOCK", block)
+        table = sweep(grid, spec, PHYS_UNIT, M=M)
+        assert _bits(table.points) == _bits(classify(k, spec, PHYS_UNIT, M) for k in grid)
+        assert [p.lamb_norm.hex() for p in table.points] == want
+
+
+def test_single_point_lamb_sums_its_orders_left_to_right():
+    # one row of 4001 orders: a pairwise reduction along it would change the bits
+    spec = HelixSpec(Omega=3.0, r=1.0)
+    assert helix_lamb_norm(0.5, spec, M=2000).hex() == _scalar_lamb(0.5, spec, 2000).hex()
 
 
 def test_reference_cases_reach_both_fallbacks_and_the_sentinel():
@@ -455,7 +465,7 @@ def _reference_decay(kappa, spec):
 @pytest.mark.parametrize("Omega", [0.05, 0.1, 0.13, 0.2])
 def test_sweep_decay_matches_per_point_reference_bitwise(Omega, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(spectra, "_DECAY_BLOCK", block)
+        monkeypatch.setattr(spectra, "_ORDER_BLOCK", block)
     edges = sorted({k for m in range(-100, 101) for k in (m * Omega - 1.0, m * Omega + 1.0)
                     if abs(k) <= 3.0})
     for r in (0.0, 0.5, 3.0):
