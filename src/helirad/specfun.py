@@ -111,8 +111,10 @@ def jh_products(m, x, imaginary) -> tuple:
         bad = ~np.isfinite(p)
         p[bad] = np.where(mr[bad] > 0, -1.0 / (mr[bad] * math.pi),
                           -(2.0 / math.pi) * _k0_small(xr[bad]))
-        bad = ~np.isfinite(q)  # I_m K_m -> 1/(2m), and K_0 at m = 0 where I_0 = 1
-        q[bad] = np.where(mi[bad] > 0, 0.5 / mi[bad], _k0_small(xi[bad]))
+        # at large m, ive underflows to 0 or kve overflows; there I_m K_m is
+        # 1/(2 sqrt(m^2 + x^2)) to O(1/m^2) (A&S 9.7.7-8), and K_0 at m = 0 where I_0 = 1
+        bad = ~np.isfinite(q) | (q == 0.0)
+        q[bad] = np.where(mi[bad] > 0, 0.5 / np.hypot(mi[bad], xi[bad]), _k0_small(xi[bad]))
     im[real] = p
     im[imag] = -(2.0 / math.pi) * q
     return re, im

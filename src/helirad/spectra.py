@@ -38,6 +38,10 @@ _SNAP_TOL = 1e-9
 # kappa_grid refuses grids longer than this before allocating them
 MAX_GRID_POINTS = 1_000_000
 
+# a window or Lamb pass of more terms than this is refused before it runs:
+# about 15 s of decay terms, or one to two and a half minutes of Lamb terms
+_MAX_TERMS = 100 * MAX_GRID_POINTS
+
 # elements per (rows, orders) block of _window_sum and _jh_sum: 32 kB per temporary
 _ORDER_BLOCK = 1 << 12
 
@@ -175,6 +179,10 @@ def _window_sum(kappa, Omega: float, term):
     kappa = np.asarray(kappa, dtype=float)
     m_lo, m_hi = _order_window(kappa, Omega)
     n = m_hi - m_lo + 1
+    terms = int(n[n > 0].sum())
+    if terms > _MAX_TERMS:
+        raise ValueError(f"the order windows of {kappa.size} kappa points hold {terms} orders in "
+                         f"all, over the limit of {_MAX_TERMS} terms")
     out = np.zeros(kappa.shape)
     for length in np.unique(n[n > 0]).tolist():
         points = np.flatnonzero(n == length)
@@ -216,19 +224,23 @@ def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
 
 
 def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int, window):
-    """Im of the sum of J_m H_m^(1) over m = m_lo..m_hi per kappa; orders in its `window` are real.
+    """Im of the sum of J_m H_m^(1) over m = m_lo..m_hi, m_lo <= m_hi, per kappa.
 
-    Each (rows, orders) block is summed left to right from +0.0, so each kappa
-    gets the bits of a one-order-at-a-time loop.  `window` holds (lo, hi) arrays.
+    Orders inside kappa's (lo, hi) `window` are real.  Each (rows, orders)
+    block is summed left to right along its orders, so each kappa gets the
+    bits of a one-order-at-a-time loop.
     """
     kappa = np.asarray(kappa, dtype=float)
     m = np.arange(m_lo, m_hi + 1)
+    if kappa.size * m.size > _MAX_TERMS:
+        raise ValueError(f"{kappa.size} kappa points x {m.size} orders make "
+                         f"{kappa.size * m.size} terms, over the limit of {_MAX_TERMS}")
     out = np.zeros(kappa.shape)
-    step = max(1, _ORDER_BLOCK // max(1, m.size))
-    for rows in np.split(np.arange(kappa.size), range(step, kappa.size, step)) if m.size else ():
+    step = max(1, _ORDER_BLOCK // m.size)
+    for rows in np.split(np.arange(kappa.size), range(step, kappa.size, step)):
         real = (window[0][rows, None] <= m) & (m <= window[1][rows, None])
         im = jh_products(m, *_bessel_arg(kappa[rows, None], m, Omega, r, real))[1]
-        out[rows] += np.cumsum(im, axis=1)[:, -1]
+        out[rows] = np.cumsum(im, axis=1)[:, -1]
     return out
 
 
@@ -265,14 +277,15 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     equals it at the -inf sentinel.  Empty bounds give 0 (the empty sum).
     """
     lo, hi = _order_window([kappa], spec.Omega)
+    if lo[0] > hi[0]:
+        return 0.0
     return float(_jh_sum([kappa], spec.Omega, spec.r, int(lo[0]), int(hi[0]), (lo, hi))[0])
 
 
 def _cylinder_sum(n: int, kappa, r: float) -> tuple:
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError(f"cylinder radius must be finite and >= 0, got {r}")
-    re, im = jh_products(n, *_bessel_arg(np.asarray(kappa, dtype=float), 0, 0.0, r, False))
-    return re, im + 0.0  # +0.0 as the helix sums start from
+    return jh_products(n, *_bessel_arg(np.asarray(kappa, dtype=float), 0, 0.0, r, False))
 
 
 def cylinder_norms(n: int, kappa: float, r: float) -> tuple:

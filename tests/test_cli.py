@@ -26,6 +26,7 @@ from helirad.discrete import (
 from helirad.spectra import EmitterPhysics, HelixSpec, sweep
 from helirad.thermal import ThermalConfig, thermal_sweep
 
+from .child import child_env
 from .test_geomfit import synthetic_helix
 
 
@@ -289,11 +290,19 @@ def test_trapped_unbounded_input_is_refused(tmp_path, args, message):
     (["thermal", "--series", "helix-fix-r", "--r", "1", "--omega", "1e-5"],
      "Omega = 1e-05, r = 1.0: the kappa grid's endpoints 0.0 and 5.0 widen the requested "
      "M=10 to M=600000, whose 2M + 1 orders are over the limit of 1000000"),
+    (["spectrum", "helix", "--omega", "3", "--radius", "1", "--kappa", "0:999999:1",
+      "--M", "400000"],
+     "1000000 kappa points x 800001 orders make 800001000000 terms, over the limit of "
+     "100000000"),
+    (["discrete-line", "--d-over-lambda", "1e5", "--orientation", "par", "--kappa", "0:1:0.001"],
+     "the order windows of 1001 kappa points hold 200201001 orders in all, over the limit of "
+     "100000000 terms"),
 ], ids=["helix-tiny-omega", "thermal-tiny-omega", "discrete-huge-spacing", "helix-huge-M",
-        "thermal-widened-M"])
+        "thermal-widened-M", "helix-points-times-orders", "discrete-points-times-branches"])
 def test_unbounded_order_sums_are_refused(tmp_path, argv, message):
     # these once allocated TiB-sized windows or looped for hours over orders
-    # or branches; a regression fails here, in a capped child, not the machine
+    # or branches, or asked for 8e11 Bessel terms with each axis in bounds; a
+    # regression fails here, in a capped child, not the machine
     out = tmp_path / "x.csv"
     proc = _run_entry_point([*argv, "--output", str(out)],
                             preexec_fn=_cap_address_space, timeout=60)
@@ -478,7 +487,7 @@ def test_oracle_generator_overflow_is_refused_under_warning_errors(tmp_path, arg
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "helirad.cli",
          "oracle", "--generate", *args, "--output", str(out)],
-        capture_output=True, text=True, env=_child_env(), timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
     assert not out.exists()
@@ -699,17 +708,9 @@ def _run_entry_point(args, **run_kwargs):
         input="",
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         **run_kwargs,
     )
-
-
-def _child_env():
-    """This environment, with the helirad this process imported first on PYTHONPATH."""
-    env = dict(os.environ)
-    src = str(Path(helirad.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def test_console_script_smoke(tmp_path):
@@ -747,7 +748,7 @@ def _import_guard(argvs):
     """(name, exit code, scipy modules loaded after it) for the imports, then each argv."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD.format(argvs=argvs)],
-        capture_output=True, text=True, env=_child_env(), timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]

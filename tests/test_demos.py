@@ -11,22 +11,15 @@ from pathlib import Path
 
 import pytest
 
-import helirad
+from .child import child_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 CLI_TOUR = Path(__file__).resolve().parents[1] / "demos" / "cli_tour.sh"
 
 
-def _env(tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))
-    src = str(Path(helirad.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly(demo, tmp_path):
-    env = _env(tmp_path)
+    env = child_env(TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -46,7 +39,7 @@ def test_cli_tour_runs_cleanly(tmp_path):
         shim.chmod(0o755)
     scratch = tmp_path / "tmp"
     scratch.mkdir()
-    env = _env(scratch)
+    env = child_env(TMPDIR=str(scratch))
     env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
     proc = subprocess.run(["sh", str(CLI_TOUR)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)

@@ -2,11 +2,9 @@
 
 import cmath
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +32,7 @@ from helirad.discrete import (
 from helirad.spectra import EmitterPhysics, HelixSpec, helix_decay_norm, kappa_grid, line_lamb_norm
 
 from . import oracles
+from .child import child_env
 from .test_spectra import _scalar_window
 
 PHYS = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)
@@ -389,10 +388,7 @@ def test_repeated_oracle_solves_peak_no_higher(blas_threads):
     # their freed pages resident, and the second pass peaked about 2.8 MB higher.
     # The child's own VmHWM is read, because its ru_maxrss would also count
     # the forking parent's RSS, which is the larger under pytest.
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(Path(discrete.__file__).resolve().parents[1]),
-                   os.environ.get("PYTHONPATH")])))
+    env = child_env(OPENBLAS_NUM_THREADS=blas_threads)
     proc = subprocess.run([sys.executable, "-c", _REPEAT_PEAKS], env=env,
                           capture_output=True, text=True, check=True)
     first, second = (int(line) for line in proc.stdout.split())
@@ -425,10 +421,7 @@ def test_concurrent_oracle_calls_keep_the_blas_thread_count():
     # the count is process-wide: overlapping solves that each restored the
     # count they found left the process at one thread, and a solve that
     # another caller's restore had put back at two threads changed its bytes
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(Path(discrete.__file__).resolve().parents[1]),
-                   os.environ.get("PYTHONPATH")])))
+    env = child_env(OPENBLAS_NUM_THREADS="2")
     proc = subprocess.run([sys.executable, "-c", _CONCURRENT_SOLVES], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["True", "2"]

@@ -119,8 +119,9 @@ def test_helix_sums_match_quadrature(r):
     for k, w in zip(HELIX_KAPPAS, want):
         assert abs(helix_decay_norm(k, spec) - w) <= 6e-6, k
     want = oracles.oracle_helix_lamb_diff(HELIX_KAPPAS, HELIX_KAPPAS[0], spec.Omega, r)
-    # the truncated sum misses a tail of orders |m| > M that shrinks like 1/M^2
-    for M, tol in ((10, 1.6e-3), (100, 1.3e-4)):
+    # the truncated sum misses a tail of orders |m| > M that shrinks like 1/M^2;
+    # at M = 3000 the I K terms past the scaled forms' range use the uniform term
+    for M, tol in ((10, 1.6e-3), (100, 1.3e-4), (3000, 2e-7)):
         ref = helix_lamb_norm(HELIX_KAPPAS[0], spec, M)
         for k, w in zip(HELIX_KAPPAS, want):
             assert abs((helix_lamb_norm(k, spec, M) - ref) - w) <= tol, (M, k)

@@ -8,6 +8,7 @@ production code must land within a few ulp of them.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -181,6 +182,14 @@ def test_jh_products_over_an_order_array_match_each_order_bitwise(imaginary):
     assert re.tobytes() == want.real.tobytes()
     assert im.tobytes() == want.imag.tobytes()
     assert np.isneginf(im[m[:, 0] == 0, 0]).all()
+
+
+# band centres where scipy's ive underflows to 0 while kve is finite; the
+# product there was once returned as 0
+@pytest.mark.parametrize("m, x", [(100, 0.068), (200, 4.565), (500, 112.3), (1000, 620.8)])
+def test_jh_product_where_the_scaled_i_underflows(m, x):
+    want = -(2.0 / math.pi) * float(mpmath.besseli(m, x) * mpmath.besselk(m, x))
+    assert jh_product(m, x, imaginary=True).imag == pytest.approx(want, rel=1e-7)
 
 
 @pytest.mark.parametrize("x", [1e-300, 1e-307, 1e-310, 5e-324])

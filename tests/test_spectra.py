@@ -1,13 +1,12 @@
 """Unit tests for the analytical line/helix/cylinder spectra."""
 
 import math
-import os
 import re
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -40,6 +39,7 @@ from helirad.spectra import (
 from helirad.specfun import EULER_GAMMA, bessel_j, bessel_y
 
 from . import oracles
+from .child import child_env
 
 PHYS_UNIT = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)  # n0*lambda0 = 1
 
@@ -114,15 +114,13 @@ def test_order_window_refuses_a_million_orders():
      "truncation half-width M=100000000 sums 2M + 1 orders, over the limit of 1000000"),
 ], ids=["upper-bound-tiny-omega", "lamb-huge-M"])
 def test_per_order_loops_are_refused_before_they_start(call, message):
-    # both loop once per order and once ran 2e12 or 2e8 passes here; in a
-    # child with a timeout, a regression fails instead of stalling the suite
-    env = dict(os.environ)
-    src = str(Path(spectra.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # both once ran one Python pass per order, 2e12 or 2e8 of them here, and
+    # are now refused before any block of orders is formed; in a child with a
+    # timeout, a regression fails instead of stalling the suite
     code = (f"from helirad.spectra import *\n"
             f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert message in proc.stdout
 
@@ -252,6 +250,16 @@ def test_cylinder_light_line_values():
     assert e2 == pytest.approx(-1.0 / (2.0 * math.pi), rel=1e-15)
 
 
+def test_cylinder_lamb_where_the_scaled_i_underflows():
+    # x = 4.562 sits in order 200's band where scipy's ive is 0 while kve is
+    # finite; the Lamb shift there was once returned as 0.0
+    x = math.sqrt(1.82**2 - 1.0) * 3.0
+    want = -(2.0 / math.pi) * float(mpmath.besseli(200, x) * mpmath.besselk(200, x))
+    g, e = cylinder_norms(200, 1.82, 3.0)
+    assert g == 0.0
+    assert e == pytest.approx(want, rel=1e-7)
+
+
 def test_cylinder_norms_reject_negative_radius():
     for r in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"cylinder radius must be finite and >= 0, got {r}"):
@@ -366,9 +374,9 @@ def _scalar_jh(m, rad, r, fired=None):
             p = -1.0 / (m * math.pi) if m else -(2.0 / math.pi) * _k0_near_zero(x)
         return complex(j * j, p)
     q = float(special.ive(m, x)) * float(special.kve(m, x))
-    if not math.isfinite(q):
+    if not 0.0 < q < math.inf:
         fired["ik"] += 1
-        q = 0.5 / m if m else _k0_near_zero(x)
+        q = 0.5 / float(np.hypot(m, x)) if m else _k0_near_zero(x)
     return complex(0.0, -(2.0 / math.pi) * q)
 
 
@@ -416,8 +424,8 @@ SWEEP_CASES = [
 ]
 
 
-# Blocks of 1 and 7 elements put one grid point per block, or split the grid
-# into many blocks of a full order row each.
+# Blocks of 1 and 7 elements, fewer than any case's 2M + 1 orders, give each
+# grid point a block of its own; the default puts many points in one block.
 @pytest.mark.parametrize("Omega, r, M, grid", SWEEP_CASES)
 def test_sweep_matches_scalar_reference_bitwise(Omega, r, M, grid, monkeypatch):
     spec = HelixSpec(Omega=Omega, r=r)
