@@ -7,7 +7,7 @@ import helirad
 
 
 def child_env(**overrides):
-    """This environment with `overrides`, and the helirad this process imported first on PYTHONPATH.
+    """This environment with `overrides` and this process's helirad first on PYTHONPATH.
 
     The child finds the package where this process found it, so a test needs
     no install and no particular working directory.

@@ -244,8 +244,8 @@ def test_estimate_peak_rate_below_omega_two_matches_a_dense_scan():
 
 
 def test_estimate_refuses_a_peak_search_over_the_work_limit():
-    # 259 kappa points x (2/Omega + 1) orders pass 1e8 terms below Omega ~ 5.2e-6,
-    # where the search would run for a minute or more
+    # the search's 259 kappa points x (2/Omega + 1) orders pass the 1e8-term
+    # limit below Omega ~ 5.2e-6
     phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
     with pytest.raises(ValueError, match="the order windows of 259 kappa points hold 103600004 "
                                          "orders in all, over the limit of 100000000 terms"):
