@@ -27,7 +27,7 @@ import numpy as np
 
 from .discrete import EmitterCloud
 from .specfun import _TWO_PI
-from .spectra import EmitterPhysics, HelixSpec, _helix_decay
+from .spectra import _MAX_TERMS, EmitterPhysics, HelixSpec, _helix_decay, _window_orders
 
 _DEGENERACY_RTOL = 1e-10
 # least_squares evaluation cap for one axis; a winner that reaches it gets a
@@ -126,8 +126,19 @@ def _perp_frame(axis):
     seed[pick] = 1.0
     e1 = seed - np.dot(seed, axis) * axis
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e2 = _cross(axis, e1)
     return e1, e2
+
+
+def _cross(a, b):
+    """a x b over the leading axis of 3-vectors or (3, k) column stacks.
+
+    The products and differences np.cross forms, in its order, so the bits
+    match; np.cross spends most of its time in moveaxis on short inputs.
+    """
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _circle_fit(u, w):
@@ -184,7 +195,7 @@ def _frame_of(params, v0, e1_0, e2_0):
     axis = axis / np.linalg.norm(axis)
     e1 = e1_0 - np.dot(e1_0, axis) * axis
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e2 = _cross(axis, e1)
     return axis, e1, e2
 
 
@@ -198,6 +209,54 @@ def _residuals(params, centered, v0, e1_0, e2_0):
     rho = np.hypot(u, w)
     phi = np.arctan2(w, u)
     return np.concatenate([rho - radius, radius * _wrap(phi - slope * z - phi0)])
+
+
+def _jacobian(params, centered, v0, e1_0, e2_0):
+    """Exact (2N, 7) derivative of _residuals with respect to params.
+
+    Tilting by t_k moves the axis a = v/|v| (v = v0 + t1 e1_0 + t2 e2_0) by
+    da = (f_k - (a.f_k) a)/|v| with f_k = e1_0, e2_0; e1 = p/|p| with
+    p = e1_0 - (e1_0.a) a and e2 = a x e1 follow, and with them the frame
+    coordinates z, u, w of rel = X - c1 e1 - c2 e2.  The centre moves u by
+    -1 (c1) or w by -1 (c2).  The wrap has slope 1 away from its cut; a
+    point on the axis (rho = 0) gets zero rho and phi derivatives.
+    """
+    t1, t2, c1, c2, radius, slope, phi0 = params
+    axis, e1, e2 = _frame_of(params, v0, e1_0, e2_0)
+    # frame derivatives along t1 and t2, one column each
+    f = np.column_stack([e1_0, e2_0])
+    da = (f - np.outer(axis, axis @ f)) / np.linalg.norm(v0 + t1 * e1_0 + t2 * e2_0)
+    e1_dot_a = np.dot(e1_0, axis)
+    dp = -np.outer(axis, e1_0 @ da) - e1_dot_a * da
+    de1 = (dp - np.outer(e1, e1 @ dp)) / np.linalg.norm(e1_0 - e1_dot_a * axis)
+    de2 = _cross(da, e1) + _cross(axis, de1)
+    drel = -c1 * de1 - c2 * de2
+    rel = centered - c1 * e1 - c2 * e2
+    z = rel @ axis
+    u = rel @ e1
+    w = rel @ e2
+    n = len(z)
+    # d(z, u, w) over the columns t1, t2, c1, c2
+    dz = np.zeros((n, 4))
+    du = np.zeros((n, 4))
+    dw = np.zeros((n, 4))
+    dz[:, :2] = rel @ da + axis @ drel
+    du[:, :2] = rel @ de1 + e1 @ drel
+    dw[:, :2] = rel @ de2 + e2 @ drel
+    du[:, 2] = -1.0
+    dw[:, 3] = -1.0
+    rho = np.hypot(u, w)
+    wrapped = _wrap(np.arctan2(w, u) - slope * z - phi0)
+    inv = np.divide(1.0, rho, out=np.zeros(n), where=rho > 0.0)[:, None]
+    u, w = u[:, None], w[:, None]
+    jac = np.zeros((2 * n, 7))
+    jac[:n, :4] = (u * du + w * dw) * inv
+    jac[:n, 4] = -1.0
+    jac[n:, :4] = radius * ((u * dw - w * du) * inv * inv - slope * dz)
+    jac[n:, 4] = wrapped
+    jac[n:, 5] = -radius * z
+    jac[n:, 6] = -radius
+    return jac
 
 
 def _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
@@ -309,8 +368,8 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
         # orders of magnitude more sensitive than the rest, and a leftover
         # 1e-10 rad tilt already costs span * tilt in residual
         sol = scipy.optimize.least_squares(
-            _residuals, x0, args=(centered, v0, e1_0, e2_0), method="trf",
-            x_scale="jac", ftol=2 * eps, xtol=2 * eps, gtol=None,
+            _residuals, x0, jac=_jacobian, args=(centered, v0, e1_0, e2_0),
+            method="trf", x_scale="jac", ftol=2 * eps, xtol=2 * eps, gtol=None,
             max_nfev=_MAX_NFEV,
         )
         if best is None or sol.cost < best[0].cost:
@@ -379,6 +438,11 @@ def _peak_decay(spec: HelixSpec) -> float:
     omega = spec.Omega
     edges = np.array([np.ceil(2.0 / omega - 1.0), np.floor(2.0 / omega)]) * omega - 1.0
     kappa = np.concatenate([np.linspace(1.0 - omega, 1.0, _PEAK_GRID), edges])
+    orders = _window_orders(kappa, omega)[2]
+    if orders > _MAX_TERMS:
+        raise ValueError(f"Omega = lambda0/b = {omega:.6g} is too small for the peak-rate "
+                         f"search: its {kappa.size} kappa points span {orders} Bessel orders, "
+                         f"over the limit of {_MAX_TERMS} terms")
     return float(_helix_decay(kappa, spec).max())
 
 
@@ -391,7 +455,8 @@ def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:
     the band edge kappa = 1 (1.34 n0 lambda0 at Omega = 1, r = 1.84).
     The trapped share is the measure (Omega - 2)/Omega of the
     axial-momentum line, zero below Omega = 2.  An Omega too small for an
-    order window is refused with its message.
+    order window, or for the peak search's work limit (below about
+    5.2e-6), is refused with its message.
     """
     omega = physics.lambda0 / fit.b
     r = physics.k0 * fit.R

@@ -18,7 +18,6 @@ All functions are pure and hold no mutable state.
 """
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -105,12 +104,15 @@ def jh_products(m, x, imaginary) -> tuple:
         re[real] = j * j
         # scaled forms: ive = I e^-x, kve = K e^x, so the exponentials cancel
         q = special.ive(mi, xi) * special.kve(mi, xi)
-        # deep in the m >> x regime J underflows while Y overflows; the product
-        # limit there is -1/(m pi) to O(x^2/m).  At m = 0, scipy's Y_0 and K_0
-        # overflow below x ~ 1e-307, where K_0 = ln 2 - gamma_E - ln x to O(x^2 ln x)
-        bad = ~np.isfinite(p)
-        p[bad] = np.where(mr[bad] > 0, -1.0 / (mr[bad] * math.pi),
-                          -(2.0 / math.pi) * _k0_small(xr[bad]))
+        # deep in the m >> x regime scipy's J underflows to 0 while Y is finite
+        # or overflows; the product there is the leading Debye term
+        # -1/(pi sqrt(m^2 - x^2)) to O(1/m^2) (A&S 9.3.7-8).  At m = 0, scipy's
+        # Y_0 and K_0 overflow below x ~ 1e-307, where K_0 = ln 2 - gamma_E - ln x
+        # to O(x^2 ln x)
+        bad = (j == 0.0) | ~np.isfinite(p)
+        mb, xb = mr[bad], xr[bad]
+        p[bad] = np.where(mb > 0, -1.0 / (math.pi * np.sqrt(mb * mb - xb * xb)),
+                          -(2.0 / math.pi) * _k0_small(xb))
         # at large m, ive underflows to 0 or kve overflows; there I_m K_m is
         # 1/(2 sqrt(m^2 + x^2)) to O(1/m^2) (A&S 9.7.7-8), and K_0 at m = 0 where I_0 = 1
         bad = ~np.isfinite(q) | (q == 0.0)
@@ -135,19 +137,30 @@ def jh_product(m: int, x: float, imaginary: bool = False) -> complex:
     return complex(re[0], im[0])
 
 
-@functools.cache
-def _zeta_table() -> tuple:
-    """zeta(3 - k) for k <= 64: the coefficient of mu^k / k! in Li_3, and of
-    mu^(k-1) / (k-1)! in Li_2.
-
-    None marks the zeta(1) pole, whose term _polylogs replaces by its finite
-    part.  Past it, zeta(1 - n) = -B_n / n with B_1 = +1/2 (scipy's B_1 is
-    -1/2), zero at every odd n >= 3.  Built on first use, so that only the
-    polylogs load scipy.special for it.
-    """
-    from scipy import special
-    return tuple([float(special.zeta(3)), float(special.zeta(2)), None, -0.5] + [
-        -float(b) / n for n, b in enumerate(special.bernoulli(62)[2:], start=2)])
+# zeta(3 - k) for k = 0..64, float.hex of scipy's zeta(3), zeta(2) and
+# -B_n / n: the coefficient of mu^k / k! in Li_3, and of mu^(k-1) / (k-1)!
+# in Li_2.  "pole" marks zeta(1), whose term _polylogs replaces by its finite
+# part.  Past it, zeta(1 - n) = -B_n / n with B_1 = +1/2, zero (as -0.0) at
+# every odd n >= 3.  A literal, so that the polylogs load no scipy module.
+_ZETA = tuple(None if v == "pole" else float.fromhex(v) for v in """
+    0x1.33ba004f00621p+0 0x1.a51a6625307d3p+0 pole -0x1.0000000000000p-1
+    -0x1.5555555555555p-4 -0x0.0p+0 0x1.111111110f0bep-7 -0x0.0p+0
+    -0x1.04104104102fap-8 -0x0.0p+0 0x1.11111111110e2p-8 -0x0.0p+0
+    -0x1.f07c1f07c1ef8p-8 -0x0.0p+0 0x1.5995995995993p-6 -0x0.0p+0
+    -0x1.5555555555558p-4 -0x0.0p+0 0x1.c5e5e5e5e5e64p-2 -0x0.0p+0
+    -0x1.86e7f9b9fe6efp+1 -0x0.0p+0 0x1.a74ca514ca51dp+4 -0x0.0p+0
+    -0x1.1975cc0ed730ap+8 -0x0.0p+0 0x1.c2f0566566570p+11 -0x0.0p+0
+    -0x1.ac572aaaaaab6p+15 -0x0.0p+0 0x1.dc0b1a5cfbe23p+19 -0x0.0p+0
+    -0x1.31fad7cbf3c07p+24 -0x0.0p+0 0x1.c280563b8bcc8p+28 -0x0.0p+0
+    -0x1.7892edfdf555fp+33 -0x0.0p+0 0x1.62b8b44651d13p+38 -0x0.0p+0
+    -0x1.76024c215d235p+43 -0x0.0p+0 0x1.b6c0dfed29568p+48 -0x0.0p+0
+    -0x1.1cca39b77b02ep+54 -0x0.0p+0 0x1.97212d8cc104cp+59 -0x0.0p+0
+    -0x1.3f0cb06b17e33p+65 -0x0.0p+0 0x1.1101d96823eebp+71 -0x0.0p+0
+    -0x1.fc474bdd53c32p+76 -0x0.0p+0 0x1.007db56db95e9p+83 -0x0.0p+0
+    -0x1.17c6dd28a9383p+89 -0x0.0p+0 0x1.48df88a383ae5p+95 -0x0.0p+0
+    -0x1.9f7b3fa37f324p+101 -0x0.0p+0 0x1.195c16c40d56fp+108 -0x0.0p+0
+    -0x1.97922eafb5d29p+114
+""".split())
 
 
 def _libm(f, x, *args) -> np.ndarray:
@@ -167,8 +180,7 @@ def _polylogs(t) -> tuple:
     li2 = np.zeros(t.shape, dtype=complex)
     li3 = np.zeros(t.shape, dtype=complex)
     muk = np.ones(t.shape, dtype=complex)  # mu^k / k!
-    zeta = _zeta_table()
-    for k, (z3, z2) in enumerate(zip(zeta, zeta[1:])):
+    for k, (z3, z2) in enumerate(zip(_ZETA, _ZETA[1:])):
         li2 += muk * ((1.0 - log) if z2 is None else z2)
         li3 += muk * ((1.5 - log) if z3 is None else z3)
         # mu / (k + 1) with mu = it, bit for bit; numpy's complex division

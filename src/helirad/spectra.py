@@ -172,14 +172,20 @@ def m_bounds(kappa: float, Omega: float) -> MBounds:
     return MBounds(int(lo[0]), int(hi[0]))
 
 
+def _window_orders(kappa, Omega: float) -> tuple:
+    """(m_lo, n, terms): each kappa's lowest window order and window length, and the
+    number of orders in all its non-empty windows."""
+    m_lo, m_hi = _order_window(kappa, Omega)
+    n = m_hi - m_lo + 1
+    return m_lo, n, int(n[n > 0].sum())
+
+
 def _window_sum(kappa, Omega: float, term):
     """Sum of term(kappa rows, orders) over each kappa's order window, 0 where it is empty.
 
     Summing C-contiguous rows of (rows, n) blocks gives np.sum's pairwise bits per window."""
     kappa = np.asarray(kappa, dtype=float)
-    m_lo, m_hi = _order_window(kappa, Omega)
-    n = m_hi - m_lo + 1
-    terms = int(n[n > 0].sum())
+    m_lo, n, terms = _window_orders(kappa, Omega)
     if terms > _MAX_TERMS:
         raise ValueError(f"the order windows of {kappa.size} kappa points hold {terms} orders in "
                          f"all, over the limit of {_MAX_TERMS} terms")

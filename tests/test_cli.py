@@ -652,6 +652,22 @@ def test_fit_estimate_refuses_an_omega_without_order_windows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_estimate_refuses_a_peak_search_over_the_work_limit(tmp_path, capsys):
+    # Omega = lambda0/b = 3.9e-5/7.8 = 5e-6 holds order windows, but the
+    # peak search over them passes the 1e8-term limit
+    cloud = tmp_path / "h.txt"
+    pos = synthetic_helix(11.2, 7.8, 200, turns=10).positions
+    cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
+    out = tmp_path / "x.txt"
+    rc = main(["fit-estimate", "--cloud", str(cloud), "--lambda0", "3.9e-5",
+               "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Omega = lambda0/b = 5e-06 is too small for the peak-rate search" in err
+    assert "over the limit of 100000000 terms" in err
+    assert not out.exists()
+
+
 def test_fit_estimate_degenerate_cloud_exits_one(tmp_path, capsys):
     cloud = tmp_path / "line.txt"
     cloud.write_text("".join(f"0 0 {z}\n" for z in range(10)))
@@ -780,12 +796,14 @@ def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path
     assert steps[-2] == ("spectrum", 0, special)
     # the fit's scipy.optimize brings in scipy.linalg and scipy.spatial
     assert steps[-1][:2] == ("fit-estimate", 0) and "scipy.optimize" in steps[-1][2]
-    # a fresh process each, since a module once loaded stays loaded
-    for argv in (["thermal", "--series", "helix-fix-omega", "--omega", "3", "--r", "1",
-                  "--kappa", "0:1:0.5"],
-                 ["discrete-line", "--d-over-lambda", "0.3", "--orientation", "par",
-                  "--kappa", "0:1:0.5"]):
-        assert _import_guard([out(argv)])[2] == (argv[0], 0, special)
+    # a fresh process each, since a module once loaded stays loaded; the
+    # discrete line's polylogs read a literal zeta table
+    argv = ["thermal", "--series", "helix-fix-omega", "--omega", "3", "--r", "1",
+            "--kappa", "0:1:0.5"]
+    assert _import_guard([out(argv)])[2] == (argv[0], 0, special)
+    argv = ["discrete-line", "--d-over-lambda", "0.3", "--orientation", "par",
+            "--kappa", "0:1:0.5"]
+    assert _import_guard([out(argv)])[2] == (argv[0], 0, [])
 
 
 @pytest.mark.skipif(shutil.which("helirad") is None,

@@ -243,12 +243,16 @@ def test_estimate_peak_rate_below_omega_two_matches_a_dense_scan():
                         helix_decay_norm(1.0, HelixSpec(est.Omega, est.r)), rel_tol=1e-12)
 
 
-def test_estimate_refuses_a_peak_search_over_the_work_limit():
+def test_estimate_refuses_a_peak_search_over_the_work_limit(monkeypatch):
     # the search's 259 kappa points x (2/Omega + 1) orders pass the 1e8-term
-    # limit below Omega ~ 5.2e-6
+    # limit below Omega ~ 5.2e-6; the refusal names Omega and the search, and
+    # comes before any Bessel value is formed
     phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
-    with pytest.raises(ValueError, match="the order windows of 259 kappa points hold 103600004 "
-                                         "orders in all, over the limit of 100000000 terms"):
+    monkeypatch.setattr(geomfit, "_helix_decay", None)
+    with pytest.raises(ValueError, match=r"Omega = lambda0/b = 5e-06 is too small for the "
+                                         r"peak-rate search: its 259 kappa points span "
+                                         r"103600004 Bessel orders, over the limit of "
+                                         r"100000000 terms"):
         estimate(_plain_fit(R=5.0, b=280.0 / 5e-6), phys)
 
 
@@ -339,7 +343,10 @@ def _reference_point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, ph
 
 
 def _reference_fit_all_axes(cloud):
-    """(axis, R, b, handedness) from the rule that refines every viable axis."""
+    """(axis, R, b, handedness) from the rule that refines every viable axis.
+
+    Each axis is refined the way fit_helix refines it, with the exact Jacobian.
+    """
     centered = cloud.positions - cloud.positions.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     eps = np.finfo(float).eps
@@ -351,7 +358,7 @@ def _reference_fit_all_axes(cloud):
             continue
         e1_0, e2_0 = geomfit._perp_frame(v0)
         sol = scipy.optimize.least_squares(
-            geomfit._residuals, np.array([0.0, 0.0, *cand[1]]),
+            geomfit._residuals, np.array([0.0, 0.0, *cand[1]]), jac=geomfit._jacobian,
             args=(centered, v0, e1_0, e2_0), method="trf", x_scale="jac",
             ftol=2 * eps, xtol=2 * eps, gtol=None, max_nfev=2000,
         )
@@ -452,6 +459,71 @@ def test_curve_search_polishes_both_tied_end_nodes():
         assert abs(got - math.sqrt(d2.min())) < 1e-9, eps
 
 
+def test_jacobian_matches_central_differences():
+    # steps of eps^(1/3) times each parameter's natural scale leave a
+    # truncation error (order h^2) and a rounding error (order eps/h) that
+    # are both of order eps^(2/3) against the largest scaled entry; these
+    # clouds measured up to 2.6 eps^(2/3)
+    eps = np.finfo(float).eps
+    rot = Rotation.from_rotvec([0.3, -1.1, 0.7]).as_matrix()
+    clouds = [
+        synthetic_helix(11.2, 7.8, 200, turns=10, direction=-1),
+        synthetic_helix(4.6, 21.0, 160, turns=8, direction=-1, phase=0.4, rot=rot),
+        _jittered(1),
+        _jittered(2, R=2.64, b=73.1, turns=6, sigma=0.05),
+        _jittered(4, n=1000),
+    ]
+    slopes = []
+    for cloud in clouds:
+        centered = cloud.positions - cloud.positions.mean(axis=0)
+        v0 = np.linalg.svd(centered, full_matrices=False)[2][0]
+        args = (centered, v0, *geomfit._perp_frame(v0))
+        c1, c2, radius, slope, phi0 = geomfit._candidate_fit(centered, v0)[1]
+        span = np.ptp(centered @ v0)
+        # tilted and off centre, so every link of the chain is live
+        params = np.array([0.02 * radius / span, -0.015 * radius / span,
+                           c1 + 0.1 * radius, c2 - 0.07 * radius, radius, slope, phi0])
+        scale = np.array([radius / span, radius / span, radius, radius, radius, abs(slope), 1.0])
+        jac = geomfit._jacobian(params, *args)
+        num = np.empty_like(jac)
+        for k in range(7):
+            up, down = params.copy(), params.copy()
+            up[k] += eps ** (1 / 3) * scale[k]
+            down[k] -= eps ** (1 / 3) * scale[k]
+            num[:, k] = (geomfit._residuals(up, *args) - geomfit._residuals(down, *args)) \
+                / (up[k] - down[k])
+        err = np.abs(jac - num) * scale
+        assert err.max() <= 10.0 * eps ** (2 / 3) * (np.abs(jac) * scale).max()
+        slopes.append(slope)
+    assert min(slopes) < 0.0 < max(slopes)
+
+
+def test_jacobian_is_finite_at_a_point_on_the_axis():
+    v0 = np.array([0.0, 0.0, 1.0])
+    e1_0, e2_0 = geomfit._perp_frame(v0)
+    centered = np.vstack([synthetic_helix(3.0, 5.0, 40, turns=4).positions, [0.0, 0.0, 2.5]])
+    params = np.array([0.0, 0.0, 0.0, 0.0, 3.0, TWO_PI / 5.0, 0.0])
+    assert centered[-1] @ e1_0 == 0.0 and centered[-1] @ e2_0 == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jac = geomfit._jacobian(params, centered, v0, e1_0, e2_0)
+    assert np.isfinite(jac).all()
+    # that point's radial and phase rows carry no centre or tilt derivative
+    assert np.array_equal(jac[40], [0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+    assert np.array_equal(jac[81, :4], np.zeros(4))
+
+
+def test_cross_matches_numpy_bitwise():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a, b = rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-8, 9, size=(2, 1))
+        assert geomfit._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    # a (3, k) stack crosses column by column
+    a, b = rng.normal(size=(3, 5)), rng.normal(size=3)
+    assert geomfit._cross(a, b).tobytes() == np.cross(a.T, b).T.tobytes()
+    assert geomfit._cross(b, a).tobytes() == np.cross(b, a.T).T.tobytes()
+
+
 def test_fit_matches_the_all_axes_rule_bit_for_bit():
     for seed in range(20):
         cloud = _jittered(seed, sigma=0.05 + 0.01 * (seed % 5))
@@ -462,20 +534,49 @@ def test_fit_matches_the_all_axes_rule_bit_for_bit():
 
 
 class _CountingLeastSquares:
-    """Wraps scipy.optimize.least_squares, recording each start axis and cost."""
+    """Wraps scipy.optimize.least_squares, recording each start axis and cost.
+
+    `starts` keeps every call's (fun, x0, args, kwargs), so a test can refine
+    the same starts another way.
+    """
 
     def __init__(self, monkeypatch, inflate_first=None):
         self.real = scipy.optimize.least_squares
         self.calls = []
+        self.starts = []
         self.inflate_first = inflate_first
         monkeypatch.setattr(scipy.optimize, "least_squares", self)
 
     def __call__(self, fun, x0, args=(), **kwargs):
+        self.starts.append((fun, x0, args, kwargs))
         sol = self.real(fun, x0, args=args, **kwargs)
         if not self.calls and self.inflate_first is not None:
             sol.cost = self.inflate_first
         self.calls.append((args[1], sol.cost))
         return sol
+
+
+def test_exact_jacobian_fit_agrees_with_forward_differences(monkeypatch):
+    # the refinement fit_helix made before it had _jacobian: least_squares'
+    # default forward differences, from the starts the fit refined
+    for seed in range(20):
+        cloud = _jittered(seed, sigma=0.05 + 0.01 * (seed % 5))
+        counter = _CountingLeastSquares(monkeypatch)
+        fit = fit_helix(cloud)
+        best = None
+        for fun, x0, args, kwargs in counter.starts:
+            assert kwargs["jac"] is geomfit._jacobian
+            kwargs = {k: v for k, v in kwargs.items() if k != "jac"}
+            sol = counter.real(fun, x0, args=args, **kwargs)
+            if best is None or sol.cost < best[0].cost:
+                best = (sol, args)
+        sol, (_, v0, e1_0, e2_0) = best
+        axis = geomfit._frame_of(sol.x, v0, e1_0, e2_0)[0]
+        slope = sol.x[5]
+        assert math.isclose(fit.R, sol.x[4], rel_tol=1e-6), seed
+        assert math.isclose(fit.b, TWO_PI / abs(slope), rel_tol=1e-6), seed
+        assert abs(fit.axis_direction @ axis) > 1.0 - 1e-9, seed
+        assert fit.handedness is (Handedness.RIGHT if slope > 0.0 else Handedness.LEFT), seed
 
 
 def _ranked_start_costs(cloud):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helirad.specfun import (
+    _ZETA,
     bessel_ik,
     bessel_j,
     bessel_y,
@@ -192,6 +193,16 @@ def test_jh_product_where_the_scaled_i_underflows(m, x):
     assert jh_product(m, x, imaginary=True).imag == pytest.approx(want, rel=1e-7)
 
 
+# band centres where scipy's jv underflows to 0 while yv is finite; the
+# product there was once returned as -0.0.  The leading Debye term's relative
+# error is the O(1/m^2) term of the product's series, which vanishes as x/m -> 0:
+# 3e-11, 7e-9 and 1.2e-7 here
+@pytest.mark.parametrize("m, x", [(100, 0.08), (200, 4.87), (1000, 379.5)])
+def test_jh_product_where_j_underflows(m, x):
+    want = float(mpmath.besselj(m, x) * mpmath.bessely(m, x))
+    assert jh_product(m, x).imag == pytest.approx(want, rel=2e-7)
+
+
 @pytest.mark.parametrize("x", [1e-300, 1e-307, 1e-310, 5e-324])
 def test_jh_product_order_zero_at_tiny_arguments(x):
     # scipy's Y_0 and K_0 overflow below x ~ 1e-307; the product stays finite
@@ -224,6 +235,16 @@ def test_squared_j_sum_saturates_at_unity():
             assert total >= prev
             prev = total
         assert abs(total - 1.0) < 1e-10
+
+
+def test_zeta_table_holds_scipys_values_bit_for_bit():
+    # the build the literal replaced: scipy's zeta(3), zeta(2), then
+    # zeta(1 - n) = -B_n / n with B_1 = +1/2 (scipy's B_1 is -1/2)
+    from scipy import special
+    want = [float(special.zeta(3)), float(special.zeta(2)), None, -0.5] + [
+        -float(b) / n for n, b in enumerate(special.bernoulli(62)[2:], start=2)]
+    assert [v if v is None else v.hex() for v in _ZETA] == \
+        [v if v is None else v.hex() for v in want]
 
 
 def test_polylog_special_points():

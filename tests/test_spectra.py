@@ -260,6 +260,15 @@ def test_cylinder_lamb_where_the_scaled_i_underflows():
     assert e == pytest.approx(want, rel=1e-7)
 
 
+def test_cylinder_lamb_where_j_underflows():
+    # x = 0.08 sits in order 100's band where scipy's jv is 0 while yv is
+    # finite; the Lamb shift there was once returned as -0.0
+    want = float(mpmath.besselj(100, 0.08) * mpmath.bessely(100, 0.08))
+    g, e = cylinder_norms(100, 0.0, 0.08)
+    assert g == 0.0
+    assert e == pytest.approx(want, rel=1e-9)
+
+
 def test_cylinder_norms_reject_negative_radius():
     for r in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"cylinder radius must be finite and >= 0, got {r}"):
@@ -355,7 +364,7 @@ def test_sweep_rejects_descending_grid():
 # One-point reference for the array kernel: J_m H_m^(1) from scalar scipy
 # calls, with the same fallbacks, summed one order at a time.  The tables must
 # reproduce it bit for bit.  `fired` counts how often each fallback replaced
-# a product that left double range.
+# a product that left double range or lost its J to underflow.
 def _k0_near_zero(x):  # K_0(x) as x -> 0, where scipy's order-0 Y and K overflow
     return math.log(2.0) - EULER_GAMMA - math.log(x)
 
@@ -369,9 +378,10 @@ def _scalar_jh(m, rad, r, fired=None):
     if rad >= 0.0:
         j = float(special.jv(m, x))
         p = j * float(special.yv(m, x))
-        if not math.isfinite(p):
+        if j == 0.0 or not math.isfinite(p):
             fired["jy"] += 1
-            p = -1.0 / (m * math.pi) if m else -(2.0 / math.pi) * _k0_near_zero(x)
+            p = -1.0 / (math.pi * math.sqrt(m * m - x * x)) if m \
+                else -(2.0 / math.pi) * _k0_near_zero(x)
         return complex(j * j, p)
     q = float(special.ive(m, x)) * float(special.kve(m, x))
     if not 0.0 < q < math.inf:
