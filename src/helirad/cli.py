@@ -23,11 +23,10 @@ from .discrete import (
     Orientation,
     _chain_decay,
     _chain_lamb,
-    build_scalar_kernel,
     check_oracle_size,
+    cloud_spectrum,
     helix_cloud,
     line_cloud,
-    oracle_spectrum,
     pair_cloud,
     ring_cloud,
     subradiant_fraction,
@@ -277,7 +276,7 @@ def cmd_oracle(args):
     parser = args.parser
     cloud = _build_cloud(args, parser)
     physics = _physics(args)
-    spect = oracle_spectrum(build_scalar_kernel(cloud, physics))
+    spect = cloud_spectrum(cloud, physics)
     rows = [
         (j, ev.real, ev.imag, g, e)
         for j, (ev, g, e) in enumerate(

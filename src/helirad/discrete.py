@@ -26,7 +26,9 @@ from .spectra import MAX_GRID_POINTS, EmitterPhysics, _check_ascending, _window_
 from .specfun import _TWO_PI, _libm, _polylogs
 
 # dense all-eigenvalue solves stay comfortable on a desktop to about here;
-# beyond it memory and O(N^3) time both turn painful
+# beyond it memory and O(N^3) time both turn painful.  At the limit a
+# mirrored cloud's top kernel rows and its two split blocks take 256 MB
+# (cloud_spectrum); any other cloud's kernel and numpy's copy of it, 512 MB
 ORACLE_SIZE_LIMIT = 4000
 
 
@@ -169,13 +171,11 @@ def discrete_line_decay(params: DiscreteLineParams, kappa: float) -> float:
     return float(_chain_decay(params, [kappa])[0])
 
 
-def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndarray:
-    """Dense N x N kernel matrix M_jk = -i gamma e^{i k0 r_jk} / (k0 r_jk).
+def _kernel_rows(cloud: EmitterCloud, physics: EmitterPhysics, stop: int) -> np.ndarray:
+    """Rows [0, stop) of the kernel matrix, as a complex stop x N array.
 
-    The diagonal keeps the finite imaginary part of the zero-separation
-    kernel limit and drops the divergent real self-energy, giving
-    M_jj = gamma.  Clouds beyond ORACLE_SIZE_LIMIT are refused before the
-    N x N arrays are allocated.
+    Each row holds the bits it has in the full kernel; the refusals are
+    build_scalar_kernel's, judged over these rows.
     """
     n = cloud.count
     check_oracle_size(n)
@@ -188,12 +188,12 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
         if not math.sqrt(x + y + z) * physics.k0 < math.inf:
             raise ValueError(f"emitter separations overflow: the cloud spans {span.tolist()} nm "
                              f"at k0 = {physics.k0:.6g}/nm")
-    m = np.empty((n, n), dtype=complex)
+    m = np.empty((stop, n), dtype=complex)
     # a fixed number of rows at a time into two reused real buffers, so that
     # no real N x N array is ever alive next to the complex one
-    kr_rows, sq_rows = np.empty((2, min(n, _KERNEL_ROWS), n))
-    for lo in range(0, n, _KERNEL_ROWS):
-        hi = min(lo + _KERNEL_ROWS, n)
+    kr_rows, sq_rows = np.empty((2, min(stop, _KERNEL_ROWS), n))
+    for lo in range(0, stop, _KERNEL_ROWS):
+        hi = min(lo + _KERNEL_ROWS, stop)
         kr, sq = kr_rows[:hi - lo], sq_rows[:hi - lo]
         # sqrt of the squared differences summed over x, y, z in that order:
         # bit for bit scipy's cdist(pos, pos)
@@ -226,27 +226,39 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
     return m
 
 
-def _centrosymmetric_blocks(m: np.ndarray):
+def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndarray:
+    """Dense N x N kernel matrix M_jk = -i gamma e^{i k0 r_jk} / (k0 r_jk).
+
+    The diagonal keeps the finite imaginary part of the zero-separation
+    kernel limit and drops the divergent real self-energy, giving
+    M_jj = gamma.  Clouds beyond ORACLE_SIZE_LIMIT are refused before the
+    N x N arrays are allocated.
+    """
+    return _kernel_rows(cloud, physics, cloud.count)
+
+
+def _centrosymmetric_blocks(top: np.ndarray):
     """The two half-size blocks whose spectra together make up m's.
 
-    m must be centrosymmetric (m == J m J, J the exchange matrix).  With
-    h = N // 2, A = m[:h, :h] and CJ = m[:h, N-h:] J, the orthogonal
+    top holds the first N - N // 2 rows of an N x N centrosymmetric m
+    (m == J m J, J the exchange matrix); the other rows are never read.
+    With h = N // 2, A = m[:h, :h] and CJ = m[:h, N-h:] J, the orthogonal
     similarity of Cantoni & Butler (Lin. Alg. Appl. 13, 275 (1976)) takes
     m to diag(A - CJ, A + CJ): A - CJ acts on the vectors that the
     reversal J negates, A + CJ on those it keeps.  For odd N the middle
     entry belongs to the kept vectors, so A + CJ is bordered by the middle
     column and twice the middle row.
     """
-    n = m.shape[0]
+    n = top.shape[1]
     h = n // 2
-    a = m[:h, :h]
-    cj = m[:h, n - h:][:, ::-1]
-    even = np.empty((n - h, n - h), dtype=m.dtype)
+    a = top[:h, :h]
+    cj = top[:h, n - h:][:, ::-1]
+    even = np.empty((n - h, n - h), dtype=top.dtype)
     np.add(a, cj, out=even[:h, :h])
     if n % 2:
-        even[:h, h] = m[:h, h]
-        even[h, :h] = 2 * m[h, :h]
-        even[h, h] = m[h, h]
+        even[:h, h] = top[:h, h]
+        even[h, :h] = 2 * top[h, :h]
+        even[h, h] = top[h, h]
     return np.subtract(a, cj), even
 
 
@@ -300,6 +312,16 @@ def _solve_blocks(blocks) -> list:
             return [first.result(), second]
 
 
+def _spectrum(blocks, eigensolve: str) -> OracleSpectrum:
+    """The eigenvalues of the blocks together, descending by Re."""
+    w = np.concatenate(_solve_blocks(blocks))
+    order = np.argsort(-w.real, kind="stable")
+    w = w[order]
+    return OracleSpectrum(eigenvalues=w, gamma_j=2.0 * w.real, lamb_j=w.imag,
+                          eigensolve=eigensolve,
+                          blas_threads=None if _SET_BLAS_THREADS is None else 1)
+
+
 def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     """All eigenvalues of the dense non-Hermitian kernel, descending by Re.
 
@@ -309,33 +331,56 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     A matrix equal bit for bit to its own reversal, M == M[::-1, ::-1], is
     split first into two half-size blocks (see _centrosymmetric_blocks),
     each solved densely, for about a quarter of the full solve's work.
-    The generators index their emitters about the chain's midpoint, so
-    reversing the order mirrors a uniform line, ring or helix onto itself
-    and their kernels always split.  Any other matrix, such as a cloud of
-    arbitrary geometry, takes one dense solve.  Every solve runs at one
-    OpenBLAS thread (see _solve_blocks), so the eigenvalues do not depend
-    on the BLAS thread count.
+    The split reads only the top N - N // 2 rows.  Any other matrix, such
+    as the kernel of a cloud of arbitrary geometry, takes one dense solve.
+    Every solve runs at one OpenBLAS thread (see _solve_blocks), so the
+    eigenvalues do not depend on the BLAS thread count.  For a cloud,
+    cloud_spectrum gives the same bytes and builds only the rows the split
+    reads where it can.
     """
     _hold_mmap_threshold()
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    check_oracle_size(m.shape[0])
+    n = m.shape[0]
+    check_oracle_size(n)
     if not np.isfinite(m).all():
         raise ValueError("matrix must be finite")
     if np.array_equal(m, m[::-1, ::-1]):
-        blocks, eigensolve = _centrosymmetric_blocks(m), "centrosymmetric"
+        blocks, eigensolve = _centrosymmetric_blocks(m[:n - n // 2]), "centrosymmetric"
     else:
         blocks, eigensolve = (m,), "dense"
-    # when the caller passed a temporary, as the CLI does, this frees the
-    # split kernel before numpy copies the two blocks
+    # when the caller passed a temporary, as cloud_spectrum does, this frees
+    # the split kernel before numpy copies the two blocks
     del matrix, m
-    w = np.concatenate(_solve_blocks(blocks))
-    order = np.argsort(-w.real, kind="stable")
-    w = w[order]
-    return OracleSpectrum(eigenvalues=w, gamma_j=2.0 * w.real, lamb_j=w.imag,
-                          eigensolve=eigensolve,
-                          blas_threads=None if _SET_BLAS_THREADS is None else 1)
+    return _spectrum(blocks, eigensolve)
+
+
+def cloud_spectrum(cloud: EmitterCloud, physics: EmitterPhysics) -> OracleSpectrum:
+    """oracle_spectrum(build_scalar_kernel(cloud, physics)), bit for bit.
+
+    Where reversing the emitter order mirrors the cloud through the x axis,
+    positions[::-1] == positions * (1, -1, -1), as for the line, ring and
+    helix generators, the kernel equals its own reversal bit for bit: the
+    reversal negates or keeps every coordinate difference exactly.  Only
+    the top N - N // 2 kernel rows, the ones the centrosymmetric split
+    reads, are then built, for half the kernel's memory and build time.
+    Every pair of emitters occurs in those rows, so the refusals name the
+    same pair as the full build's.  Any other cloud takes the full kernel
+    and oracle_spectrum.
+    """
+    n = cloud.count
+    check_oracle_size(n)
+    p = cloud.positions
+    if not np.array_equal(p[::-1], p * [1.0, -1.0, -1.0]):
+        return oracle_spectrum(build_scalar_kernel(cloud, physics))
+    top = _kernel_rows(cloud, physics, n - n // 2)
+    if not np.isfinite(top).all():
+        raise ValueError("matrix must be finite")
+    blocks = _centrosymmetric_blocks(top)
+    # freed before numpy's eigvals copies the blocks
+    del top
+    return _spectrum(blocks, "centrosymmetric")
 
 
 def subradiant_fraction(spectrum: OracleSpectrum, physics: EmitterPhysics) -> float:

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helirad.discrete import (
     EmitterCloud,
     Orientation,
     build_scalar_kernel,
+    cloud_spectrum,
     discrete_line_decay,
     discrete_line_lamb,
     helix_cloud,
@@ -369,12 +371,13 @@ def test_kernel_rejects_coincident_emitters():
 
 _REPEAT_PEAKS = """
 import re
-from helirad.discrete import build_scalar_kernel, helix_cloud, oracle_spectrum
+from helirad.discrete import build_scalar_kernel, cloud_spectrum, helix_cloud, oracle_spectrum
 from helirad.spectra import EmitterPhysics
 phys = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)
 for _ in range(2):
     for n in (300, 700):
-        oracle_spectrum(build_scalar_kernel(helix_cloud(n, 11.2, 7.8), phys))
+        cloud = helix_cloud(n, 11.2, 7.8)
+        {solve}
     with open("/proc/self/status") as status:
         print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
 """
@@ -389,10 +392,12 @@ def test_repeated_oracle_solves_peak_no_higher(blas_threads):
     # The child's own VmHWM is read, because its ru_maxrss would also count
     # the forking parent's RSS, which is the larger under pytest.
     env = child_env(OPENBLAS_NUM_THREADS=blas_threads)
-    proc = subprocess.run([sys.executable, "-c", _REPEAT_PEAKS], env=env,
-                          capture_output=True, text=True, check=True)
-    first, second = (int(line) for line in proc.stdout.split())
-    assert second - first < 1024  # KiB
+    for solve in ("oracle_spectrum(build_scalar_kernel(cloud, phys))",
+                  "cloud_spectrum(cloud, phys)"):
+        proc = subprocess.run([sys.executable, "-c", _REPEAT_PEAKS.format(solve=solve)],
+                              env=env, capture_output=True, text=True, check=True)
+        first, second = (int(line) for line in proc.stdout.split())
+        assert second - first < 1024, solve  # KiB
 
 
 _CONCURRENT_SOLVES = """
@@ -571,6 +576,119 @@ def test_ring_spectrum_is_the_fft_of_its_circulant_row(n):
     scale = np.max(np.abs(exact))
     assert _matched_error(oracle_spectrum(m).eigenvalues, exact) <= 1e-13 * scale
     assert _matched_error(scipy.linalg.eigvals(m), exact) <= 1e-13 * scale
+
+
+def _spy_kernel_rows(monkeypatch):
+    stops = []
+    kernel_rows = discrete._kernel_rows
+
+    def spy(cloud, physics, stop):
+        stops.append(stop)
+        return kernel_rows(cloud, physics, stop)
+
+    monkeypatch.setattr(discrete, "_kernel_rows", spy)
+    return stops
+
+
+# odd N takes the bordered block; 256 rows are one block of the build
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 256, 257, 513])
+def test_cloud_spectrum_of_a_mirrored_cloud_is_the_full_kernels(n, monkeypatch):
+    phys = EmitterPhysics(gamma=0.514, lambda0=280.0, n0=1.0 / 280.0)
+    stops = _spy_kernel_rows(monkeypatch)
+    for cloud in (line_cloud(n, 0.9), ring_cloud(n, 20.0), helix_cloud(n, 11.2, 7.8)):
+        want = oracle_spectrum(build_scalar_kernel(cloud, phys))
+        got = cloud_spectrum(cloud, phys)
+        assert got.eigensolve == want.eigensolve == "centrosymmetric"
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    # each cloud: the full build for the reference, then only the top rows
+    assert stops == [n, n - n // 2] * 3
+
+
+def test_cloud_spectrum_of_any_other_cloud_takes_the_full_kernel(monkeypatch):
+    rng = np.random.default_rng(29)
+    nudged = helix_cloud(257, 11.2, 7.8).positions.copy()
+    nudged[-1, 1] = np.nextafter(nudged[-1, 1], np.inf)
+    clouds = {"pair": pair_cloud(0.7), "random": EmitterCloud(rng.uniform(0.0, 9.0, size=(65, 3))),
+              "helix moved one ulp": EmitterCloud(nudged)}
+    stops = _spy_kernel_rows(monkeypatch)
+    for name, cloud in clouds.items():
+        want = oracle_spectrum(build_scalar_kernel(cloud, PHYS))
+        got = cloud_spectrum(cloud, PHYS)
+        expected = "centrosymmetric" if name == "pair" else "dense"
+        assert got.eigensolve == want.eigensolve == expected, name
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), name
+        assert stops[-2:] == [cloud.count] * 2, name
+
+
+def test_cloud_spectrum_builds_only_the_top_rows_of_a_mirrored_cloud():
+    # numpy reports its array buffers to tracemalloc.  The full kernel and
+    # its two blocks, alive together, peaked at 1.69 x 16 N^2 bytes; the top
+    # rows and the blocks peak at 1.1 x
+    n = 400
+    cloud = helix_cloud(n, 11.2, 7.8)
+    phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
+    cloud_spectrum(cloud, phys)  # the first solve imports concurrent.futures
+    tracemalloc.start()
+    try:
+        sp = cloud_spectrum(cloud, phys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sp.eigensolve == "centrosymmetric"
+    assert peak < 1.5 * 16 * n * n
+
+
+def _mirrored_line(n, pairs=(), gap=0.0):
+    """line_cloud(n, 100.0), with emitter k of each pair (j, k) moved to gap
+    above emitter j and its mirror image moved to match; still mirrored."""
+    pos = line_cloud(n, 100.0).positions.copy()
+    for j, k in pairs:
+        pos[k, 2] = pos[j, 2] + gap
+        pos[n - 1 - k, 2] = -pos[k, 2]
+    assert np.array_equal(pos[::-1], pos * [1.0, -1.0, -1.0])
+    return EmitterCloud(pos)
+
+
+def _refusal(build, *args):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("pairs", [[(450, 520)], [(310, 320)], [(520, 590), (400, 420)]])
+def test_cloud_spectrum_names_the_coincident_pair_of_the_full_build(pairs):
+    # each pair lies in the bottom half of 600 rows, which the split never
+    # builds; its mirror image lies in the top half, in the first block of
+    # 256 rows or in the 44 that follow it
+    cloud = _mirrored_line(600, pairs)
+    message = _refusal(build_scalar_kernel, cloud, PHYS)
+    assert message.startswith("coincident emitters at rows ")
+    assert _refusal(cloud_spectrum, cloud, PHYS) == message
+
+
+def test_cloud_spectrum_refuses_the_overflows_of_the_full_build():
+    huge = EmitterPhysics(gamma=1e308, lambda0=280.0, n0=1.0)
+    # one close pair, at k0 r = 2.2e-5, in the bottom half of 600 rows
+    cases = [(_mirrored_line(600, [(310, 311)], gap=1e-3), huge, "gamma / (k0 r) overflows"),
+             (line_cloud(3, 1e200), PHYS, "emitter separations overflow")]
+    for cloud, phys, start in cases:
+        message = _refusal(build_scalar_kernel, cloud, phys)
+        assert message.startswith(start)
+        assert _refusal(cloud_spectrum, cloud, phys) == message
+
+
+def test_cloud_spectrum_refuses_an_oversized_cloud_before_allocating():
+    n = ORACLE_SIZE_LIMIT + 1
+    cloud = line_cloud(n, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"N = {n} exceeds the dense-solver limit"):
+            cloud_spectrum(cloud, PHYS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # below one (N, 3) array of doubles, such as the mirror test's
+    assert peak < 24 * n
 
 
 # ---------------------------------------------------------------- classification
