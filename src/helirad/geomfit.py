@@ -141,6 +141,29 @@ def _cross(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
+def _phase(slope, t, phi0):
+    """(th, delta): th = fl(slope t + phi0) and th + delta = slope t + phi0
+    up to a rounding of delta.
+
+    Dekker's split by 2^27 + 1 makes slope t an exact sum p + e, and Knuth's
+    TwoSum makes p + phi0 an exact sum th + f; delta = e + f.  The split
+    overflows only past 1e300, far beyond where d2 = (z - t)^2 does.
+    """
+    def split(a):
+        c = 134217729.0 * a
+        high = c - (c - a)
+        return high, a - high
+
+    p = slope * t
+    s_hi, s_lo = split(slope)
+    t_hi, t_lo = split(t)
+    e = ((s_hi * t_hi - p) + s_hi * t_lo + s_lo * t_hi) + s_lo * t_lo
+    th = p + phi0
+    p_virtual = th - phi0
+    f = (p - p_virtual) + (phi0 - (th - p_virtual))
+    return th, e + f
+
+
 def _circle_fit(u, w):
     """Algebraic least-squares circle through (u, w): center and radius."""
     a = np.column_stack([2.0 * u, 2.0 * w, np.ones_like(u)])
@@ -267,7 +290,12 @@ def _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
     with th = slope t + phi0.  A 17-node scan over one period around each
     point picks the nearest node; a safeguarded Newton iteration on d2'
     then polishes t inside the bracket of the two neighbouring nodes, to
-    1e-12 relative in t.
+    1e-12 relative in t.  A Newton step that lands on the closed bracket is
+    taken: where the root sits within an ulp of an end, the step lands on
+    that end, and bisecting toward it instead would cost about 30 halvings.
+    The final d2 takes th as an unevaluated sum th + delta of the exact
+    slope t + phi0, so a phase of tens of radians far along the axis does
+    not lift the evaluated point off the curve.
     """
     rel = centered - c1 * e1 - c2 * e2
     u = (rel @ e1)[:, None]
@@ -279,6 +307,13 @@ def _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
         th = slope * t + phi0
         return (u - radius * np.cos(th)) ** 2 + (w - radius * np.sin(th)) ** 2 \
             + (z - t) ** 2
+
+    def dist2_compensated(t):
+        # cos and sin of th + delta to first order in delta
+        th, delta = _phase(slope, t, phi0)
+        cos, sin = np.cos(th), np.sin(th)
+        cos, sin = cos - delta * sin, sin + delta * cos
+        return (u - radius * cos) ** 2 + (w - radius * sin) ** 2 + (z - t) ** 2
 
     # the curve passes each neighborhood once per turn, so the scan over one
     # period is global and the bracket around its best node holds the minimum
@@ -305,14 +340,14 @@ def _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = t - grad / curv
         bisect = 0.5 * (lo + hi)
-        ok = (curv > 0.0) & (newton > lo) & (newton < hi)
+        ok = (curv > 0.0) & (newton >= lo) & (newton <= hi)
         step = np.where(ok, newton, bisect)
         converged = np.abs(step - t) <= 1e-12 * np.maximum(np.abs(t), period)
         t = np.where(active, step, t)
         active &= ~converged
         if not active.any():
             break
-    nearest = np.minimum(dist2(t), coarse).min(axis=1)
+    nearest = np.minimum(dist2_compensated(t), coarse).min(axis=1)
     return math.sqrt(float(np.mean(nearest)))
 
 
@@ -325,7 +360,11 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
     residuals (radial mismatch and radius-scaled wrapped phase mismatch),
     from the best start and then from each next one while its start cost is
     below the best refined cost; the lowest-cost solution wins.  A winning
-    pass that stopped at its evaluation cap gets a FitWarning.
+    pass that stopped at its evaluation cap gets a FitWarning, and so does
+    a winner whose rms_residual exceeds R: every point of the fitted axis
+    is exactly R from the curve, so points that sit farther from it than
+    that, on average, fit the curve worse than its own axis does and are
+    not a sampling of that helix.
     """
     import scipy.optimize
     pos = cloud.positions
@@ -398,6 +437,13 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
     span = float(z.max() - z.min())
     pitch = _TWO_PI / abs(slope)
     rms = _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0)
+    if rms > radius:
+        warnings.warn(
+            f"rms point-to-curve distance {rms:.4g} nm exceeds the fitted radius "
+            f"{radius:.4g} nm; the helix does not describe the cloud",
+            FitWarning,
+            stacklevel=2,
+        )
     density = _density(n, span, radius, pitch)
     return HelixFit(
         axis_direction=axis,

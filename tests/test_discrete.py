@@ -38,6 +38,7 @@ from .child import child_env
 from .test_spectra import _scalar_window
 
 PHYS = EmitterPhysics(gamma=1.0, lambda0=1.0, n0=1.0)
+TWO_PI = 2.0 * math.pi
 
 
 def _params(k0d, perp=False):
@@ -320,6 +321,55 @@ def test_lamb_symmetric_in_kappa():
             for perp in (False, True):
                 p = _params(k0d, perp)
                 assert discrete_line_lamb(p, kappa) == discrete_line_lamb(p, -kappa)
+
+
+# ---------------------------------------------------------------- exact identities
+
+IDENTITY_SPACINGS = (0.1 * math.pi, 1.7, 1.6 * math.pi)
+
+
+@pytest.mark.parametrize("h", IDENTITY_SPACINGS)
+def test_lamb_orientation_average_is_the_scalar_chain(h):
+    # (1/3) G_par + (2/3) G_perp of the dipole Green's tensor is the scalar
+    # kernel e^{ix}/x, whose chain Lamb shift is
+    # (1/(2h)) [ln|2 sin((1 + kappa) h/2)| + ln|2 sin((1 - kappa) h/2)|]
+    kappa = np.linspace(-0.97, 0.97, 40)
+    phases = h * np.concatenate([1.0 + kappa, 1.0 - kappa])
+    # the log poles h (1 +- kappa) in 2 pi Z stay at least 0.009 away
+    assert np.min(np.abs(np.remainder(phases + math.pi, TWO_PI) - math.pi)) > 0.009
+    log_p = np.log(np.abs(2.0 * np.sin((1.0 + kappa) * h / 2.0)))
+    log_m = np.log(np.abs(2.0 * np.sin((1.0 - kappa) * h / 2.0)))
+    closed = (log_p + log_m) / (2.0 * h)
+    average = (discrete._chain_lamb(_params(h), kappa) / 3.0
+               + 2.0 * discrete._chain_lamb(_params(h, perp=True), kappa) / 3.0)
+    # the two orientations' Li3 brackets, each at most 2 zeta(3) + 2.03 h
+    # (|Cl2| <= 1.0149), cancel in the average after division by h^3; a few
+    # roundings of those and of the logs bound the gap (measured 1.5 eps)
+    scale = (2.0 * 1.2020569 + 2.03 * h) / h**3 + (np.abs(log_p) + np.abs(log_m)) / h
+    assert np.all(np.abs(average - closed) <= 8.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("perp", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason=(
+        "perpendicular branches carry (3 pi/2 k0d)(1 + q^2), twice the direct "
+        "lattice sum's (3 pi/4 k0d)(1 + q^2), so the mean is 2 (ROADMAP item 2)"))),
+], ids=["par", "perp"])
+@pytest.mark.parametrize("h", IDENTITY_SPACINGS)
+def test_decay_brillouin_zone_mean_is_the_lone_emitter_rate(h, perp):
+    # Each branch q = kappa + 2 pi g/h crosses the light cone once as kappa
+    # sweeps the zone, so the mean over kappa in [-pi/h, pi/h] is the mean
+    # of one weight over |q| <= 1: (h/2 pi) (3 pi/2h) int (1 - q^2) dq = 1.
+    # The trapezoid rule on this periodic integrand errs only at |q| = 1:
+    # the parallel weight has a kink there (slope jump 3 pi/h), costing at
+    # most 3 dk^2/16 of the mean each; the perpendicular one, halved, a step
+    # of 3 pi/2h, costing at most 3 dk/8 each
+    n = 200_000
+    dk = TWO_PI / h / n
+    rate = discrete._chain_decay(_params(h, perp), np.linspace(-math.pi / h, math.pi / h, n + 1))
+    mean = math.fsum(rate[1:-1]) / n + 0.5 * (rate[0] + rate[-1]) / n
+    bound = (3.0 * dk / 4.0 if perp else 0.0) + 3.0 * dk * dk / 8.0 + 1e-12
+    assert abs(mean - 1.0) <= bound, (mean, bound)
 
 
 # ---------------------------------------------------------------- kernel

@@ -9,7 +9,7 @@ import scipy.optimize
 from scipy.spatial.transform import Rotation
 
 from helirad import geomfit
-from helirad.discrete import EmitterCloud, line_cloud, ring_cloud
+from helirad.discrete import EmitterCloud, helix_cloud, line_cloud, ring_cloud
 from helirad.geomfit import (
     CloudFormatError,
     EstimateReport,
@@ -166,7 +166,8 @@ def test_fit_warns_on_axial_gap():
     # advance far more than pi in azimuth across the gap
     pos = synthetic_helix(11.2, 7.8, 150, turns=10).positions
     gapped = EmitterCloud(np.vstack([pos[:60], pos[110:]]))
-    with pytest.warns(FitWarning, match="pitch may alias"):
+    with pytest.warns(FitWarning, match="pitch may alias"), \
+            pytest.warns(FitWarning, match="exceeds the fitted radius"):
         fit = fit_helix(gapped)
     # the fit still returns (it is suspect, not invalid)
     assert isinstance(fit, HelixFit)
@@ -371,8 +372,8 @@ def _reference_fit_all_axes(cloud):
     return axis, float(sol.x[4]), float(TWO_PI / abs(slope)), hand
 
 
-def _curve_args(cloud):
-    """The arguments fit_helix passes to _point_curve_rms for this cloud."""
+def _fit_with_curve_args(cloud):
+    """fit_helix(cloud) and the arguments it passes to _point_curve_rms."""
     seen = []
     real = geomfit._point_curve_rms
 
@@ -382,10 +383,15 @@ def _curve_args(cloud):
 
     geomfit._point_curve_rms = spy
     try:
-        fit_helix(cloud)
+        fit = fit_helix(cloud)
     finally:
         geomfit._point_curve_rms = real
-    return seen[0]
+    return fit, seen[0]
+
+
+def _curve_args(cloud):
+    """The arguments fit_helix passes to _point_curve_rms for this cloud."""
+    return _fit_with_curve_args(cloud)[1]
 
 
 def _jittered(seed, n=200, turns=10, R=11.2, b=7.8, sigma=0.1):
@@ -395,54 +401,141 @@ def _jittered(seed, n=200, turns=10, R=11.2, b=7.8, sigma=0.1):
     return EmitterCloud(pos + rng.normal(0.0, sigma, size=pos.shape))
 
 
-def test_curve_search_matches_per_point_reference():
+def _bench_style_clouds():
+    """14 clouds drawn like bench/workloads.fit_clouds: rotated 10-turn
+    R = 11.2 nm, b = 7.8 nm helices, 12 at N = 200 and 2 at N = 1000, with
+    0.05 nm jitter."""
+    clouds = []
+    for n, draws in ((200, 12), (1000, 2)):
+        rng = np.random.default_rng([22468, n])
+        helix = synthetic_helix(11.2, 7.8, n, turns=10).positions
+        for _ in range(draws):
+            w, x, y, z = rng.standard_normal(4)
+            rot = Rotation.from_quat([x, y, z, w]).as_matrix()
+            clouds.append(EmitterCloud(helix @ rot.T + rng.normal(0.0, 0.05, (n, 3))))
+    return clouds
+
+
+def _curve_search_clouds():
     rot = Rotation.from_rotvec([0.3, -1.1, 0.7]).as_matrix()
-    clouds = [
+    return [
         synthetic_helix(11.2, 7.8, 200, turns=10),
         synthetic_helix(4.6, 21.0, 160, turns=8, direction=-1, phase=0.4,
                         rot=rot, shift=[12.0, -3.5, 40.0]),
         _jittered(1),
         _jittered(2, R=2.64, b=73.1, turns=6, sigma=0.05),
     ]
+
+
+def _long_helix():
+    return _jittered(3, n=120, turns=20, R=20.0, b=150.0)
+
+
+@pytest.fixture(scope="module")
+def well_posed_fits():
+    """(fit, curve-search arguments, FitWarnings) of every well-posed test cloud."""
+    clouds = (_curve_search_clouds() + [_long_helix()]
+              + [_jittered(seed) for seed in range(20)] + _bench_style_clouds())
+    fits = []
     for cloud in clouds:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", FitWarning)
+            fit, args = _fit_with_curve_args(cloud)
+        fits.append((fit, args, [w for w in caught if w.category is FitWarning]))
+    return fits
+
+
+def test_curve_search_matches_per_point_reference():
+    for cloud in _curve_search_clouds():
         args = _curve_args(cloud)
         got = geomfit._point_curve_rms(*args)
         want = _reference_point_curve_rms(*args)
         assert abs(got - want) <= 1e-12, (got, want)
 
 
+def test_curve_search_converges_within_eight_iterations(monkeypatch, well_posed_fits):
+    # a Newton step that lands on the end of its bracket is taken, so no
+    # column bisects toward a root Newton already found
+    want = [geomfit._point_curve_rms(*args) for _, args, _ in well_posed_fits]
+    monkeypatch.setattr(geomfit, "_CURVE_SEARCH_ITERATIONS", 8)
+    got = [geomfit._point_curve_rms(*args) for _, args, _ in well_posed_fits]
+    assert got == want
+
+
+def _mp_curve_distance2(mpmath, u, w, z, radius, slope, phi0):
+    """Squared distance from frame point (u, w, z) to the curve, at 30 digits."""
+    period = TWO_PI / abs(slope)
+    # start from the best of a dense float scan over one period
+    scan = z + period * np.linspace(-0.5, 0.5, 4097)
+    th = slope * scan + phi0
+    start = scan[np.argmin((u - radius * np.cos(th)) ** 2
+                           + (w - radius * np.sin(th)) ** 2 + (z - scan) ** 2)]
+    u, w, z = mpmath.mpf(u), mpmath.mpf(w), mpmath.mpf(z)
+
+    def half_grad(t):
+        th = slope * t + phi0
+        return radius * slope * (u * mpmath.sin(th) - w * mpmath.cos(th)) - (z - t)
+
+    t = mpmath.findroot(half_grad, mpmath.mpf(start))
+    th = slope * t + phi0
+    return (u - radius * mpmath.cos(th)) ** 2 + (w - radius * mpmath.sin(th)) ** 2 \
+        + (z - t) ** 2
+
+
 def test_curve_search_reaches_the_true_distance_on_a_long_helix():
     # bounded Brent stops within sqrt(eps) |t| of the minimizer, so on a
-    # helix thousands of nm long the reference overshoots the true RMS;
-    # the Newton search lands on it
+    # helix thousands of nm long the reference overshoots the true RMS.
+    # The search's own d2 is accurate because its final phase is
+    # compensated: th = slope t + phi0 reaches 60 rad here, and rounding it
+    # would move each evaluated curve point by up to R |th| eps
     mpmath = pytest.importorskip("mpmath")
-    cloud = _jittered(3, n=120, turns=20, R=20.0, b=150.0)
-    centered, axis, e1, e2, c1, c2, radius, slope, phi0 = _curve_args(cloud)
-    rel = centered - c1 * e1 - c2 * e2
-    period = TWO_PI / abs(slope)
     mpmath.mp.dps = 30
-    total = mpmath.mpf(0)
-    for u, w, z in zip(rel @ e1, rel @ e2, rel @ axis):
-        # start from the best of a dense float scan over one period
-        scan = z + period * np.linspace(-0.5, 0.5, 4097)
-        th = slope * scan + phi0
-        start = scan[np.argmin((u - radius * np.cos(th)) ** 2
-                               + (w - radius * np.sin(th)) ** 2 + (z - scan) ** 2)]
-        u, w, z = mpmath.mpf(u), mpmath.mpf(w), mpmath.mpf(z)
+    centered, axis, e1, e2, c1, c2, radius, slope, phi0 = _curve_args(_long_helix())
+    curve = (radius, slope, phi0)
 
-        def half_grad(t):
-            th = slope * t + phi0
-            return radius * slope * (u * mpmath.sin(th) - w * mpmath.cos(th)) - (z - t)
+    def frame(points):
+        rel = points - c1 * e1 - c2 * e2
+        return rel @ e1, rel @ e2, rel @ axis
 
-        t = mpmath.findroot(half_grad, mpmath.mpf(start))
-        th = slope * t + phi0
-        total += (u - radius * mpmath.cos(th)) ** 2 \
-            + (w - radius * mpmath.sin(th)) ** 2 + (z - t) ** 2
-    truth = float(mpmath.sqrt(total / len(rel)))
-    got = geomfit._point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0)
-    ref = _reference_point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0)
+    total = mpmath.fsum(_mp_curve_distance2(mpmath, u, w, z, *curve)
+                        for u, w, z in zip(*frame(centered)))
+    truth = float(mpmath.sqrt(total / len(centered)))
+    got = geomfit._point_curve_rms(centered, axis, e1, e2, c1, c2, *curve)
+    ref = _reference_point_curve_rms(centered, axis, e1, e2, c1, c2, *curve)
     assert abs(got - truth) <= 1e-14 * truth
     assert ref - truth > 1e-12
+
+    # Each point alone: its (u, w, z) come from a one-row product, whose bits
+    # can differ from the full cloud's, so its distance is recomputed from
+    # them.  Rounding cos, sin, R cos th and the differences u - R cos th,
+    # w - R sin th, z - t costs each difference about 2 eps (R + d), and the
+    # squares and the sum add 3 eps d2; d = sqrt(d2) then carries about
+    # 3 eps (R + d).  The bound allows 4 eps (R + d): the search measured
+    # 0.7 eps R, and the uncompensated phase reaches 30 eps R here.
+    eps = np.finfo(float).eps
+    for point in centered:
+        point = point[None, :]
+        (u,), (w,), (z,) = frame(point)
+        want = float(mpmath.sqrt(_mp_curve_distance2(mpmath, u, w, z, *curve)))
+        got = geomfit._point_curve_rms(point, axis, e1, e2, c1, c2, *curve)
+        assert abs(got - want) <= 4 * eps * (radius + want), (point, got, want)
+
+
+def test_fit_warns_when_the_curve_is_farther_than_its_radius():
+    # 2.8 turns: the starts miss the axis, and the winner's curve lies
+    # 3.4-3.5 R from the points in RMS
+    for count in (200, 150):
+        with pytest.warns(FitWarning, match="exceeds the fitted radius"):
+            fit = fit_helix(helix_cloud(count, 11.2, 7.8))
+        assert fit.rms_residual > 3.0 * fit.R
+
+
+def test_well_posed_fits_do_not_warn(well_posed_fits):
+    # jitter sigma leaves an RMS near sqrt(2) sigma, at most 0.027 R on
+    # these clouds: far below the threshold
+    for fit, _, caught in well_posed_fits:
+        assert not caught, [str(w.message) for w in caught]
+        assert fit.rms_residual < 0.1 * fit.R
 
 
 def test_curve_search_polishes_both_tied_end_nodes():
@@ -611,7 +704,9 @@ def test_later_axis_is_refined_while_it_starts_below_the_best(monkeypatch):
     assert len(counter.calls) == 1
     # one just above it refines the next axis, which then wins
     counter = _CountingLeastSquares(monkeypatch, inflate_first=starts[1] * (1 + 1e-9))
-    fit = fit_helix(cloud)
+    # the true axis lost to an inflated cost, so the winner misfits the cloud
+    with pytest.warns(FitWarning, match="exceeds the fitted radius"):
+        fit = fit_helix(cloud)
     assert len(counter.calls) >= 2
     second_axis, second_cost = counter.calls[1]
     assert second_cost < counter.calls[0][1]
