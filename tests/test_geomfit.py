@@ -486,7 +486,7 @@ def test_curve_search_reaches_the_true_distance_on_a_long_helix():
     # bounded Brent stops within sqrt(eps) |t| of the minimizer, so on a
     # helix thousands of nm long the reference overshoots the true RMS.
     # The search's own d2 is accurate because its final phase is
-    # compensated: th = slope t + phi0 reaches 60 rad here, and rounding it
+    # compensated: th = slope t + phi0 reaches 63 rad here, and rounding it
     # would move each evaluated curve point by up to R |th| eps
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
