@@ -27,8 +27,8 @@ from .specfun import _TWO_PI, _libm, _polylogs
 
 # dense all-eigenvalue solves stay comfortable on a desktop to about here;
 # beyond it memory and O(N^3) time both turn painful.  At the limit a
-# mirrored cloud's top kernel rows and its two split blocks take 256 MB
-# (cloud_spectrum); any other cloud's kernel and numpy's copy of it, 512 MB
+# mirrored cloud's two split blocks take 128 MB (cloud_spectrum); any other
+# cloud's kernel and the solve's copy of it, 512 MB
 ORACLE_SIZE_LIMIT = 4000
 
 
@@ -38,14 +38,14 @@ def check_oracle_size(n: int):
         raise ValueError(f"N = {n} exceeds the dense-solver limit {ORACLE_SIZE_LIMIT}")
 
 
-def _c_function(path, name, *argtypes):
-    """The int-valued C function name of the library at path, or None where it is missing."""
+def _c_function(path, name, *argtypes, restype=ctypes.c_int):
+    """The C function name of the library at path, or None where it is missing."""
     try:
         function = getattr(ctypes.CDLL(path), name)
     except (AttributeError, OSError):
         return None
     function.argtypes = list(argtypes)
-    function.restype = ctypes.c_int
+    function.restype = restype
     return function
 
 
@@ -54,13 +54,20 @@ _MALLOPT = _c_function(None, "mallopt", ctypes.c_int, ctypes.c_int)  # glibc onl
 # returns the count before the call
 _SET_BLAS_THREADS = _c_function(np.linalg._umath_linalg.__file__,
                                 "openblas_set_num_threads_local", ctypes.c_int)
+# the LAPACK zgeev that numpy's eigvals calls, in the same bundled OpenBLAS
+# (64-bit integers, scipy_ prefix); a ctypes call releases the GIL
+_ZGEEV = _c_function(np.linalg._umath_linalg.__file__, "scipy_zgeev_64_",
+                     *[ctypes.c_void_p] * 14, restype=None)
 # the count _SET_BLAS_THREADS sets is process-wide in OpenBLAS's pthreads
 # build, so two oracle solves must not overlap: each would restore the
 # other's count in the middle of its solve
 _SOLVE_LOCK = threading.Lock()
 
-# kernel rows built at a time: 256 rows of a 4000-emitter cloud are 8 MB
-_KERNEL_ROWS = 256
+# kernel rows built at a time.  A chunk's transients, a complex and two
+# real 8 x N arrays, take 256 N bytes, under half the two split blocks'
+# zgeev workspace (33 N complex), so a mirrored cloud's solve, not its
+# build, sets cloud_spectrum's peak, and OpenBLAS's buffers count in it
+_KERNEL_ROWS = 8
 
 
 def _hold_mmap_threshold():
@@ -171,10 +178,13 @@ def discrete_line_decay(params: DiscreteLineParams, kappa: float) -> float:
     return float(_chain_decay(params, [kappa])[0])
 
 
-def _kernel_rows(cloud: EmitterCloud, physics: EmitterPhysics, stop: int) -> np.ndarray:
-    """Rows [0, stop) of the kernel matrix, as a complex stop x N array.
+def _kernel_rows(cloud: EmitterCloud, physics: EmitterPhysics, stop: int, fill=None):
+    """Rows [0, stop) of the kernel matrix, _KERNEL_ROWS at a time.
 
-    Each row holds the bits it has in the full kernel; the refusals are
+    Without fill, they are returned as one complex stop x N array.  With
+    fill, each chunk of rows [lo, hi) is built in one reused complex buffer
+    and handed over as fill(lo, rows), and None is returned.  Each row holds
+    the bits it has in the full kernel; the refusals are
     build_scalar_kernel's, judged over these rows.
     """
     n = cloud.count
@@ -188,10 +198,11 @@ def _kernel_rows(cloud: EmitterCloud, physics: EmitterPhysics, stop: int) -> np.
         if not math.sqrt(x + y + z) * physics.k0 < math.inf:
             raise ValueError(f"emitter separations overflow: the cloud spans {span.tolist()} nm "
                              f"at k0 = {physics.k0:.6g}/nm")
-    m = np.empty((stop, n), dtype=complex)
-    # a fixed number of rows at a time into two reused real buffers, so that
-    # no real N x N array is ever alive next to the complex one
-    kr_rows, sq_rows = np.empty((2, min(stop, _KERNEL_ROWS), n))
+    chunk = min(stop, _KERNEL_ROWS)
+    m = np.empty((stop if fill is None else chunk, n), dtype=complex)
+    # the rows of a chunk go through two reused real buffers, so that no
+    # real N x N array is ever alive next to the complex one
+    kr_rows, sq_rows = np.empty((2, chunk, n))
     for lo in range(0, stop, _KERNEL_ROWS):
         hi = min(lo + _KERNEL_ROWS, stop)
         kr, sq = kr_rows[:hi - lo], sq_rows[:hi - lo]
@@ -216,14 +227,16 @@ def _kernel_rows(cloud: EmitterCloud, physics: EmitterPhysics, stop: int) -> np.
         if not (nearest > 0.0 and physics.gamma * (1.0 / nearest) < math.inf):
             raise ValueError(f"gamma / (k0 r) overflows at rows {j} and {k}, k0 r = {nearest:.6g}")
         # in the operation order of -1j * gamma * exp(1j * kr) / kr
-        block = m[lo:hi]
+        rows = m[lo:hi] if fill is None else m[:hi - lo]
         with np.errstate(invalid="ignore"):
-            np.multiply(kr, 1j, out=block)
-            np.exp(block, out=block)
-            block *= -1j * physics.gamma
-            block /= kr
-        block[diagonal] = physics.gamma
-    return m
+            np.multiply(kr, 1j, out=rows)
+            np.exp(rows, out=rows)
+            rows *= -1j * physics.gamma
+            rows /= kr
+        rows[diagonal] = physics.gamma
+        if fill is not None:
+            fill(lo, rows)
+    return m if fill is None else None
 
 
 def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndarray:
@@ -237,29 +250,40 @@ def build_scalar_kernel(cloud: EmitterCloud, physics: EmitterPhysics) -> np.ndar
     return _kernel_rows(cloud, physics, cloud.count)
 
 
-def _centrosymmetric_blocks(top: np.ndarray):
-    """The two half-size blocks whose spectra together make up m's.
-
-    top holds the first N - N // 2 rows of an N x N centrosymmetric m
-    (m == J m J, J the exchange matrix); the other rows are never read.
-    With h = N // 2, A = m[:h, :h] and CJ = m[:h, N-h:] J, the orthogonal
-    similarity of Cantoni & Butler (Lin. Alg. Appl. 13, 275 (1976)) takes
-    m to diag(A - CJ, A + CJ): A - CJ acts on the vectors that the
-    reversal J negates, A + CJ on those it keeps.  For odd N the middle
-    entry belongs to the kept vectors, so A + CJ is bordered by the middle
-    column and twice the middle row.
-    """
-    n = top.shape[1]
+def _split_blocks(n: int):
+    """Two empty Fortran-ordered complex blocks, N // 2 and N - N // 2 square."""
     h = n // 2
-    a = top[:h, :h]
-    cj = top[:h, n - h:][:, ::-1]
-    even = np.empty((n - h, n - h), dtype=top.dtype)
-    np.add(a, cj, out=even[:h, :h])
-    if n % 2:
-        even[:h, h] = top[:h, h]
-        even[h, :h] = 2 * top[h, :h]
-        even[h, h] = top[h, h]
-    return np.subtract(a, cj), even
+    return np.empty((h, h), complex, order="F"), np.empty((n - h, n - h), complex, order="F")
+
+
+def _fill_split_blocks(blocks, lo: int, rows: np.ndarray):
+    """Write into blocks what rows [lo, lo + len(rows)) of a matrix m give them.
+
+    blocks are the two half-size blocks whose spectra together make up
+    that of an N x N centrosymmetric m (m == J m J, J the exchange matrix);
+    only its top N - N // 2 rows give them anything.  With h = N // 2,
+    A = m[:h, :h] and CJ = m[:h, N-h:] J, the orthogonal similarity of
+    Cantoni & Butler (Lin. Alg. Appl. 13, 275 (1976)) takes m to
+    diag(A - CJ, A + CJ): A - CJ acts on the vectors that the reversal J
+    negates, A + CJ on those it keeps.  For odd N the middle entry belongs
+    to the kept vectors, so A + CJ is bordered by the middle column and
+    twice the middle row.
+    """
+    odd, even = blocks
+    n = rows.shape[1]
+    h = n // 2
+    upper = rows[:max(h - lo, 0)]
+    a, cj = upper[:, :h], upper[:, n - h:][:, ::-1]
+    below = slice(lo, lo + len(upper))
+    # an overflow is refused by name before the solve (_solve_blocks)
+    with np.errstate(over="ignore"):
+        np.subtract(a, cj, out=odd[below])
+        np.add(a, cj, out=even[below, :h])
+        if n % 2:
+            even[below, h] = upper[:, h]
+            if lo + len(rows) > h:
+                even[h, :h] = 2 * rows[h - lo, :h]
+                even[h, h] = rows[h - lo, h]
 
 
 @contextlib.contextmanager
@@ -278,30 +302,67 @@ def _one_blas_thread():
         _SET_BLAS_THREADS(old)
 
 
+def _zgeev(a: np.ndarray, w: np.ndarray, work: np.ndarray, rwork: np.ndarray, lwork: int) -> int:
+    """One call of LAPACK's zgeev without eigenvectors; returns its info.
+
+    a is an N x N Fortran-ordered complex array, which the call overwrites;
+    w (N complex) receives the eigenvalues, work holds lwork complex entries
+    (lwork = -1 asks for the optimal lwork in work[0]) and rwork 2 N doubles.
+    These are the arguments numpy's eigvals passes.
+    """
+    n = a.shape[0]
+    no, info = ctypes.c_char(b"N"), ctypes.c_int64()
+    size, lda, one, lw = (ctypes.c_int64(v) for v in (n, max(n, 1), 1, lwork))
+    unused = work.ctypes.data  # vl and vr, left unread with jobvl = jobvr = 'N'
+    _ZGEEV(ctypes.byref(no), ctypes.byref(no), ctypes.byref(size), a.ctypes.data,
+           ctypes.byref(lda), w.ctypes.data, unused, ctypes.byref(one), unused,
+           ctypes.byref(one), work.ctypes.data, ctypes.byref(lw), rwork.ctypes.data,
+           ctypes.byref(info))
+    return info.value
+
+
 def _eigvals(block: np.ndarray) -> np.ndarray:
-    """numpy's eigvals at one OpenBLAS thread, always complex."""
+    """The eigenvalues of a Fortran-ordered complex block, at one OpenBLAS thread.
+
+    The block is solved in place, so it is overwritten.  zgeev is called as
+    numpy's eigvals calls it on its copy of a matrix, with the workspace a
+    query asks for, so the eigenvalues are numpy's bit for bit.  Where
+    numpy's OpenBLAS has no scipy_zgeev_64_, numpy's eigvals is called.
+    """
     with _one_blas_thread():
-        try:
-            w = np.linalg.eigvals(block)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    # numpy returns real eigenvalues of a real matrix as a real array
-    return w.astype(complex, copy=False)
+        if _ZGEEV is None:
+            try:
+                return np.linalg.eigvals(block)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+        n = block.shape[0]
+        w, rwork, query = np.empty(n, complex), np.empty(2 * n), np.empty(1, complex)
+        _zgeev(block, w, query, rwork, -1)
+        work = np.empty(max(int(query[0].real), 1), complex)
+        info = _zgeev(block, w, work, rwork, work.size)
+    if info:
+        raise RuntimeError(f"eigensolver did not converge: zgeev info = {info}")
+    return w
 
 
 def _solve_blocks(blocks) -> list:
     """The eigenvalues of each block, every solve at one OpenBLAS thread.
 
-    Two blocks are solved at the same time, the first in one worker thread
-    and the second in the calling thread: numpy's eigvals releases the GIL
-    during zgeev.  OpenBLAS's pthreads build keeps one thread count for the
-    whole process, so the calling thread holds it at 1 from before the
-    worker starts until after the worker has finished; the worker sets it
-    too, for builds that keep one count per thread.  One thread per solve
-    also makes the eigenvalues independent of OPENBLAS_NUM_THREADS.
-    Without the thread-count call the blocks are solved one after another.
-    Calls from several threads take turns.
+    The blocks are Fortran-ordered complex arrays, solved in place.  Two
+    blocks are solved at the same time, the first in one worker thread and
+    the second in the calling thread: the ctypes call releases the GIL for
+    the whole of zgeev, which numpy's eigvals does only above 500 rows.
+    OpenBLAS's pthreads build keeps one thread count for the whole process,
+    so the calling thread holds it at 1 from before the worker starts until
+    after the worker has finished; the worker sets it too, for builds that
+    keep one count per thread.  One thread per solve also makes the
+    eigenvalues independent of OPENBLAS_NUM_THREADS.  Without the
+    thread-count call the blocks are solved one after another.  Calls from
+    several threads take turns.
     """
+    # numpy's eigvals refused non-finite input; A + CJ can overflow
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise ValueError("eigenproblem blocks must be finite")
     with _SOLVE_LOCK, _one_blas_thread():
         if _SET_BLAS_THREADS is None or len(blocks) == 1:
             return [_eigvals(block) for block in blocks]
@@ -310,6 +371,23 @@ def _solve_blocks(blocks) -> list:
             first = worker.submit(_eigvals, blocks[0])
             second = _eigvals(blocks[1])
             return [first.result(), second]
+
+
+def _matrix_blocks(m: np.ndarray, copy: bool):
+    """The blocks to solve for the square m, and the eigensolve label.
+
+    A matrix equal bit for bit to its own reversal, m == m[::-1, ::-1], is
+    split into two half-size blocks (see _fill_split_blocks), built from
+    its top N - N // 2 rows.  Any other matrix is one block: a complex
+    Fortran-ordered copy of m or, without copy, m's transpose, which must
+    then equal m, as every kernel does.
+    """
+    n = m.shape[0]
+    if np.array_equal(m, m[::-1, ::-1]):
+        blocks = _split_blocks(n)
+        _fill_split_blocks(blocks, 0, m[:n - n // 2])
+        return blocks, "centrosymmetric"
+    return (np.array(m, dtype=complex, order="F") if copy else m.T,), "dense"
 
 
 def _spectrum(blocks, eigensolve: str) -> OracleSpectrum:
@@ -329,31 +407,25 @@ def oracle_spectrum(matrix: np.ndarray) -> OracleSpectrum:
     error is a small multiple of machine epsilon times ||M||.
 
     A matrix equal bit for bit to its own reversal, M == M[::-1, ::-1], is
-    split first into two half-size blocks (see _centrosymmetric_blocks),
-    each solved densely, for about a quarter of the full solve's work.
-    The split reads only the top N - N // 2 rows.  Any other matrix, such
-    as the kernel of a cloud of arbitrary geometry, takes one dense solve.
-    Every solve runs at one OpenBLAS thread (see _solve_blocks), so the
-    eigenvalues do not depend on the BLAS thread count.  For a cloud,
-    cloud_spectrum gives the same bytes and builds only the rows the split
-    reads where it can.
+    split first into two half-size blocks (see _fill_split_blocks), each
+    solved densely, for about a quarter of the full solve's work.  The
+    split reads only the top N - N // 2 rows.  Any other matrix, such as
+    the kernel of a cloud of arbitrary geometry, takes one dense solve of a
+    copy.  matrix itself is never written.  Every solve runs at one OpenBLAS
+    thread (see _solve_blocks), so the eigenvalues do not depend on the BLAS
+    thread count.  For a cloud, cloud_spectrum gives the same bytes without
+    the copy, and without the kernel where it can.
     """
     _hold_mmap_threshold()
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    n = m.shape[0]
-    check_oracle_size(n)
+    check_oracle_size(m.shape[0])
     if not np.isfinite(m).all():
         raise ValueError("matrix must be finite")
-    if np.array_equal(m, m[::-1, ::-1]):
-        blocks, eigensolve = _centrosymmetric_blocks(m[:n - n // 2]), "centrosymmetric"
-    else:
-        blocks, eigensolve = (m,), "dense"
-    # when the caller passed a temporary, as cloud_spectrum does, this frees
-    # the split kernel before numpy copies the two blocks
-    del matrix, m
-    return _spectrum(blocks, eigensolve)
+    # m stays alive through the solve, whose OpenBLAS buffers then fall
+    # within this call's peak of m and its blocks (README, Finite-N oracle)
+    return _spectrum(*_matrix_blocks(m, copy=True))
 
 
 def cloud_spectrum(cloud: EmitterCloud, physics: EmitterPhysics) -> OracleSpectrum:
@@ -362,24 +434,20 @@ def cloud_spectrum(cloud: EmitterCloud, physics: EmitterPhysics) -> OracleSpectr
     Where reversing the emitter order mirrors the cloud through the x axis,
     positions[::-1] == positions * (1, -1, -1), as for the line, ring and
     helix generators, the kernel equals its own reversal bit for bit: the
-    reversal negates or keeps every coordinate difference exactly.  Only
-    the top N - N // 2 kernel rows, the ones the centrosymmetric split
-    reads, are then built, for half the kernel's memory and build time.
-    Every pair of emitters occurs in those rows, so the refusals name the
-    same pair as the full build's.  Any other cloud takes the full kernel
-    and oracle_spectrum.
+    reversal negates or keeps every coordinate difference exactly.  The
+    kernel is then never built: each chunk of its top N - N // 2 rows, the
+    ones the centrosymmetric split reads, goes into the two blocks as it is
+    built.  Every pair of emitters occurs in those rows, so the refusals
+    name the same pair as the full build's.  Any other cloud takes the full
+    kernel, which is solved in place where it is not split.
     """
     n = cloud.count
     check_oracle_size(n)
     p = cloud.positions
     if not np.array_equal(p[::-1], p * [1.0, -1.0, -1.0]):
-        return oracle_spectrum(build_scalar_kernel(cloud, physics))
-    top = _kernel_rows(cloud, physics, n - n // 2)
-    if not np.isfinite(top).all():
-        raise ValueError("matrix must be finite")
-    blocks = _centrosymmetric_blocks(top)
-    # freed before numpy's eigvals copies the blocks
-    del top
+        return _spectrum(*_matrix_blocks(build_scalar_kernel(cloud, physics), copy=False))
+    blocks = _split_blocks(n)
+    _kernel_rows(cloud, physics, n - n // 2, lambda lo, rows: _fill_split_blocks(blocks, lo, rows))
     return _spectrum(blocks, "centrosymmetric")
 
 

@@ -7,9 +7,13 @@ The average uses the modified Boltzmann weight
 with E_max the largest finite Lamb shift on the grid, so the most-shifted
 state gets weight exactly 0 and weights stay in [0, 1].  Divergent shifts
 (the -inf sentinels) get weight exactly 1.  Because the weight depends only
-on E - E_max, adding a constant to the whole Lamb profile (for instance the
-truncation plateau of the helix sum) leaves the average unchanged, which is
-what makes series computed at different truncation depths comparable.
+on E - E_max, adding a constant to the whole Lamb profile leaves the
+average unchanged.  Only that constant part of the helix sum's truncation
+error cancels: its kappa-dependent part, which falls off like 1/M^2, moves
+the weights, so series computed at different truncation depths M are not
+exactly comparable.  Measured against M = 400, gamma_th at M = 10 differs
+by up to 6.9e-3 relative over (Omega, r) = (0.5, 3), (1, 3), (3, 0.5) and
+(3, 3).
 """
 
 import math

@@ -146,6 +146,8 @@ def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, recwarn, argv
     assert message in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+    # main prints a warning to stderr, where recwarn does not see it
+    assert "warning:" not in err
     assert [str(w.message) for w in recwarn] == []
 
 
@@ -666,6 +668,20 @@ def test_fit_estimate_refuses_a_peak_search_over_the_work_limit(tmp_path, capsys
     assert "Omega = lambda0/b = 5e-06 is too small for the peak-rate search" in err
     assert "over the limit of 100000000 terms" in err
     assert not out.exists()
+
+
+def test_fit_estimate_prints_a_warning_as_one_line(tmp_path, capsys):
+    # 200 emitters a unit arc length apart span under 3 turns of this helix,
+    # and its fit lies farther from the points in RMS than its own radius
+    cloud = tmp_path / "h.txt"
+    pos = helix_cloud(200, 11.2, 7.8).positions.tolist()
+    cloud.write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pos))
+    rc = main(["fit-estimate", "--cloud", str(cloud), "--output", str(tmp_path / "r.txt")])
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: rms point-to-curve distance ")
+    assert lines[0].endswith(" the helix does not describe the cloud")
 
 
 def test_fit_estimate_degenerate_cloud_exits_one(tmp_path, capsys):
