@@ -274,13 +274,13 @@ def _fill_split_blocks(blocks, lo: int, rows: np.ndarray):
     h = n // 2
     upper = rows[:max(h - lo, 0)]
     a, cj = upper[:, :h], upper[:, n - h:][:, ::-1]
-    below = slice(lo, lo + len(upper))
+    block_rows = slice(lo, lo + len(upper))
     # an overflow is refused by name before the solve (_solve_blocks)
     with np.errstate(over="ignore"):
-        np.subtract(a, cj, out=odd[below])
-        np.add(a, cj, out=even[below, :h])
+        np.subtract(a, cj, out=odd[block_rows])
+        np.add(a, cj, out=even[block_rows, :h])
         if n % 2:
-            even[below, h] = upper[:, h]
+            even[block_rows, h] = upper[:, h]
             if lo + len(rows) > h:
                 even[h, :h] = 2 * rows[h - lo, :h]
                 even[h, h] = rows[h - lo, h]
