@@ -2,9 +2,10 @@
 
 Outputs are plain CSV (UTF-8, \\n line endings, 17 significant digits,
 `-inf` for the sentinel) or flat key=value records, always accompanied by a
-`<output>.manifest.json` recording the subcommand, resolved parameters,
-package version, and a sha256 of the output bytes.  Identical invocations
-produce byte-identical outputs and therefore identical checksums.
+`<output>.manifest.json` recording the subcommand, its parsed flags with the
+emitter physics resolved (_write_output), the package version, and a sha256
+of the output bytes.  Identical invocations produce byte-identical outputs
+and therefore identical checksums.
 
 Exit codes: 0 when the output was written and every value is finite or the
 -inf sentinel, 1 for compute or input errors, 2 for usage errors.
@@ -57,19 +58,30 @@ def _assert_contracted(value):
         raise ValueError(f"value {value!r} violates the finite-or-sentinel contract")
 
 
-def _write_output(path, text, subcommand, params, **record):
-    """Write text and its manifest; record adds deterministic run facts."""
+# namespace entries that name the run rather than being one of its flags
+_NOT_PARAMS = ("func", "parser", "output", "subcommand")
+
+
+def _write_output(args, text, physics=None, **record):
+    """Write text to args.output and its manifest; record adds deterministic run facts.
+
+    The manifest's params are every flag the subcommand parsed, with
+    lambda0, gamma and n0 replaced by physics's where it resolved one.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    if physics is not None:
+        params.update(lambda0=physics.lambda0, gamma=physics.gamma, n0=physics.n0)
     data = text.encode("utf-8")
-    with open(path, "wb") as fh:
+    with open(args.output, "wb") as fh:
         fh.write(data)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "params": params,
         "version": __version__,
         "sha256": hashlib.sha256(data).hexdigest(),
         **record,
     }
-    with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
+    with open(args.output + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -116,19 +128,18 @@ def _parse_list(text, parser):
     return vals
 
 
-def _physics(args):
-    n0 = args.n0
+def _physics(args, n0):
     if n0 is None:  # 1/lambda0, once EmitterPhysics has checked lambda0
         n0 = 1.0 / EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0, n0=1.0).lambda0
     return EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0, n0=n0)
 
 
-def _add_physics_flags(p):
+def _add_physics_flags(p, n0_dest="n0"):
     p.add_argument("--lambda0", type=float, default=280.0,
                    help="transition wavelength in nm (default 280)")
     p.add_argument("--gamma", type=float, default=0.514,
                    help="single-emitter decay rate in 1/ns (default 0.514)")
-    p.add_argument("--n0", type=float, default=None,
+    p.add_argument("--n0", type=float, default=None, dest=n0_dest,
                    help="line density in 1/nm (default 1/lambda0; fit-estimate: the fitted one)")
 
 
@@ -147,7 +158,7 @@ def _table_rows(table):
 def cmd_spectrum(args):
     parser = args.parser
     grid, _ = _parse_grid(args.kappa, parser)
-    physics = _physics(args)
+    physics = _physics(args, args.n0)
     if args.geometry == "line":
         if args.omega is not None or args.radius is not None or args.order is not None:
             parser.error("line takes no --omega/--radius/--order")
@@ -167,12 +178,7 @@ def cmd_spectrum(args):
         table = cylinder_table(grid, args.order or 0, args.radius, physics)
     text = _csv("kappa,gamma_norm,lamb_norm,gamma_over_gamma,class",
                 _table_rows(table))
-    params = {
-        "geometry": args.geometry, "kappa": args.kappa, "M": args.M,
-        "omega": args.omega, "radius": args.radius, "order": args.order,
-        "lambda0": physics.lambda0, "gamma": physics.gamma, "n0": physics.n0,
-    }
-    _write_output(args.output, text, "spectrum", params)
+    _write_output(args, text, physics)
     return 0
 
 
@@ -185,8 +191,7 @@ def cmd_trapped(args):
         "fraction": result.fraction,
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_output(args.output, text, "trapped",
-                  {"omega": args.omega, "kappa_max": args.kappa_max})
+    _write_output(args, text)
     ivals = ", ".join(f"[{_fmt(lo)}, {_fmt(hi)}]" for lo, hi in result.intervals)
     print(f"trapped intervals: {ivals if ivals else '(none)'}")
     print(f"trapped fraction: {_fmt(result.fraction)}")
@@ -198,7 +203,7 @@ def cmd_thermal(args):
     _, (lo, hi, step) = _parse_grid(args.kappa, parser, lists=False)
     config = ThermalConfig(beta=args.beta, kappa_min=lo, kappa_max=hi,
                            kappa_step=step, M=args.M)
-    physics = _physics(args)
+    physics = _physics(args, args.n0)
     if args.series == "helix-fix-omega":
         if args.omega is None or args.r is None:
             parser.error("helix-fix-omega requires --omega (fixed) and --r (x list)")
@@ -225,12 +230,7 @@ def cmd_thermal(args):
     results = thermal_sweep(entries, physics, config)
     rows = [(x, res.gamma_th) for x, (_, res) in zip(xs, results)]
     text = _csv("x,gamma_th", rows)
-    params = {
-        "series": args.series, "omega": args.omega, "r": args.r,
-        "beta": args.beta, "kappa": args.kappa, "M": args.M,
-        "lambda0": physics.lambda0, "gamma": physics.gamma, "n0": physics.n0,
-    }
-    _write_output(args.output, text, "thermal", params)
+    _write_output(args, text, physics)
     return 0
 
 
@@ -239,13 +239,10 @@ def cmd_discrete_line(args):
     grid, _ = _parse_grid(args.kappa, parser)
     orientation = Orientation(args.orientation)
     k0d = 2.0 * math.pi * args.d_over_lambda
-    params = DiscreteLineParams(k0d=k0d, orientation=orientation)
-    rows = zip(grid, _chain_lamb(params, grid).tolist(), _chain_decay(params, grid).tolist())
+    chain = DiscreteLineParams(k0d=k0d, orientation=orientation)
+    rows = zip(grid, _chain_lamb(chain, grid).tolist(), _chain_decay(chain, grid).tolist())
     text = _csv("kappa,E_over_gamma,Gamma_over_gamma", rows)
-    _write_output(args.output, text, "discrete-line", {
-        "d_over_lambda": args.d_over_lambda, "orientation": args.orientation,
-        "kappa": args.kappa,
-    })
+    _write_output(args, text)
     return 0
 
 
@@ -276,7 +273,7 @@ def _build_cloud(args, parser):
 def cmd_oracle(args):
     parser = args.parser
     cloud = _build_cloud(args, parser)
-    physics = _physics(args)
+    physics = _physics(args, args.n0)
     spect = cloud_spectrum(cloud, physics)
     rows = [
         (j, ev.real, ev.imag, g, e)
@@ -284,14 +281,9 @@ def cmd_oracle(args):
             zip(spect.eigenvalues, spect.gamma_j, spect.lamb_j))
     ]
     text = _csv("j,ev_re,ev_im,gamma_j,lamb_j", rows)
-    params = {
-        "cloud": args.cloud, "generate": args.generate, "n": args.n,
-        "s": args.s, "R": args.R, "b": args.b, "spacing": args.spacing,
-        "lambda0": physics.lambda0, "gamma": physics.gamma, "n0": physics.n0,
-    }
     total = cloud.count * physics.gamma  # the kernel's trace
     residual = abs(math.fsum(spect.eigenvalues.real) - total) / total
-    _write_output(args.output, text, "oracle", params, eigensolve=spect.eigensolve,
+    _write_output(args, text, physics, eigensolve=spect.eigensolve,
                   blas_threads=spect.blas_threads, trace_residual=residual)
     single = 2.0 * physics.gamma
     print(f"emitters: {cloud.count}")
@@ -302,10 +294,10 @@ def cmd_oracle(args):
 
 
 def cmd_fit_estimate(args):
-    physics = _physics(args)
+    physics = _physics(args, args.n0_override)
     fit = fit_helix(load_emitters(args.cloud))
-    if args.n0 is not None:
-        fit = with_density(fit, args.n0)
+    if args.n0_override is not None:
+        fit = with_density(fit, args.n0_override)
     report = estimate(fit, physics)
     pairs = [
         ("R_nm", fit.R),
@@ -325,9 +317,7 @@ def cmd_fit_estimate(args):
     for _, v in pairs:
         _assert_contracted(v)
     text = "".join(f"{k}={_fmt(v)}\n" for k, v in pairs)
-    _write_output(args.output, text, "fit-estimate", {
-        "cloud": args.cloud, "lambda0": physics.lambda0, "n0_override": args.n0,
-    })
+    _write_output(args, text)
     sys.stdout.write(text)
     return 0
 
@@ -412,7 +402,8 @@ def build_parser():
     p = sub.add_parser("fit-estimate",
                        help="fit a helix to a cloud and report estimates")
     p.add_argument("--cloud", required=True, help="emitter cloud file")
-    _add_physics_flags(p)
+    # --n0 replaces the fitted density, so the manifest records it as n0_override
+    _add_physics_flags(p, n0_dest="n0_override")
     _add_output_flag(p)
     p.set_defaults(func=cmd_fit_estimate, parser=p)
 
@@ -431,7 +422,8 @@ def main(argv=None):
         warnings.showwarning = _show_warning
         try:
             return args.func(args)
-        except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+        # a Warning arrives here where a filter such as -W error raises it
+        except (ValueError, OSError, RuntimeError, ArithmeticError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

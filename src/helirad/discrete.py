@@ -26,9 +26,10 @@ from .spectra import MAX_GRID_POINTS, EmitterPhysics, _check_ascending, _window_
 from .specfun import _TWO_PI, _libm, _polylogs
 
 # dense all-eigenvalue solves stay comfortable on a desktop to about here;
-# beyond it memory and O(N^3) time both turn painful.  At the limit a
-# mirrored cloud's two split blocks take 128 MB (cloud_spectrum); any other
-# cloud's kernel and the solve's copy of it, 512 MB
+# beyond it memory and O(N^3) time both turn painful.  At the limit
+# cloud_spectrum holds a mirrored cloud's two split blocks, 128 MB, or any
+# other cloud's kernel, 256 MB, solved in place; oracle_spectrum(matrix)
+# holds the matrix and the solve's copy of it, 512 MB
 ORACLE_SIZE_LIMIT = 4000
 
 
@@ -73,9 +74,11 @@ _KERNEL_ROWS = 8
 def _hold_mmap_threshold():
     """Hold glibc's mmap threshold at its 128 KiB default (a no-op elsewhere).
 
-    Left alone, glibc raises it after each large free, and later N x N arrays
-    come from heap arenas that keep their freed pages resident.  Held, each
-    is unmapped when freed, in whichever thread frees it.
+    Left alone, glibc raises it after each large free, and a later N x N
+    array can come from a heap arena that keeps its pages resident after it
+    is freed: a freed dense kernel stayed resident after cloud_spectrum of
+    random clouds of 1200, 600, 1200 and 600 emitters.  Held, each is
+    unmapped when freed, in whichever thread frees it.
     """
     if _MALLOPT is not None:
         _MALLOPT(-3, 128 * 1024)  # M_MMAP_THRESHOLD

@@ -16,7 +16,7 @@ import pytest
 
 import helirad
 from helirad import discrete
-from helirad.cli import main
+from helirad.cli import build_parser, main
 from helirad.discrete import (
     DiscreteLineParams,
     Orientation,
@@ -162,6 +162,43 @@ def test_manifest_records_run(tmp_path):
     assert man["params"]["kappa"] == "0:1:0.5"
     raw = (tmp_path / "line.csv.manifest.json").read_text()
     assert raw == json.dumps(man, sort_keys=True, indent=2) + "\n"
+
+
+# one small run of each subcommand, with flags off their defaults
+_RULE_RUNS = {
+    "spectrum": ["spectrum", "helix", "--kappa", "0:1:0.5", "--omega", "3",
+                 "--radius", "3", "--M", "2", "--gamma", "2"],
+    "trapped": ["trapped", "--omega", "3", "--kappa-max", "4"],
+    "thermal": ["thermal", "--series", "cylinder", "--r", "1,2", "--kappa", "0:1:0.5",
+                "--beta", "2", "--lambda0", "500"],
+    "discrete-line": ["discrete-line", "--d-over-lambda", "0.1", "--orientation", "par",
+                      "--kappa", "0:1:0.5"],
+    "oracle": ["oracle", "--generate", "helix", "--n", "20", "--R", "11.2", "--b", "7.8",
+               "--spacing", "2", "--n0", "0.25"],
+    "fit-estimate": ["fit-estimate", "--cloud", "CLOUD", "--n0", "1.58", "--gamma", "2"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_RULE_RUNS))
+def test_manifest_params_are_the_parsed_flags(tmp_path, subcommand):
+    cloud = tmp_path / "h.txt"
+    pos = synthetic_helix(11.2, 7.8, 200, turns=10).positions
+    cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
+    out = tmp_path / "out.csv"
+    argv = [str(cloud) if a == "CLOUD" else a for a in _RULE_RUNS[subcommand]]
+    argv += ["--output", str(out)]
+    assert main(argv) == 0
+    parsed = vars(build_parser().parse_args(argv))
+    want = {k: v for k, v in parsed.items()
+            if k not in ("func", "parser", "output", "subcommand")}
+    if "n0" in want:  # the subcommand resolved an EmitterPhysics, n0 = 1/lambda0 by default
+        want["n0"] = want["n0"] or 1.0 / want["lambda0"]
+    man = _manifest(out)
+    assert man["subcommand"] == subcommand
+    assert man["params"] == want
+    if subcommand == "fit-estimate":
+        # --n0 overrides the fitted density, and its key says so
+        assert man["params"]["n0_override"] == 1.58 and "n0" not in man["params"]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -682,6 +719,24 @@ def test_fit_estimate_prints_a_warning_as_one_line(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("warning: rms point-to-curve distance ")
     assert lines[0].endswith(" the helix does not describe the cloud")
+
+
+def test_fit_estimate_warning_raised_as_an_error_exits_one(tmp_path):
+    # under -W error the same FitWarning is raised, and is reported as an error
+    cloud = tmp_path / "h.txt"
+    pos = helix_cloud(200, 11.2, 7.8).positions.tolist()
+    cloud.write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pos))
+    out = tmp_path / "r.txt"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "helirad.cli",
+         "fit-estimate", "--cloud", str(cloud), "--output", str(out)],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: rms point-to-curve distance ")
+    assert proc.stderr.endswith(" the helix does not describe the cloud\n")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_fit_estimate_degenerate_cloud_exits_one(tmp_path, capsys):

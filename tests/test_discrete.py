@@ -456,9 +456,10 @@ for _ in range(2):
 @pytest.mark.skipif(discrete._MALLOPT is None, reason="needs glibc mallopt")
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_repeated_oracle_solves_peak_no_higher(blas_threads):
-    # with glibc's mmap threshold left to rise, N x N arrays came from heap
-    # arenas after the first pass, the worker thread's among them, and kept
-    # their freed pages resident, and the second pass peaked about 2.8 MB higher.
+    # the second pass peaked about 2.8 MB higher while the worker thread
+    # copied the blocks into a heap arena of its own.  The mmap hold no
+    # longer changes this; test_dense_solves_leave_no_freed_kernel_resident
+    # guards the hold.
     # The child's own VmHWM is read, because its ru_maxrss would also count
     # the forking parent's RSS, which is the larger under pytest.
     env = child_env(OPENBLAS_NUM_THREADS=blas_threads)
@@ -468,6 +469,39 @@ def test_repeated_oracle_solves_peak_no_higher(blas_threads):
                               env=env, capture_output=True, text=True, check=True)
         first, second = (int(line) for line in proc.stdout.split())
         assert second - first < 1024, solve  # KiB
+
+
+_RESIDENT_AFTER_DENSE_SOLVES = """
+import re
+import numpy as np
+from helirad.discrete import EmitterCloud, cloud_spectrum
+from helirad.spectra import EmitterPhysics
+def rss():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmRSS:\\s*(\\d+) kB", status.read()).group(1))
+phys = EmitterPhysics(gamma=1.0, lambda0=100.0, n0=1.0)
+rng = np.random.default_rng(0)
+def solve(n):
+    cloud_spectrum(EmitterCloud(rng.uniform(0.0, 50.0, (n, 3))), phys)
+solve(64)
+before = rss()
+for n in (600, 300, 600, 300):
+    solve(n)
+print(rss() - before)
+"""
+
+
+@pytest.mark.skipif(discrete._MALLOPT is None, reason="needs glibc mallopt")
+def test_dense_solves_leave_no_freed_kernel_resident():
+    # A random cloud is not mirrored, so each solve builds and frees its
+    # dense kernel.  Left to rise after the first 600-emitter kernel is
+    # freed, glibc's mmap threshold put the second one in a heap arena,
+    # whose pages stayed resident after the free: the child's resident set
+    # grew by 1.28 x 16 N^2 at N = 600.  With the threshold held, it grows
+    # by 0.27 x, OpenBLAS's buffers, after a first solve has set them up.
+    proc = subprocess.run([sys.executable, "-c", _RESIDENT_AFTER_DENSE_SOLVES],
+                          env=child_env(), capture_output=True, text=True, check=True)
+    assert int(proc.stdout) * 1024 < 0.75 * 16 * 600**2
 
 
 _SOLVE_PEAK = """
