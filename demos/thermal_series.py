@@ -14,16 +14,14 @@ All three meet as x -> 0.
 
 from helirad.spectra import HelixSpec
 from helirad.thermal import ThermalConfig, thermal_sweep
-from helirad.spectra import EmitterPhysics
 
-physics = EmitterPhysics(gamma=0.514, lambda0=280.0, n0=1.0 / 280.0)
 config = ThermalConfig(beta=1.0, kappa_min=0.0, kappa_max=5.0, kappa_step=0.01, M=10)
 
 xs = [0.05, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
 
-fix_omega = thermal_sweep([HelixSpec(Omega=3.0, r=x) for x in xs], physics, config)
-fix_r = thermal_sweep([HelixSpec(Omega=x, r=3.0) for x in xs], physics, config)
-cylinder = thermal_sweep(list(xs), physics, config)
+fix_omega = thermal_sweep([HelixSpec(Omega=3.0, r=x) for x in xs], config)
+fix_r = thermal_sweep([HelixSpec(Omega=x, r=3.0) for x in xs], config)
+cylinder = thermal_sweep(list(xs), config)
 
 print(f"{'x':>6} {'helix Om=3':>12} {'helix r=3':>12} {'cylinder':>12}")
 for x, (_, a), (_, b), (_, c) in zip(xs, fix_omega, fix_r, cylinder):

@@ -2,8 +2,8 @@
 
 Outputs are plain CSV (UTF-8, \\n line endings, 17 significant digits,
 `-inf` for the sentinel) or flat key=value records, always accompanied by a
-`<output>.manifest.json` recording the subcommand, its parsed flags with the
-emitter physics resolved (_write_output), the package version, and a sha256
+`<output>.manifest.json` recording the subcommand, its parsed flags with a
+default n0 resolved (_write_output), the package version, and a sha256
 of the output bytes.  Identical invocations produce byte-identical outputs
 and therefore identical checksums.
 
@@ -65,12 +65,12 @@ _NOT_PARAMS = ("func", "parser", "output", "subcommand")
 def _write_output(args, text, physics=None, **record):
     """Write text to args.output and its manifest; record adds deterministic run facts.
 
-    The manifest's params are every flag the subcommand parsed, with
-    lambda0, gamma and n0 replaced by physics's where it resolved one.
+    The manifest's params are every flag the subcommand parsed, with n0
+    replaced by physics's where it resolved one.
     """
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
     if physics is not None:
-        params.update(lambda0=physics.lambda0, gamma=physics.gamma, n0=physics.n0)
+        params["n0"] = physics.n0
     data = text.encode("utf-8")
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -129,18 +129,15 @@ def _parse_list(text, parser):
 
 
 def _physics(args, n0):
+    gamma = getattr(args, "gamma", 0.514)  # no byte of spectrum or fit-estimate reads it
     if n0 is None:  # 1/lambda0, once EmitterPhysics has checked lambda0
-        n0 = 1.0 / EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0, n0=1.0).lambda0
-    return EmitterPhysics(gamma=args.gamma, lambda0=args.lambda0, n0=n0)
+        n0 = 1.0 / EmitterPhysics(gamma=gamma, lambda0=args.lambda0, n0=1.0).lambda0
+    return EmitterPhysics(gamma=gamma, lambda0=args.lambda0, n0=n0)
 
 
-def _add_physics_flags(p, n0_dest="n0"):
+def _add_lambda0_flag(p):
     p.add_argument("--lambda0", type=float, default=280.0,
                    help="transition wavelength in nm (default 280)")
-    p.add_argument("--gamma", type=float, default=0.514,
-                   help="single-emitter decay rate in 1/ns (default 0.514)")
-    p.add_argument("--n0", type=float, default=None, dest=n0_dest,
-                   help="line density in 1/nm (default 1/lambda0; fit-estimate: the fitted one)")
 
 
 def _add_output_flag(p):
@@ -203,7 +200,6 @@ def cmd_thermal(args):
     _, (lo, hi, step) = _parse_grid(args.kappa, parser, lists=False)
     config = ThermalConfig(beta=args.beta, kappa_min=lo, kappa_max=hi,
                            kappa_step=step, M=args.M)
-    physics = _physics(args, args.n0)
     if args.series == "helix-fix-omega":
         if args.omega is None or args.r is None:
             parser.error("helix-fix-omega requires --omega (fixed) and --r (x list)")
@@ -227,10 +223,10 @@ def cmd_thermal(args):
             parser.error("--omega does not apply to the cylinder series")
         xs = _parse_list(args.r, parser)
         entries = list(xs)
-    results = thermal_sweep(entries, physics, config)
+    results = thermal_sweep(entries, config)
     rows = [(x, res.gamma_th) for x, (_, res) in zip(xs, results)]
     text = _csv("x,gamma_th", rows)
-    _write_output(args, text, physics)
+    _write_output(args, text)
     return 0
 
 
@@ -246,34 +242,36 @@ def cmd_discrete_line(args):
     return 0
 
 
+# the flags each generator reads, in the order of its arguments; only
+# --spacing has a default, so a run cannot tell whether it was given
+_GENERATOR_FLAGS = {"pair": ("s",), "line": ("n", "s"), "ring": ("n", "R"),
+                    "helix": ("n", "R", "b", "spacing")}
+
+
 def _build_cloud(args, parser):
+    source = args.generate or "--cloud"
+    reads = _GENERATOR_FLAGS.get(args.generate, ())
+    extra = [f"--{f}" for f in ("n", "s", "R", "b")
+             if f not in reads and getattr(args, f) is not None]
+    if extra:
+        parser.error(f"{source} takes no {'/'.join(extra)}")
+    missing = [f"--{f}" for f in reads if getattr(args, f) is None]
+    if missing:
+        parser.error(f"{source} requires {', '.join(missing)}")
     if args.cloud is not None:
         return load_emitters(args.cloud)
-    kind = args.generate
-    if kind == "pair":
-        if args.s is None:
-            parser.error("pair requires --s (separation, nm)")
-        return pair_cloud(args.s)
     if args.n is not None:
         # before the generator allocates anything of size n
         check_oracle_size(args.n)
-    if kind == "line":
-        if args.n is None or args.s is None:
-            parser.error("line requires --n (count) and --s (spacing, nm)")
-        return line_cloud(args.n, args.s)
-    if kind == "ring":
-        if args.n is None or args.R is None:
-            parser.error("ring requires --n (count) and --R (radius, nm)")
-        return ring_cloud(args.n, args.R)
-    if args.n is None or args.R is None or args.b is None:
-        parser.error("helix requires --n, --R, and --b")
-    return helix_cloud(args.n, args.R, args.b, spacing=args.spacing)
+    generate = {"pair": pair_cloud, "line": line_cloud, "ring": ring_cloud,
+                "helix": helix_cloud}[args.generate]
+    return generate(*(getattr(args, f) for f in reads))
 
 
 def cmd_oracle(args):
     parser = args.parser
     cloud = _build_cloud(args, parser)
-    physics = _physics(args, args.n0)
+    physics = _physics(args, None)
     spect = cloud_spectrum(cloud, physics)
     rows = [
         (j, ev.real, ev.imag, g, e)
@@ -283,7 +281,7 @@ def cmd_oracle(args):
     text = _csv("j,ev_re,ev_im,gamma_j,lamb_j", rows)
     total = cloud.count * physics.gamma  # the kernel's trace
     residual = abs(math.fsum(spect.eigenvalues.real) - total) / total
-    _write_output(args, text, physics, eigensolve=spect.eigensolve,
+    _write_output(args, text, eigensolve=spect.eigensolve,
                   blas_threads=spect.blas_threads, trace_residual=residual)
     single = 2.0 * physics.gamma
     print(f"emitters: {cloud.count}")
@@ -352,7 +350,9 @@ def build_parser():
     p.add_argument("--order", type=int, default=None, help="cylinder order n")
     p.add_argument("--M", type=int, default=10,
                    help="Lamb-shift truncation half-width (default 10)")
-    _add_physics_flags(p)
+    _add_lambda0_flag(p)
+    p.add_argument("--n0", type=float, default=None,
+                   help="line density in 1/nm (default 1/lambda0)")
     _add_output_flag(p)
     p.set_defaults(func=cmd_spectrum, parser=p)
 
@@ -371,7 +371,6 @@ def build_parser():
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--kappa", default="0:5:0.01", help="grid as min:max:step")
     p.add_argument("--M", type=int, default=10)
-    _add_physics_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_thermal, parser=p)
 
@@ -395,15 +394,19 @@ def build_parser():
     p.add_argument("--b", type=float, default=None, help="pitch, nm")
     p.add_argument("--spacing", type=float, default=1.0,
                    help="helix arc-length spacing, nm (default 1)")
-    _add_physics_flags(p)
+    _add_lambda0_flag(p)
+    p.add_argument("--gamma", type=float, default=0.514,
+                   help="single-emitter decay rate in 1/ns (default 0.514)")
     _add_output_flag(p)
     p.set_defaults(func=cmd_oracle, parser=p)
 
     p = sub.add_parser("fit-estimate",
                        help="fit a helix to a cloud and report estimates")
     p.add_argument("--cloud", required=True, help="emitter cloud file")
+    _add_lambda0_flag(p)
     # --n0 replaces the fitted density, so the manifest records it as n0_override
-    _add_physics_flags(p, n0_dest="n0_override")
+    p.add_argument("--n0", type=float, default=None, dest="n0_override",
+                   help="line density in 1/nm replacing the fitted one (default: the fitted)")
     _add_output_flag(p)
     p.set_defaults(func=cmd_fit_estimate, parser=p)
 

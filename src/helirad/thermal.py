@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 from .spectra import (
     MAX_GRID_POINTS,
-    EmitterPhysics,
     HelixSpec,
     SpectrumTable,
+    _check_ascending,
+    _cylinder_sum,
+    _helix_decay,
+    _helix_lamb,
     _order_window,
-    cylinder_table,
     kappa_grid,
-    sweep,
 )
 
 
@@ -50,6 +51,8 @@ class ThermalConfig:
             raise ValueError("kappa_min must be < kappa_max")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.M < 0:
+            raise ValueError(f"truncation half-width M must be >= 0, got {self.M}")
 
     def grid(self):
         return kappa_grid(self.kappa_min, self.kappa_max, self.kappa_step)
@@ -70,12 +73,35 @@ def _weight(lamb, beta, e_max):
     return -math.expm1(beta * (lamb - e_max))
 
 
+def _average(gamma, lamb, beta) -> ThermalResult:
+    """Weighted average of gamma, summed left to right so repeated runs give the same digits."""
+    finite = [e for e in lamb if math.isfinite(e)]
+    if finite:
+        e_max = max(finite)
+        c = math.exp(-beta * e_max)
+    else:
+        # all-sentinel profile: every weight is 1, the average is uniform
+        e_max = float("-inf")
+        c = float("inf")
+
+    num = 0.0
+    den = 0.0
+    for g, e in zip(gamma, lamb):
+        f = _weight(e, beta, e_max)
+        num += g * f
+        den += f
+    if den == 0.0:
+        raise DegenerateEnsembleError(
+            "all Boltzmann weights vanished (every state sits at E_max); "
+            "the thermal average is undefined for this ensemble"
+        )
+    return ThermalResult(num / den, c, e_max, len(gamma))
+
+
 def thermal_average(table: SpectrumTable, config: ThermalConfig) -> ThermalResult:
     """Weighted average of gamma_norm over the table's kappa grid.
 
-    The table must cover exactly the grid the config describes.  Sums run
-    left to right over ascending kappa so repeated runs reproduce the same
-    digits.
+    The table must cover exactly the grid the config describes.
     """
     pts = table.points
     grid = config.grid()
@@ -86,28 +112,7 @@ def thermal_average(table: SpectrumTable, config: ThermalConfig) -> ThermalResul
     for p, k in zip(pts, grid):
         if abs(p.kappa - k) > 1e-12:
             raise ValueError(f"table kappa {p.kappa} does not match grid node {k}")
-
-    finite = [p.lamb_norm for p in pts if math.isfinite(p.lamb_norm)]
-    if finite:
-        e_max = max(finite)
-        c = math.exp(-config.beta * e_max)
-    else:
-        # all-sentinel profile: every weight is 1, the average is uniform
-        e_max = float("-inf")
-        c = float("inf")
-
-    num = 0.0
-    den = 0.0
-    for p in pts:
-        f = _weight(p.lamb_norm, config.beta, e_max)
-        num += p.gamma_norm * f
-        den += f
-    if den == 0.0:
-        raise DegenerateEnsembleError(
-            "all Boltzmann weights vanished (every state sits at E_max); "
-            "the thermal average is undefined for this ensemble"
-        )
-    return ThermalResult(num / den, c, e_max, len(pts))
+    return _average([p.gamma_norm for p in pts], [p.lamb_norm for p in pts], config.beta)
 
 
 def required_truncation(spec: HelixSpec, config: ThermalConfig) -> int:
@@ -120,17 +125,18 @@ def required_truncation(spec: HelixSpec, config: ThermalConfig) -> int:
     return int(max(0, -lo.min(), hi.max()))
 
 
-def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig):
+def thermal_sweep(entries, config: ThermalConfig):
     """One thermal average per entry.
 
     Each entry is either a HelixSpec or a bare cylinder radius (the n = 0
-    branch).  Helix entries widen the Lamb truncation to whatever the grid
-    needs, so tightly wound and nearly straight helices can share a config;
-    a widening past MAX_GRID_POINTS orders is refused with a message that
-    names it.
+    branch), averaged bit for bit as thermal_average averages its sweep or
+    cylinder_table; no emitter constant enters.  Helix entries widen the
+    Lamb truncation to whatever the grid needs, so tightly wound and nearly
+    straight helices can share a config; a widening past MAX_GRID_POINTS
+    orders is refused with a message that names it.
     Returns [(entry, ThermalResult), ...] in input order.
     """
-    grid = config.grid()
+    grid = _check_ascending(config.grid())
     out = []
     for entry in entries:
         if isinstance(entry, HelixSpec):
@@ -140,8 +146,8 @@ def thermal_sweep(entries, physics: EmitterPhysics, config: ThermalConfig):
                     f"Omega = {entry.Omega}, r = {entry.r}: the kappa grid's endpoints "
                     f"{config.kappa_min} and {config.kappa_max} widen the requested M={config.M} "
                     f"to M={m_eff}, whose 2M + 1 orders are over the limit of {MAX_GRID_POINTS}")
-            table = sweep(grid, entry, physics, M=m_eff)
+            gamma, lamb = _helix_decay(grid, entry), _helix_lamb(grid, entry, m_eff)
         else:
-            table = cylinder_table(grid, 0, float(entry), physics)
-        out.append((entry, thermal_average(table, config)))
+            gamma, lamb = _cylinder_sum(0, grid, float(entry))
+        out.append((entry, _average(gamma.tolist(), lamb.tolist(), config.beta)))
     return out

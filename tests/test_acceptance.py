@@ -226,9 +226,7 @@ def test_criterion_7_thermal_dominance():
                                kappa_step=0.01, M=10)
         # convergence: all three series meet at vanishing radius / pitch ratio
         trio = thermal_sweep(
-            [HelixSpec(Omega=3.0, r=0.05), HelixSpec(Omega=0.05, r=3.0), 0.05],
-            UNIT, config,
-        )
+            [HelixSpec(Omega=3.0, r=0.05), HelixSpec(Omega=0.05, r=3.0), 0.05], config)
         vals = [res.gamma_th for _, res in trio]
         spread = (max(vals) - min(vals)) / min(vals)
         assert spread < 0.05, f"series spread {spread:.3%} at x=0.05: {vals}"
@@ -240,8 +238,8 @@ def test_criterion_7_thermal_dominance():
         # 39.8 against the cylinder's 21.8, so the helix averages 0.2977
         # against 0.3535.
         radii = [1.0, 2.0, 3.0, 5.0, 10.0]
-        helix = thermal_sweep([HelixSpec(Omega=3.0, r=x) for x in radii], UNIT, config)
-        cyl = thermal_sweep(list(radii), UNIT, config)
+        helix = thermal_sweep([HelixSpec(Omega=3.0, r=x) for x in radii], config)
+        cyl = thermal_sweep(list(radii), config)
         failures = []
         for x, (_, h), (_, c) in zip(radii, helix, cyl):
             if h.gamma_th < c.gamma_th:
@@ -255,7 +253,7 @@ def test_criterion_7_thermal_dominance():
         spec = HelixSpec(Omega=3.0, r=0.5)
         table = sweep(config.grid(), spec, UNIT, M=config.M)
         assert thermal_average(table, config).gamma_th == thermal_sweep(
-            [spec], UNIT, config)[0][1].gamma_th
+            [spec], config)[0][1].gamma_th
         edges = (1.0, 2.0, 4.0, 5.0)  # +-1 + 3m inside [0, 5]
         pts = [p for p in table.points[::10]
                if min(abs(p.kappa - e) for e in edges) > 0.15]

@@ -167,15 +167,15 @@ def test_manifest_records_run(tmp_path):
 # one small run of each subcommand, with flags off their defaults
 _RULE_RUNS = {
     "spectrum": ["spectrum", "helix", "--kappa", "0:1:0.5", "--omega", "3",
-                 "--radius", "3", "--M", "2", "--gamma", "2"],
+                 "--radius", "3", "--M", "2", "--lambda0", "500"],
     "trapped": ["trapped", "--omega", "3", "--kappa-max", "4"],
     "thermal": ["thermal", "--series", "cylinder", "--r", "1,2", "--kappa", "0:1:0.5",
-                "--beta", "2", "--lambda0", "500"],
+                "--beta", "2", "--M", "3"],
     "discrete-line": ["discrete-line", "--d-over-lambda", "0.1", "--orientation", "par",
                       "--kappa", "0:1:0.5"],
     "oracle": ["oracle", "--generate", "helix", "--n", "20", "--R", "11.2", "--b", "7.8",
-               "--spacing", "2", "--n0", "0.25"],
-    "fit-estimate": ["fit-estimate", "--cloud", "CLOUD", "--n0", "1.58", "--gamma", "2"],
+               "--spacing", "2", "--gamma", "2"],
+    "fit-estimate": ["fit-estimate", "--cloud", "CLOUD", "--n0", "1.58", "--lambda0", "300"],
 }
 
 
@@ -191,7 +191,7 @@ def test_manifest_params_are_the_parsed_flags(tmp_path, subcommand):
     parsed = vars(build_parser().parse_args(argv))
     want = {k: v for k, v in parsed.items()
             if k not in ("func", "parser", "output", "subcommand")}
-    if "n0" in want:  # the subcommand resolved an EmitterPhysics, n0 = 1/lambda0 by default
+    if subcommand == "spectrum":  # the resolved density, n0 = 1/lambda0 by default
         want["n0"] = want["n0"] or 1.0 / want["lambda0"]
     man = _manifest(out)
     assert man["subcommand"] == subcommand
@@ -222,12 +222,54 @@ def test_grid_syntax(tmp_path):
         assert exc.value.code == 2
 
 
-def test_threads_flag_is_gone(tmp_path):
-    for sub in (["spectrum", "line"], ["thermal", "--series", "cylinder", "--r", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(sub + ["--kappa", "0:1:0.5", "--threads", "2",
-                        "--output", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+_REMOVED_FLAG_RUNS = {
+    "spectrum": ["spectrum", "line", "--kappa", "0:1:0.5"],
+    "thermal": ["thermal", "--series", "cylinder", "--r", "1", "--kappa", "0:1:0.5"],
+    "oracle": ["oracle", "--generate", "pair", "--s", "10"],
+    "fit-estimate": ["fit-estimate", "--cloud", "cloud.txt"],
+}
+
+
+# flags whose values no output of their subcommand read; --threads went with the thread pool
+_REMOVED_FLAGS = [
+    ("spectrum", "--gamma"), ("thermal", "--lambda0"), ("thermal", "--gamma"),
+    ("thermal", "--n0"), ("oracle", "--n0"), ("fit-estimate", "--gamma"),
+    ("spectrum", "--threads"), ("thermal", "--threads"),
+]
+
+
+@pytest.mark.parametrize("subcommand, flag", _REMOVED_FLAGS,
+                         ids=[f"{sub}-{flag[2:]}" for sub, flag in _REMOVED_FLAGS])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, monkeypatch, subcommand, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*_REMOVED_FLAG_RUNS[subcommand], flag, "2", "--output", "x.out"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# each emitter constant a subcommand parses, set off its default, changes its output
+@pytest.mark.parametrize("argv, flag, value", [
+    (["spectrum", "helix", "--omega", "3", "--radius", "3", "--kappa", "0:2:0.1"],
+     "--n0", "0.01"),
+    (["spectrum", "helix", "--omega", "3", "--radius", "3", "--kappa", "0:2:0.1",
+      "--n0", "0.01"], "--lambda0", "300"),
+    (["oracle", "--generate", "pair", "--s", "100"], "--lambda0", "300"),
+    (["oracle", "--generate", "pair", "--s", "100"], "--gamma", "1"),
+    (["fit-estimate", "--cloud", "CLOUD"], "--lambda0", "300"),
+    (["fit-estimate", "--cloud", "CLOUD"], "--n0", "1"),
+], ids=["spectrum-n0", "spectrum-lambda0", "oracle-lambda0", "oracle-gamma",
+        "fit-estimate-lambda0", "fit-estimate-n0"])
+def test_every_physics_flag_changes_the_output(tmp_path, argv, flag, value):
+    cloud = tmp_path / "h.txt"
+    pos = synthetic_helix(11.2, 7.8, 200, turns=10).positions
+    cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
+    argv = [str(cloud) if a == "CLOUD" else a for a in argv]
+    a, b = tmp_path / "a.out", tmp_path / "b.out"
+    assert main([*argv, "--output", str(a)]) == 0
+    assert main([*argv, flag, value, "--output", str(b)]) == 0
+    assert a.read_bytes() != b.read_bytes()
 
 
 @pytest.mark.parametrize("bounds", ["nan:1:0.5", "0:inf:0.5", "0:1:inf"])
@@ -360,9 +402,8 @@ def test_thermal_cylinder_matches_library(tmp_path):
     assert rc == 0
     header, rows = _rows(out)
     assert header == "x,gamma_th"
-    physics = EmitterPhysics(gamma=0.514, lambda0=280.0, n0=1.0 / 280.0)
     config = ThermalConfig(beta=1.0, kappa_min=0.0, kappa_max=0.2, kappa_step=0.1, M=10)
-    want = thermal_sweep([0.5, 3.0], physics, config)
+    want = thermal_sweep([0.5, 3.0], config)
     assert [float(r[0]) for r in rows] == [0.5, 3.0]
     for row, (_, res) in zip(rows, want):
         assert float(row[1]) == res.gamma_th
@@ -397,6 +438,19 @@ def test_thermal_flag_validation(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--series", "helix-fix-r", "--r", "3", "--omega", "0.5,3", "--M", "-5"],
+    ["--series", "cylinder", "--r", "1", "--M", "-7"],
+], ids=["helix", "cylinder"])
+def test_thermal_negative_truncation_exits_one(tmp_path, capsys, argv):
+    # a helix entry once ran at its widened M and recorded the negative one
+    out = tmp_path / "x.csv"
+    assert main(["thermal", *argv, "--kappa", "0:1:0.5", "--output", str(out)]) == 1
+    m = argv[-1]
+    assert capsys.readouterr().err == f"error: truncation half-width M must be >= 0, got {m}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- discrete line
@@ -478,6 +532,15 @@ def test_oracle_flag_validation(tmp_path):
          "--output", out],
         ["oracle", "--generate", "line", "--s", "1", "--output", out],
         ["oracle", "--generate", "helix", "--n", "9", "--R", "1", "--output", out],
+        # generator flags that the source does not read
+        ["oracle", "--generate", "pair", "--s", "10", "--n", "5", "--output", out],
+        ["oracle", "--generate", "pair", "--s", "10", "--R", "3", "--b", "2", "--output", out],
+        ["oracle", "--generate", "line", "--n", "5", "--s", "1", "--R", "3", "--output", out],
+        ["oracle", "--generate", "ring", "--n", "50", "--R", "20", "--s", "3", "--output", out],
+        ["oracle", "--generate", "ring", "--n", "50", "--R", "20", "--b", "9", "--output", out],
+        ["oracle", "--generate", "helix", "--n", "9", "--R", "1", "--b", "2", "--s", "1",
+         "--output", out],
+        ["oracle", "--cloud", "a.txt", "--n", "5", "--output", out],
     ]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
@@ -750,10 +813,9 @@ def test_fit_estimate_degenerate_cloud_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "line", "--kappa", "0:1:0.5"],
-    ["thermal", "--series", "cylinder", "--r", "1", "--kappa", "0:1:0.5"],
     ["oracle", "--generate", "pair", "--s", "1"],
     ["fit-estimate", "--cloud", "cloud.txt"],
-], ids=["spectrum", "thermal", "oracle", "fit-estimate"])
+], ids=["spectrum", "oracle", "fit-estimate"])
 def test_zero_wavelength_is_refused_before_dividing(tmp_path, capsys, monkeypatch, argv):
     # the default n0 = 1/lambda0 once divided by zero first
     monkeypatch.chdir(tmp_path)

@@ -142,7 +142,7 @@ def test_required_truncation_tracks_grid_endpoints():
 def test_thermal_sweep_mixed_entries_keep_order():
     cfg = ThermalConfig(kappa_step=0.05)
     helix = HelixSpec(Omega=3.0, r=2.0)
-    out = thermal_sweep([helix, 2.0], PHYS, cfg)
+    out = thermal_sweep([helix, 2.0], cfg)
     assert [e for e, _ in out] == [helix, 2.0]
     assert all(isinstance(r, ThermalResult) for _, r in out)
     # at r = 2 the helix's extra radiant windows beyond the light line lift
@@ -154,16 +154,25 @@ def test_thermal_sweep_widens_truncation_automatically():
     # Omega = 0.05 over kappa <= 5 needs M = 120; the default config M is 10
     # and sweep would refuse it, so the sweep must widen per entry
     cfg = ThermalConfig(kappa_step=0.05)
-    ((_, res),) = thermal_sweep([HelixSpec(Omega=0.05, r=0.1)], PHYS, cfg)
+    ((_, res),) = thermal_sweep([HelixSpec(Omega=0.05, r=0.1)], cfg)
     assert math.isfinite(res.gamma_th)
     assert res.n_points == len(cfg.grid())
 
 
 def test_cylinder_entry_is_the_order_zero_branch():
     cfg = ThermalConfig(kappa_step=0.05)
-    ((_, res),) = thermal_sweep([2.0], PHYS, cfg)
+    ((_, res),) = thermal_sweep([2.0], cfg)
     want = thermal_average(cylinder_table(cfg.grid(), 0, 2.0, PHYS), cfg)
     assert res == want
+
+
+def test_helix_entry_is_the_widened_sweep():
+    # Omega = 0.5 over kappa <= 5 widens M = 10 to 12: the entry averages that sweep
+    cfg = ThermalConfig(kappa_step=0.05)
+    spec = HelixSpec(Omega=0.5, r=2.0)
+    ((_, res),) = thermal_sweep([spec], cfg)
+    assert required_truncation(spec, cfg) == 12
+    assert res == thermal_average(sweep(cfg.grid(), spec, PHYS, M=12), cfg)
 
 
 def test_config_defaults_and_validation():
@@ -178,3 +187,5 @@ def test_config_defaults_and_validation():
         ThermalConfig(beta=-1.0)
     with pytest.raises(ValueError):
         ThermalConfig(beta=float("inf"))
+    with pytest.raises(ValueError, match="truncation half-width M must be >= 0, got -1"):
+        ThermalConfig(M=-1)
