@@ -59,6 +59,15 @@ def test_deep_truncation_helix_digest(tmp_path):
         "0612917de573439620efda4c9d7620c8e4d59b66b1d06ec993b12c739d0b18ca"
 
 
+def test_deep_truncation_thermal_digest(tmp_path):
+    # Omega = 0.05 widens the series' M to 120; entries of one r share terms
+    out = tmp_path / "thermal_helix_fix_r3_low_omega.csv"
+    assert main(["thermal", "--series", "helix-fix-r", "--r", "3", "--omega", "0.05,0.1,0.2",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "04a109aff73b25ed66e242e1b6bc112f091634953517be9554e8b0e3952af4e9"
+
+
 def _column(name, col):
     lines = (GOLDEN / name).read_text().splitlines()[1:]
     return [line.split(",")[col] for line in lines]
