@@ -75,6 +75,24 @@ def _k0_small(x):
     return math.log(2.0) - EULER_GAMMA - np.log(x)
 
 
+def _distinct(m, x, imaginary) -> tuple:
+    """(first, inverse) over the flattened (m, x bits, imaginary) triples: one element's
+    index per distinct triple, and each element's position among those."""
+    xb = x.ravel().view(np.int64)
+    key = (m.ravel() * 2 + imaginary.ravel()).view(np.uint64)
+    # x bits in any order, then stably by (m, imaginary), so equal triples are
+    # adjacent; keys that fit 16 bits get numpy's radix sort
+    order = np.argsort(xb)
+    order = order[np.argsort(key[order].astype(np.min_scalar_type(key.max(initial=0))),
+                             kind="stable")]
+    xs, ks = xb[order], key[order]
+    new = np.ones(order.shape, dtype=bool)
+    new[1:] = (xs[1:] != xs[:-1]) | (ks[1:] != ks[:-1])
+    inverse = np.empty(order.shape, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def jh_products(m, x, imaginary) -> tuple:
     """(Re, Im) arrays of J_m H_m^(1) over integer orders m and finite magnitudes x >= 0.
 
@@ -83,6 +101,11 @@ def jh_products(m, x, imaginary) -> tuple:
     imaginary scaled I K, zero-argument sentinel) is evaluated only where it
     applies and gives the values jh_product documents.  This is the one place
     the products are formed.
+
+    Within one call each distinct (|m|, x bits, imaginary) triple is formed
+    once and scattered back to every element that holds it.  Every branch
+    and fallback is elementwise, so each element keeps the bits it would get
+    alone.
     """
     from scipy import special
     x = np.asarray(x, dtype=float)
@@ -91,6 +114,9 @@ def jh_products(m, x, imaginary) -> tuple:
         raise ValueError(f"Bessel argument magnitude must be finite and >= 0, got {x[~ok][0]}")
     m, x, imaginary = np.broadcast_arrays(np.abs(np.asarray(m, dtype=np.int64)), x,
                                           np.asarray(imaginary, dtype=bool))
+    shape = x.shape
+    first, inverse = _distinct(m, x, imaginary)
+    m, x, imaginary = m.ravel()[first], x.ravel()[first], imaginary.ravel()[first]
     zero = x == 0.0
     real, imag = ~zero & ~imaginary, ~zero & imaginary
     mr, xr, mi, xi = m[real], x[real], m[imag], x[imag]
@@ -119,7 +145,7 @@ def jh_products(m, x, imaginary) -> tuple:
         q[bad] = np.where(mi[bad] > 0, 0.5 / np.hypot(mi[bad], xi[bad]), _k0_small(xi[bad]))
     im[real] = p
     im[imag] = -(2.0 / math.pi) * q
-    return re, im
+    return re[inverse].reshape(shape), im[inverse].reshape(shape)
 
 
 def jh_product(m: int, x: float, imaginary: bool = False) -> complex:

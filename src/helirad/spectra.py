@@ -229,39 +229,68 @@ def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
     return np.sqrt(np.abs(rad)) * r, rad < 0.0
 
 
-def _jh_sum(kappa, Omega: float, r: float, m_lo: int, m_hi: int, window):
-    """Im of the sum of J_m H_m^(1) over m = m_lo..m_hi, m_lo <= m_hi, per kappa.
+def _jh_sum(kappa, sums) -> np.ndarray:
+    """Im of the sum of J_m H_m^(1) per kappa: one row for each (spec, m_lo, m_hi, window).
 
-    Orders inside kappa's (lo, hi) `window` are real.  Each (rows, orders)
-    block is summed left to right along its orders, so each kappa gets the
-    bits of a one-order-at-a-time loop.
+    Each row sums its helix's orders m_lo..m_hi, m_lo <= m_hi; the orders
+    inside kappa's (lo, hi) `window` are real.  Blocks of consecutive orders
+    walk every row at once, so the terms that rows share (equal r, and
+    kappa - m Omega on the same double) reach one jh_products call, which
+    forms each distinct term once.  Each kappa's sum runs left to right from
+    its first term, and a block adds the running sum into its first column,
+    so each kappa gets the bits of a one-order-at-a-time loop.
     """
     kappa = np.asarray(kappa, dtype=float)
-    m = np.arange(m_lo, m_hi + 1)
-    if kappa.size * m.size > _MAX_TERMS:
-        raise ValueError(f"{kappa.size} kappa points x {m.size} orders make "
-                         f"{kappa.size * m.size} terms, over the limit of {_MAX_TERMS}")
-    out = np.zeros(kappa.shape)
-    step = max(1, _ORDER_BLOCK // m.size)
-    for rows in np.split(np.arange(kappa.size), range(step, kappa.size, step)):
-        real = (window[0][rows, None] <= m) & (m <= window[1][rows, None])
-        im = jh_products(m, *_bessel_arg(kappa[rows, None], m, Omega, r, real))[1]
-        out[rows] = np.cumsum(im, axis=1)[:, -1]
+    spec, lo, hi, window = zip(*sums)
+    lo, hi = np.array(lo), np.array(hi)
+    omega = np.array([s.Omega for s in spec])[:, None, None]
+    r = np.array([s.r for s in spec])[:, None, None]
+    win_lo = np.stack([w[0] for w in window])[:, :, None]
+    win_hi = np.stack([w[1] for w in window])[:, :, None]
+    out = np.zeros((len(sums), kappa.size))
+    step = max(1, _ORDER_BLOCK // len(sums))
+    edges = np.unique(np.concatenate([lo, hi + 1])).tolist()
+    for start in range(0, kappa.size, step):
+        rows = slice(start, start + step)
+        k = kappa[rows, None]
+        for a, b in zip(edges, edges[1:]):  # orders a..b-1 have one set of rows
+            live = np.flatnonzero((lo <= a) & (a <= hi))
+            if not live.size:
+                continue
+            width = max(1, _ORDER_BLOCK // (live.size * k.size))
+            for m0 in range(a, b, width):
+                m = np.arange(m0, min(m0 + width, b))
+                real = (win_lo[live, rows] <= m) & (m <= win_hi[live, rows])
+                im = jh_products(m, *_bessel_arg(k, m, omega[live], r[live], real))[1]
+                begun = lo[live] < m0
+                im[begun, :, 0] += out[live[begun], rows]
+                out[live, rows] = np.cumsum(im, axis=2)[:, :, -1]
     return out
 
 
-def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
+def _lamb_sum(kappa, spec: HelixSpec, M: int) -> tuple:
+    """spec's Lamb sum over orders [-M, M] at each kappa, as a row of _jh_sum.
+
+    Every refusal comes before any term is formed.
+    """
     if M < 0:
         raise ValueError(f"truncation half-width M must be >= 0, got {M}")
     if 2 * M + 1 > MAX_GRID_POINTS:  # before a block of 2M + 1 orders is formed
         raise ValueError(f"truncation half-width M={M} sums 2M + 1 orders, over the limit "
                          f"of {MAX_GRID_POINTS}")
-    m_lo, m_hi = _order_window(kappa_grid, spec.Omega)
+    m_lo, m_hi = _order_window(kappa, spec.Omega)
     cut = (m_lo <= m_hi) & ((m_lo < -M) | (m_hi > M))
     if cut.any():  # reported for the first failing point
         raise ValueError(f"M={M} excludes real-argument orders [{m_lo[cut][0]}, "
                          f"{m_hi[cut][0]}]; raise the truncation")
-    return _jh_sum(kappa_grid, spec.Omega, spec.r, -M, M, (m_lo, m_hi))
+    if m_lo.size * (2 * M + 1) > _MAX_TERMS:
+        raise ValueError(f"{m_lo.size} kappa points x {2 * M + 1} orders make "
+                         f"{m_lo.size * (2 * M + 1)} terms, over the limit of {_MAX_TERMS}")
+    return spec, -M, M, (m_lo, m_hi)
+
+
+def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
+    return _jh_sum(kappa_grid, [_lamb_sum(kappa_grid, spec, M)])[0]
 
 
 def helix_lamb_norm(kappa: float, spec: HelixSpec, M: int = 10) -> float:
@@ -285,7 +314,7 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     lo, hi = _order_window([kappa], spec.Omega)
     if lo[0] > hi[0]:
         return 0.0
-    return float(_jh_sum([kappa], spec.Omega, spec.r, int(lo[0]), int(hi[0]), (lo, hi))[0])
+    return float(_jh_sum([kappa], [(spec, int(lo[0]), int(hi[0]), (lo, hi))])[0, 0])
 
 
 def _cylinder_sum(n: int, kappa, r: float) -> tuple:

@@ -26,7 +26,8 @@ from .spectra import (
     _check_ascending,
     _cylinder_sum,
     _helix_decay,
-    _helix_lamb,
+    _jh_sum,
+    _lamb_sum,
     _order_window,
     kappa_grid,
 )
@@ -133,12 +134,15 @@ def thermal_sweep(entries, config: ThermalConfig):
     cylinder_table; no emitter constant enters.  Helix entries widen the
     Lamb truncation to whatever the grid needs, so tightly wound and nearly
     straight helices can share a config; a widening past MAX_GRID_POINTS
-    orders is refused with a message that names it.
+    orders is refused with a message that names it.  Every helix entry is
+    checked before any term is formed.  The Lamb columns of helix entries
+    of equal r are summed in one pass, which forms each distinct term once.
     Returns [(entry, ThermalResult), ...] in input order.
     """
     grid = _check_ascending(config.grid())
-    out = []
-    for entry in entries:
+    entries = list(entries)
+    sums = {}
+    for i, entry in enumerate(entries):
         if isinstance(entry, HelixSpec):
             m_eff = max(config.M, required_truncation(entry, config))
             if m_eff > config.M and 2 * m_eff + 1 > MAX_GRID_POINTS:
@@ -146,8 +150,16 @@ def thermal_sweep(entries, config: ThermalConfig):
                     f"Omega = {entry.Omega}, r = {entry.r}: the kappa grid's endpoints "
                     f"{config.kappa_min} and {config.kappa_max} widen the requested M={config.M} "
                     f"to M={m_eff}, whose 2M + 1 orders are over the limit of {MAX_GRID_POINTS}")
-            gamma, lamb = _helix_decay(grid, entry), _helix_lamb(grid, entry, m_eff)
+            sums[i] = _lamb_sum(grid, entry, m_eff)
+    lamb = {}
+    for r in {entries[i].r for i in sums}:  # entries of different r share no term
+        same = [i for i in sums if entries[i].r == r]
+        lamb.update(zip(same, _jh_sum(grid, [sums[i] for i in same])))
+    out = []
+    for i, entry in enumerate(entries):
+        if i in lamb:
+            gamma, e = _helix_decay(grid, entry), lamb[i]
         else:
-            gamma, lamb = _cylinder_sum(0, grid, float(entry))
-        out.append((entry, _average(gamma.tolist(), lamb.tolist(), config.beta)))
+            gamma, e = _cylinder_sum(0, grid, float(entry))
+        out.append((entry, _average(gamma.tolist(), e.tolist(), config.beta)))
     return out

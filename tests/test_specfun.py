@@ -185,6 +185,30 @@ def test_jh_products_over_an_order_array_match_each_order_bitwise(imaginary):
     assert np.isneginf(im[m[:, 0] == 0, 0]).all()
 
 
+# (m, x, imaginary) triples that share parts: x = 0.5 in both branches and at
+# orders 3, -3 and 4; x = 0 at m = 0 (the -inf sentinel) in both branches and
+# as -0.0; both fallback bands (J underflowing at (100, 0.08) and (200, 4.87),
+# the scaled I at (100, 0.068) and (200, 4.565)), and m = 0's tiny-argument limit
+SHARED_TRIPLES = [
+    (3, 0.5, False), (3, 0.5, True), (-3, 0.5, False), (-3, 0.5, True), (4, 0.5, False),
+    (0, 0.0, False), (0, 0.0, True), (0, -0.0, False), (2, 0.0, True), (-2, 0.0, False),
+    (100, 0.08, False), (200, 4.87, False), (100, 0.068, True), (200, 4.565, True),
+    (0, 1e-310, False), (0, 1e-310, True), (100, 0.5, True), (7, 4.565, False),
+]
+
+
+def test_jh_products_with_repeated_triples_match_each_element_bitwise():
+    picks = np.random.default_rng(1).integers(len(SHARED_TRIPLES), size=(9, 14))
+    m, x, imaginary = (np.array([[SHARED_TRIPLES[i][k] for i in row] for row in picks])
+                       for k in range(3))
+    re, im = jh_products(m, x, imaginary)
+    want = np.array([[jh_product(*SHARED_TRIPLES[i]) for i in row] for row in picks])
+    assert re.shape == im.shape == picks.shape
+    assert re.tobytes() == want.real.tobytes()
+    assert im.tobytes() == want.imag.tobytes()
+    assert np.isneginf(im[(m == 0) & (x == 0.0)]).all()
+
+
 # band centres where scipy's ive underflows to 0 while kve is finite; the
 # product there was once returned as 0
 @pytest.mark.parametrize("m, x", [(100, 0.068), (200, 4.565), (500, 112.3), (1000, 620.8)])

@@ -434,8 +434,9 @@ SWEEP_CASES = [
 ]
 
 
-# Blocks of 1 and 7 elements, fewer than any case's 2M + 1 orders, give each
-# grid point a block of its own; the default puts many points in one block.
+# Blocks of 1 and 7 elements give each order a block of its own, over one or
+# seven grid points, so every order carries its points' running sums in; the
+# default spans every point and several orders.
 @pytest.mark.parametrize("Omega, r, M, grid", SWEEP_CASES)
 def test_sweep_matches_scalar_reference_bitwise(Omega, r, M, grid, monkeypatch):
     spec = HelixSpec(Omega=Omega, r=r)
@@ -451,6 +452,41 @@ def test_single_point_lamb_sums_its_orders_left_to_right():
     # one row of 4001 orders: a pairwise reduction along it would change the bits
     spec = HelixSpec(Omega=3.0, r=1.0)
     assert helix_lamb_norm(0.5, spec, M=2000).hex() == _scalar_lamb(0.5, spec, 2000).hex()
+
+
+# Stand-in terms whose bits show any other order or start of the sum: a
+# pseudo-random value of its own scale per (order, argument), and all -0.0,
+# whose sum stays -0.0 only when it starts from the first term, not 0.0
+STAND_IN_TERMS = {
+    "scaled": lambda m, x: np.sin(12.9898 * m + 78.233 * x) * 10.0 ** (m % 9 - 4),
+    "negative-zero": lambda m, x: np.full(x.shape, -0.0),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7, 1])
+@pytest.mark.parametrize("terms", sorted(STAND_IN_TERMS))
+def test_lamb_pass_sums_each_kappa_left_to_right_from_its_first_term(terms, block, monkeypatch):
+    # three sums of one r and their own order ranges in one pass, against a
+    # one-order-at-a-time loop over the same terms
+    term = STAND_IN_TERMS[terms]
+    monkeypatch.setattr(spectra, "jh_products", lambda m, x, imaginary: (
+        np.zeros(x.shape), term(*np.broadcast_arrays(m, x))))
+    if block is not None:
+        monkeypatch.setattr(spectra, "_ORDER_BLOCK", block)
+    grid = kappa_grid(0.0, 5.0, 0.25)
+    cases = [(HelixSpec(Omega=0.5, r=3.0), 12), (HelixSpec(Omega=1.0, r=3.0), 10),
+             (HelixSpec(Omega=0.25, r=3.0), 26)]
+    got = spectra._jh_sum(grid, [spectra._lamb_sum(grid, spec, M) for spec, M in cases])
+    for (spec, M), sums in zip(cases, got):
+        m = np.arange(-M, M + 1)
+        lo, hi = spectra._order_window(grid, spec.Omega)
+        x = spectra._bessel_arg(np.asarray(grid)[:, None], m, spec.Omega, spec.r,
+                                (lo[:, None] <= m) & (m <= hi[:, None]))[0]
+        for row, total in zip(term(*np.broadcast_arrays(m, x)).tolist(), sums.tolist()):
+            want = row[0]
+            for t in row[1:]:
+                want += t
+            assert total.hex() == want.hex()
 
 
 def test_reference_cases_reach_both_fallbacks_and_the_sentinel():

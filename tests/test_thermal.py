@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import re
 
 import pytest
 
+from helirad import spectra, thermal
 from helirad.spectra import (
     Classification,
     EigenPoint,
@@ -173,6 +175,41 @@ def test_helix_entry_is_the_widened_sweep():
     ((_, res),) = thermal_sweep([spec], cfg)
     assert required_truncation(spec, cfg) == 12
     assert res == thermal_average(sweep(cfg.grid(), spec, PHYS, M=12), cfg)
+
+
+def test_thermal_sweep_entries_are_each_their_widened_sweep():
+    # the golden Omega list and 0.05, 0.2 at r = 3, which share terms, mixed
+    # with two other radii, a repeated entry and a cylinder
+    cfg = ThermalConfig()
+    entries = [HelixSpec(Omega=o, r=3.0) for o in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0)]
+    entries[3:3] = [HelixSpec(Omega=0.5, r=2.0), 3.0, HelixSpec(Omega=0.05, r=3.0),
+                    HelixSpec(Omega=1.0, r=3.0), HelixSpec(Omega=3.0, r=0.5)]
+    entries.append(HelixSpec(Omega=0.2, r=3.0))
+    out = thermal_sweep(entries, cfg)
+    assert [e for e, _ in out] == entries
+    for entry, res in out:
+        if isinstance(entry, HelixSpec):
+            M = max(cfg.M, required_truncation(entry, cfg))
+            assert res == thermal_average(sweep(cfg.grid(), entry, PHYS, M=M), cfg)
+        else:
+            assert res == thermal_average(cylinder_table(cfg.grid(), 0, entry, PHYS), cfg)
+
+
+@pytest.mark.parametrize("last, message", [
+    (HelixSpec(Omega=1e-5, r=1.0), "Omega = 1e-05, r = 1.0: the kappa grid's endpoints 0.0 and "
+     "5.0 widen the requested M=10 to M=600000, whose 2M + 1 orders are over the limit of "
+     "1000000"),
+    (HelixSpec(Omega=2e-5, r=1.0), "501 kappa points x 600001 orders make 300600501 terms, "
+     "over the limit of 100000000"),
+], ids=["widened-M", "terms"])
+def test_thermal_sweep_refuses_a_series_before_forming_any_term(last, message, monkeypatch):
+    formed = []
+    for module, name in ((spectra, "jh_products"), (thermal, "_helix_decay")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: formed.append(a) or real(*a))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        thermal_sweep([HelixSpec(Omega=3.0, r=3.0), 3.0, last], ThermalConfig())
+    assert formed == []
 
 
 def test_config_defaults_and_validation():
