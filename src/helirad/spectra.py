@@ -230,29 +230,28 @@ def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
 
 
 def _jh_sum(kappa, sums) -> np.ndarray:
-    """Im of the sum of J_m H_m^(1) per kappa: one row for each (spec, m_lo, m_hi, window).
+    """Im of the sum of J_m H_m^(1) per kappa: one row for each (spec, m_lo, m_hi) of sums.
 
     Each row sums its helix's orders m_lo..m_hi, m_lo <= m_hi; the orders
-    inside kappa's (lo, hi) `window` are real.  Blocks of consecutive orders
-    walk every row at once, so the terms that rows share (equal r, and
+    inside kappa's order window are real.  Blocks of consecutive orders walk
+    every row at once, so the terms that rows share (equal r, and
     kappa - m Omega on the same double) reach one jh_products call, which
     forms each distinct term once.  Each kappa's sum runs left to right from
     its first term, and a block adds the running sum into its first column,
     so each kappa gets the bits of a one-order-at-a-time loop.
     """
     kappa = np.asarray(kappa, dtype=float)
-    spec, lo, hi, window = zip(*sums)
+    spec, lo, hi = zip(*sums)
     lo, hi = np.array(lo), np.array(hi)
     omega = np.array([s.Omega for s in spec])[:, None, None]
     r = np.array([s.r for s in spec])[:, None, None]
-    win_lo = np.stack([w[0] for w in window])[:, :, None]
-    win_hi = np.stack([w[1] for w in window])[:, :, None]
     out = np.zeros((len(sums), kappa.size))
     step = max(1, _ORDER_BLOCK // len(sums))
     edges = np.unique(np.concatenate([lo, hi + 1])).tolist()
     for start in range(0, kappa.size, step):
         rows = slice(start, start + step)
         k = kappa[rows, None]
+        window = np.array([_order_window(k[:, 0], s.Omega) for s in spec])[..., None]
         for a, b in zip(edges, edges[1:]):  # orders a..b-1 have one set of rows
             live = np.flatnonzero((lo <= a) & (a <= hi))
             if not live.size:
@@ -260,7 +259,7 @@ def _jh_sum(kappa, sums) -> np.ndarray:
             width = max(1, _ORDER_BLOCK // (live.size * k.size))
             for m0 in range(a, b, width):
                 m = np.arange(m0, min(m0 + width, b))
-                real = (win_lo[live, rows] <= m) & (m <= win_hi[live, rows])
+                real = (window[live, 0] <= m) & (m <= window[live, 1])
                 im = jh_products(m, *_bessel_arg(k, m, omega[live], r[live], real))[1]
                 begun = lo[live] < m0
                 im[begun, :, 0] += out[live[begun], rows]
@@ -286,7 +285,7 @@ def _lamb_sum(kappa, spec: HelixSpec, M: int) -> tuple:
     if m_lo.size * (2 * M + 1) > _MAX_TERMS:
         raise ValueError(f"{m_lo.size} kappa points x {2 * M + 1} orders make "
                          f"{m_lo.size * (2 * M + 1)} terms, over the limit of {_MAX_TERMS}")
-    return spec, -M, M, (m_lo, m_hi)
+    return spec, -M, M
 
 
 def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
@@ -314,7 +313,7 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     lo, hi = _order_window([kappa], spec.Omega)
     if lo[0] > hi[0]:
         return 0.0
-    return float(_jh_sum([kappa], [(spec, int(lo[0]), int(hi[0]), (lo, hi))])[0, 0])
+    return float(_jh_sum([kappa], [(spec, int(lo[0]), int(hi[0]))])[0, 0])
 
 
 def _cylinder_sum(n: int, kappa, r: float) -> tuple:

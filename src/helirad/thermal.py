@@ -151,15 +151,16 @@ def thermal_sweep(entries, config: ThermalConfig):
                     f"{config.kappa_min} and {config.kappa_max} widen the requested M={config.M} "
                     f"to M={m_eff}, whose 2M + 1 orders are over the limit of {MAX_GRID_POINTS}")
             sums[i] = _lamb_sum(grid, entry, m_eff)
-    lamb = {}
+    averages = {}
     for r in {entries[i].r for i in sums}:  # entries of different r share no term
         same = [i for i in sums if entries[i].r == r]
-        lamb.update(zip(same, _jh_sum(grid, [sums[i] for i in same])))
+        for i, lamb in zip(same, _jh_sum(grid, [sums[i] for i in same])):
+            gamma = _helix_decay(grid, entries[i])
+            averages[i] = _average(gamma.tolist(), lamb.tolist(), config.beta)
     out = []
     for i, entry in enumerate(entries):
-        if i in lamb:
-            gamma, e = _helix_decay(grid, entry), lamb[i]
-        else:
-            gamma, e = _cylinder_sum(0, grid, float(entry))
-        out.append((entry, _average(gamma.tolist(), e.tolist(), config.beta)))
+        if i not in averages:
+            gamma, lamb = _cylinder_sum(0, grid, float(entry))
+            averages[i] = _average(gamma.tolist(), lamb.tolist(), config.beta)
+        out.append((entry, averages[i]))
     return out
