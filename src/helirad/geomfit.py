@@ -3,7 +3,7 @@
 Pipeline: principal directions of the centered cloud give axis candidates,
 an algebraic circle fit of the axis-normal projection gives the radius and
 center, and a linear regression of unwrapped azimuth against the axial
-coordinate gives the pitch, phase, and handedness.  A damped least-squares
+coordinate gives the pitch, phase, and handedness.  A Levenberg-Marquardt
 pass over all seven parameters refines the candidates in order of their
 start cost, the lowest first; a later candidate is refined only while its
 start cost is below the best refined cost so far, and the lowest-cost
@@ -30,8 +30,8 @@ from .specfun import _TWO_PI
 from .spectra import _MAX_TERMS, EmitterPhysics, HelixSpec, _helix_decay, _window_orders
 
 _DEGENERACY_RTOL = 1e-10
-# least_squares evaluation cap for one axis; a winner that reaches it gets a
-# FitWarning
+# cap on one axis' residual evaluations (MINPACK counts Jacobian evaluations
+# apart, uncapped); a winner that reaches it gets a FitWarning
 _MAX_NFEV = 2000
 # bisection from a pitch/16 bracket to 1e-12 relative takes about 40 steps
 _CURVE_SEARCH_ITERATIONS = 100
@@ -356,9 +356,9 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
 
     Tries each principal direction of the centered cloud as the axis and
     ranks the viable starts by their residual score.  All seven parameters
-    are refined with a damped least-squares pass on the cylindrical
-    residuals (radial mismatch and radius-scaled wrapped phase mismatch),
-    from the best start and then from each next one while its start cost is
+    are refined by MINPACK's Levenberg-Marquardt with the exact Jacobian of
+    the cylindrical residuals (radial mismatch and radius-scaled wrapped
+    phase mismatch), from the best start and then from each next one while its start cost is
     below the best refined cost; the lowest-cost solution wins.  A winning
     pass that stopped at its evaluation cap gets a FitWarning, and so does
     a winner whose rms_residual exceeds R: every point of the fitted axis
@@ -405,10 +405,13 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
         x0 = np.array([0.0, 0.0, *start])
         # near-eps tolerances with Jacobian scaling: the tilt parameters are
         # orders of magnitude more sensitive than the rest, and a leftover
-        # 1e-10 rad tilt already costs span * tilt in residual
+        # 1e-10 rad tilt already costs span * tilt in residual.  MINPACK
+        # refuses tolerances below eps; at 2 eps its ftol, xtol and gtol
+        # tests fire before the eps-level stops (info 6-8) that scipy does
+        # not map to a status
         sol = scipy.optimize.least_squares(
             _residuals, x0, jac=_jacobian, args=(centered, v0, e1_0, e2_0),
-            method="trf", x_scale="jac", ftol=2 * eps, xtol=2 * eps, gtol=None,
+            method="lm", x_scale="jac", ftol=2 * eps, xtol=2 * eps, gtol=2 * eps,
             max_nfev=_MAX_NFEV,
         )
         if best is None or sol.cost < best[0].cost:

@@ -26,6 +26,7 @@ from helirad.geomfit import (
 from helirad.spectra import EmitterPhysics, HelixSpec, _helix_decay, helix_decay_norm
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 def synthetic_helix(R, b, n, turns, direction=1, phase=0.0, rot=None, shift=None):
@@ -346,11 +347,11 @@ def _reference_point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, ph
 def _reference_fit_all_axes(cloud):
     """(axis, R, b, handedness) from the rule that refines every viable axis.
 
-    Each axis is refined the way fit_helix refines it, with the exact Jacobian.
+    Each axis is refined the way fit_helix refines it: MINPACK's
+    Levenberg-Marquardt with the exact Jacobian.
     """
     centered = cloud.positions - cloud.positions.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    eps = np.finfo(float).eps
     best = None
     for row in vt:
         v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
@@ -360,8 +361,8 @@ def _reference_fit_all_axes(cloud):
         e1_0, e2_0 = geomfit._perp_frame(v0)
         sol = scipy.optimize.least_squares(
             geomfit._residuals, np.array([0.0, 0.0, *cand[1]]), jac=geomfit._jacobian,
-            args=(centered, v0, e1_0, e2_0), method="trf", x_scale="jac",
-            ftol=2 * eps, xtol=2 * eps, gtol=None, max_nfev=2000,
+            args=(centered, v0, e1_0, e2_0), method="lm", x_scale="jac",
+            ftol=2 * EPS, xtol=2 * EPS, gtol=2 * EPS, max_nfev=2000,
         )
         if best is None or sol.cost < best[0].cost:
             best = (sol, v0, e1_0, e2_0)
@@ -649,9 +650,14 @@ class _CountingLeastSquares:
         return sol
 
 
-def test_exact_jacobian_fit_agrees_with_forward_differences(monkeypatch):
-    # the refinement fit_helix made before it had _jacobian: least_squares'
-    # default forward differences, from the starts the fit refined
+# the refinement call fit_helix made before MINPACK's Levenberg-Marquardt:
+# scipy's trust-region reflective loop; gtol=None turns off its gradient test
+_TRF = dict(method="trf", x_scale="jac", ftol=2 * EPS, xtol=2 * EPS, gtol=None, max_nfev=2000)
+
+
+def _assert_fit_agrees_with_refining_its_starts(monkeypatch, rel_tol, axis_tol, **refinement):
+    """fit_helix on the 20 _jittered clouds against least_squares(**refinement)
+    of each start it refined, the lowest-cost solution winning."""
     for seed in range(20):
         cloud = _jittered(seed, sigma=0.05 + 0.01 * (seed % 5))
         counter = _CountingLeastSquares(monkeypatch)
@@ -659,17 +665,28 @@ def test_exact_jacobian_fit_agrees_with_forward_differences(monkeypatch):
         best = None
         for fun, x0, args, kwargs in counter.starts:
             assert kwargs["jac"] is geomfit._jacobian
-            kwargs = {k: v for k, v in kwargs.items() if k != "jac"}
-            sol = counter.real(fun, x0, args=args, **kwargs)
+            sol = counter.real(fun, x0, args=args, **refinement)
             if best is None or sol.cost < best[0].cost:
                 best = (sol, args)
         sol, (_, v0, e1_0, e2_0) = best
         axis = geomfit._frame_of(sol.x, v0, e1_0, e2_0)[0]
         slope = sol.x[5]
-        assert math.isclose(fit.R, sol.x[4], rel_tol=1e-6), seed
-        assert math.isclose(fit.b, TWO_PI / abs(slope), rel_tol=1e-6), seed
-        assert abs(fit.axis_direction @ axis) > 1.0 - 1e-9, seed
+        assert math.isclose(fit.R, sol.x[4], rel_tol=rel_tol), seed
+        assert math.isclose(fit.b, TWO_PI / abs(slope), rel_tol=rel_tol), seed
+        assert abs(fit.axis_direction @ axis) > 1.0 - axis_tol, seed
         assert fit.handedness is (Handedness.RIGHT if slope > 0.0 else Handedness.LEFT), seed
+
+
+def test_exact_jacobian_fit_agrees_with_forward_differences(monkeypatch):
+    # the refinement fit_helix made before it had _jacobian: the trust-region
+    # loop on least_squares' default forward differences
+    _assert_fit_agrees_with_refining_its_starts(monkeypatch, 1e-6, 1e-9, **_TRF)
+
+
+def test_levenberg_marquardt_fit_agrees_with_the_trust_region_refinement(monkeypatch):
+    # the same minimum as the trust-region loop with the exact Jacobian
+    _assert_fit_agrees_with_refining_its_starts(
+        monkeypatch, 1e-9, 1e-12, jac=geomfit._jacobian, **_TRF)
 
 
 def _ranked_start_costs(cloud):
