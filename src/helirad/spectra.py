@@ -316,9 +316,14 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     return float(_jh_sum([kappa], [(spec, int(lo[0]), int(hi[0]))])[0, 0])
 
 
-def _cylinder_sum(n: int, kappa, r: float) -> tuple:
+def _check_radius(r: float) -> float:
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError(f"cylinder radius must be finite and >= 0, got {r}")
+    return r
+
+
+def _cylinder_sum(n: int, kappa, r: float) -> tuple:
+    _check_radius(r)
     return jh_products(n, *_bessel_arg(np.asarray(kappa, dtype=float), 0, 0.0, r, False))
 
 

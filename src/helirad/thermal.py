@@ -24,6 +24,7 @@ from .spectra import (
     HelixSpec,
     SpectrumTable,
     _check_ascending,
+    _check_radius,
     _cylinder_sum,
     _helix_decay,
     _jh_sum,
@@ -134,8 +135,8 @@ def thermal_sweep(entries, config: ThermalConfig):
     cylinder_table; no emitter constant enters.  Helix entries widen the
     Lamb truncation to whatever the grid needs, so tightly wound and nearly
     straight helices can share a config; a widening past MAX_GRID_POINTS
-    orders is refused with a message that names it.  Every helix entry is
-    checked before any term is formed.  The Lamb columns of helix entries
+    orders is refused with a message that names it.  Every entry, helix or
+    cylinder, is checked before any term is formed.  The Lamb columns of helix entries
     of equal r are summed in one pass, which forms each distinct term once.
     Returns [(entry, ThermalResult), ...] in input order.
     """
@@ -151,6 +152,8 @@ def thermal_sweep(entries, config: ThermalConfig):
                     f"{config.kappa_min} and {config.kappa_max} widen the requested M={config.M} "
                     f"to M={m_eff}, whose 2M + 1 orders are over the limit of {MAX_GRID_POINTS}")
             sums[i] = _lamb_sum(grid, entry, m_eff)
+        else:
+            _check_radius(float(entry))
     averages = {}
     for r in {entries[i].r for i in sums}:  # entries of different r share no term
         same = [i for i in sums if entries[i].r == r]

@@ -201,7 +201,9 @@ def test_thermal_sweep_entries_are_each_their_widened_sweep():
      "1000000"),
     (HelixSpec(Omega=2e-5, r=1.0), "501 kappa points x 600001 orders make 300600501 terms, "
      "over the limit of 100000000"),
-], ids=["widened-M", "terms"])
+    (-1.0, "cylinder radius must be finite and >= 0, got -1.0"),
+    (math.nan, "cylinder radius must be finite and >= 0, got nan"),
+], ids=["widened-M", "terms", "cylinder-radius", "cylinder-nan"])
 def test_thermal_sweep_refuses_a_series_before_forming_any_term(last, message, monkeypatch):
     formed = []
     for module, name in ((spectra, "jh_products"), (thermal, "_helix_decay")):
