@@ -358,13 +358,13 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
     ranks the viable starts by their residual score.  All seven parameters
     are refined by MINPACK's Levenberg-Marquardt with the exact Jacobian of
     the cylindrical residuals (radial mismatch and radius-scaled wrapped
-    phase mismatch), from the best start and then from each next one while its start cost is
-    below the best refined cost; the lowest-cost solution wins.  A winning
-    pass that stopped at its evaluation cap gets a FitWarning, and so does
-    a winner whose rms_residual exceeds R: every point of the fitted axis
-    is exactly R from the curve, so points that sit farther from it than
-    that, on average, fit the curve worse than its own axis does and are
-    not a sampling of that helix.
+    phase mismatch), from the best start and then from each next one while
+    its start cost is below the best refined cost; the lowest-cost solution
+    wins.  A winning pass that stopped at its evaluation cap gets a
+    FitWarning, and so does a winner whose rms_residual exceeds R: every
+    point of the fitted axis is exactly R from the curve, so points that
+    sit farther from it than that, on average, fit the curve worse than its
+    own axis does and are not a sampling of that helix.
     """
     import scipy.optimize
     pos = cloud.positions

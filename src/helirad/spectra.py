@@ -316,10 +316,9 @@ def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
     return float(_jh_sum([kappa], [(spec, int(lo[0]), int(hi[0]))])[0, 0])
 
 
-def _check_radius(r: float) -> float:
+def _check_radius(r: float):
     if not (r >= 0.0 and math.isfinite(r)):
         raise ValueError(f"cylinder radius must be finite and >= 0, got {r}")
-    return r
 
 
 def _cylinder_sum(n: int, kappa, r: float) -> tuple:

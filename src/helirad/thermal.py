@@ -136,8 +136,9 @@ def thermal_sweep(entries, config: ThermalConfig):
     Lamb truncation to whatever the grid needs, so tightly wound and nearly
     straight helices can share a config; a widening past MAX_GRID_POINTS
     orders is refused with a message that names it.  Every entry, helix or
-    cylinder, is checked before any term is formed.  The Lamb columns of helix entries
-    of equal r are summed in one pass, which forms each distinct term once.
+    cylinder, is checked before any term is formed.  The Lamb columns of
+    helix entries of equal r are summed in one pass, which forms each
+    distinct term once.
     Returns [(entry, ThermalResult), ...] in input order.
     """
     grid = _check_ascending(config.grid())
