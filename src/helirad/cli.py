@@ -2,9 +2,9 @@
 
 Outputs are plain CSV (UTF-8, \\n line endings, 17 significant digits,
 `-inf` for the sentinel) or flat key=value records, always accompanied by a
-`<output>.manifest.json` recording the subcommand, its parsed flags with a
-default n0 resolved (_write_output), the package version, and a sha256
-of the output bytes.  Identical invocations produce byte-identical outputs
+`<output>.manifest.json` recording the subcommand, the flags at the values
+the run used (_write_output), the package version, and a sha256 of the
+output bytes.  Identical invocations produce byte-identical outputs
 and therefore identical checksums.
 
 Exit codes: 0 when the output was written and every value is finite or the
@@ -62,15 +62,13 @@ def _assert_contracted(value):
 _NOT_PARAMS = ("func", "parser", "output", "subcommand")
 
 
-def _write_output(args, text, physics=None, **record):
+def _write_output(args, text, **record):
     """Write text to args.output and its manifest; record adds deterministic run facts.
 
-    The manifest's params are every flag the subcommand parsed, with n0
-    replaced by physics's where it resolved one.
+    The manifest's params are the namespace the run used: each flag at the
+    value it ran with, None where its mode does not read it (_check_flags).
     """
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
-    if physics is not None:
-        params["n0"] = physics.n0
     data = text.encode("utf-8")
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -144,6 +142,39 @@ def _add_output_flag(p):
     p.add_argument("--output", required=True, help="output file path")
 
 
+# Per subcommand: the flag that picks the mode (None stands for --cloud), and
+# per mode the flags that mode reads, in the order its code takes them.
+_MODES = {
+    "spectrum": ("geometry", {"line": (), "helix": ("omega", "radius", "M"),
+                              "cylinder": ("order", "radius")}),
+    "thermal": ("series", {"helix-fix-omega": ("omega", "r", "M"),
+                           "helix-fix-r": ("r", "omega", "M"), "cylinder": ("r",)}),
+    "oracle": ("generate", {"pair": ("s",), "line": ("n", "s"), "ring": ("n", "R"),
+                            "helix": ("n", "R", "b", "spacing"), None: ()}),
+}
+_DEFAULTS = {"M": 10, "order": 0, "spacing": 1.0}
+
+
+def _check_flags(args):
+    """Refuse each table flag the mode does not read, require each it reads
+    that has no default, and write in the defaults of the rest."""
+    if args.subcommand not in _MODES:
+        return
+    key, modes = _MODES[args.subcommand]
+    mode = getattr(args, key)
+    reads = modes[mode]
+    flags = dict.fromkeys(f for fs in modes.values() for f in fs)
+    extra = [f"--{f}" for f in flags if f not in reads and getattr(args, f) is not None]
+    if extra:
+        args.parser.error(f"{mode or '--cloud'} takes no {'/'.join(extra)}")
+    missing = [f"--{f}" for f in reads if getattr(args, f) is None and f not in _DEFAULTS]
+    if missing:
+        args.parser.error(f"{mode or '--cloud'} requires {', '.join(missing)}")
+    for f in reads:
+        if getattr(args, f) is None:
+            setattr(args, f, _DEFAULTS[f])
+
+
 def _table_rows(table):
     return [
         (p.kappa, p.gamma_norm, p.lamb_norm, p.gamma_over_gamma,
@@ -153,29 +184,18 @@ def _table_rows(table):
 
 
 def cmd_spectrum(args):
-    parser = args.parser
-    grid, _ = _parse_grid(args.kappa, parser)
+    grid, _ = _parse_grid(args.kappa, args.parser)
     physics = _physics(args, args.n0)
+    args.n0 = physics.n0
     if args.geometry == "line":
-        if args.omega is not None or args.radius is not None or args.order is not None:
-            parser.error("line takes no --omega/--radius/--order")
         table = line_table(grid, physics)
     elif args.geometry == "helix":
-        if args.omega is None or args.radius is None:
-            parser.error("helix requires --omega and --radius")
-        if args.order is not None:
-            parser.error("--order applies to cylinder only")
-        spec = HelixSpec(Omega=args.omega, r=args.radius)
-        table = sweep(grid, spec, physics, M=args.M)
+        table = sweep(grid, HelixSpec(Omega=args.omega, r=args.radius), physics, M=args.M)
     else:
-        if args.radius is None:
-            parser.error("cylinder requires --radius")
-        if args.omega is not None:
-            parser.error("--omega applies to helix only")
-        table = cylinder_table(grid, args.order or 0, args.radius, physics)
+        table = cylinder_table(grid, args.order, args.radius, physics)
     text = _csv("kappa,gamma_norm,lamb_norm,gamma_over_gamma,class",
                 _table_rows(table))
-    _write_output(args, text, physics)
+    _write_output(args, text)
     return 0
 
 
@@ -199,30 +219,17 @@ def cmd_thermal(args):
     parser = args.parser
     _, (lo, hi, step) = _parse_grid(args.kappa, parser, lists=False)
     config = ThermalConfig(beta=args.beta, kappa_min=lo, kappa_max=hi,
-                           kappa_step=step, M=args.M)
-    if args.series == "helix-fix-omega":
-        if args.omega is None or args.r is None:
-            parser.error("helix-fix-omega requires --omega (fixed) and --r (x list)")
-        fixed = _parse_list(args.omega, parser)
-        if len(fixed) != 1:
-            parser.error("--omega must be a single value for helix-fix-omega")
-        xs = _parse_list(args.r, parser)
-        entries = [HelixSpec(Omega=fixed[0], r=x) for x in xs]
-    elif args.series == "helix-fix-r":
-        if args.omega is None or args.r is None:
-            parser.error("helix-fix-r requires --r (fixed) and --omega (x list)")
-        fixed = _parse_list(args.r, parser)
-        if len(fixed) != 1:
-            parser.error("--r must be a single value for helix-fix-r")
-        xs = _parse_list(args.omega, parser)
-        entries = [HelixSpec(Omega=x, r=fixed[0]) for x in xs]
+                           kappa_step=step, M=args.M or 0)  # None: a cylinder reads no M
+    if args.series == "cylinder":
+        xs = entries = _parse_list(args.r, parser)
     else:
-        if args.r is None:
-            parser.error("cylinder requires --r (x list)")
-        if args.omega is not None:
-            parser.error("--omega does not apply to the cylinder series")
-        xs = _parse_list(args.r, parser)
-        entries = list(xs)
+        fixed_flag, list_flag, _ = _MODES["thermal"][1][args.series]
+        fixed = _parse_list(getattr(args, fixed_flag), parser)
+        if len(fixed) != 1:
+            parser.error(f"--{fixed_flag} must be a single value for {args.series}")
+        xs = _parse_list(getattr(args, list_flag), parser)
+        specs = [{fixed_flag: fixed[0], list_flag: x} for x in xs]
+        entries = [HelixSpec(Omega=v["omega"], r=v["r"]) for v in specs]
     results = thermal_sweep(entries, config)
     rows = [(x, res.gamma_th) for x, (_, res) in zip(xs, results)]
     text = _csv("x,gamma_th", rows)
@@ -242,22 +249,7 @@ def cmd_discrete_line(args):
     return 0
 
 
-# the flags each generator reads, in the order of its arguments; only
-# --spacing has a default, so a run cannot tell whether it was given
-_GENERATOR_FLAGS = {"pair": ("s",), "line": ("n", "s"), "ring": ("n", "R"),
-                    "helix": ("n", "R", "b", "spacing")}
-
-
-def _build_cloud(args, parser):
-    source = args.generate or "--cloud"
-    reads = _GENERATOR_FLAGS.get(args.generate, ())
-    extra = [f"--{f}" for f in ("n", "s", "R", "b")
-             if f not in reads and getattr(args, f) is not None]
-    if extra:
-        parser.error(f"{source} takes no {'/'.join(extra)}")
-    missing = [f"--{f}" for f in reads if getattr(args, f) is None]
-    if missing:
-        parser.error(f"{source} requires {', '.join(missing)}")
+def _build_cloud(args):
     if args.cloud is not None:
         return load_emitters(args.cloud)
     if args.n is not None:
@@ -265,12 +257,11 @@ def _build_cloud(args, parser):
         check_oracle_size(args.n)
     generate = {"pair": pair_cloud, "line": line_cloud, "ring": ring_cloud,
                 "helix": helix_cloud}[args.generate]
-    return generate(*(getattr(args, f) for f in reads))
+    return generate(*(getattr(args, f) for f in _MODES["oracle"][1][args.generate]))
 
 
 def cmd_oracle(args):
-    parser = args.parser
-    cloud = _build_cloud(args, parser)
+    cloud = _build_cloud(args)
     physics = _physics(args, None)
     spect = cloud_spectrum(cloud, physics)
     rows = [
@@ -344,12 +335,13 @@ def build_parser():
     p.add_argument("geometry", choices=["line", "helix", "cylinder"])
     p.add_argument("--kappa", required=True,
                    help="grid as min:max:step or comma list")
-    p.add_argument("--omega", type=float, default=None, help="helix Omega")
+    p.add_argument("--omega", type=float, default=None, help="Omega (helix)")
     p.add_argument("--radius", type=float, default=None,
-                   help="dimensionless radius r = k0 R")
-    p.add_argument("--order", type=int, default=None, help="cylinder order n")
-    p.add_argument("--M", type=int, default=10,
-                   help="Lamb-shift truncation half-width (default 10)")
+                   help="dimensionless radius r = k0 R (helix, cylinder)")
+    p.add_argument("--order", type=int, default=None,
+                   help="order n (cylinder; default 0)")
+    p.add_argument("--M", type=int, default=None,
+                   help="Lamb-shift truncation half-width (helix; default 10)")
     _add_lambda0_flag(p)
     p.add_argument("--n0", type=float, default=None,
                    help="line density in 1/nm (default 1/lambda0)")
@@ -366,11 +358,13 @@ def build_parser():
     p.add_argument("--series", required=True,
                    choices=["helix-fix-omega", "helix-fix-r", "cylinder"])
     p.add_argument("--omega", default=None,
-                   help="fixed Omega or comma list, per series")
-    p.add_argument("--r", default=None, help="fixed r or comma list, per series")
+                   help="fixed Omega (helix-fix-omega) or comma list (helix-fix-r)")
+    p.add_argument("--r", default=None,
+                   help="fixed r (helix-fix-r) or comma list (helix-fix-omega, cylinder)")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--kappa", default="0:5:0.01", help="grid as min:max:step")
-    p.add_argument("--M", type=int, default=10)
+    p.add_argument("--M", type=int, default=None,
+                   help="Lamb-shift truncation half-width (helix series; default 10)")
     _add_output_flag(p)
     p.set_defaults(func=cmd_thermal, parser=p)
 
@@ -388,12 +382,12 @@ def build_parser():
     source.add_argument("--cloud", default=None, help="emitter cloud file")
     source.add_argument("--generate", choices=["pair", "line", "ring", "helix"],
                         default=None)
-    p.add_argument("--n", type=int, default=None, help="emitter count")
-    p.add_argument("--s", type=float, default=None, help="separation/spacing, nm")
-    p.add_argument("--R", type=float, default=None, help="radius, nm")
-    p.add_argument("--b", type=float, default=None, help="pitch, nm")
-    p.add_argument("--spacing", type=float, default=1.0,
-                   help="helix arc-length spacing, nm (default 1)")
+    p.add_argument("--n", type=int, default=None, help="emitter count (line, ring, helix)")
+    p.add_argument("--s", type=float, default=None, help="separation/spacing, nm (pair, line)")
+    p.add_argument("--R", type=float, default=None, help="radius, nm (ring, helix)")
+    p.add_argument("--b", type=float, default=None, help="pitch, nm (helix)")
+    p.add_argument("--spacing", type=float, default=None,
+                   help="arc-length spacing, nm (helix; default 1)")
     _add_lambda0_flag(p)
     p.add_argument("--gamma", type=float, default=0.514,
                    help="single-emitter decay rate in 1/ns (default 0.514)")
@@ -418,9 +412,12 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    _check_flags(args)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

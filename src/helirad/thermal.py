@@ -80,7 +80,10 @@ def _average(gamma, lamb, beta) -> ThermalResult:
     finite = [e for e in lamb if math.isfinite(e)]
     if finite:
         e_max = max(finite)
-        c = math.exp(-beta * e_max)
+        try:
+            c = math.exp(-beta * e_max)
+        except OverflowError:  # c leaves double range; the weights do not
+            c = float("inf")
     else:
         # all-sentinel profile: every weight is 1, the average is uniform
         e_max = float("-inf")

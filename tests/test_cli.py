@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import helirad
-from helirad import discrete
+from helirad import cli, discrete
 from helirad.cli import build_parser, main
 from helirad.discrete import (
     DiscreteLineParams,
@@ -164,39 +164,47 @@ def test_manifest_records_run(tmp_path):
     assert raw == json.dumps(man, sort_keys=True, indent=2) + "\n"
 
 
-# one small run of each subcommand, with flags off their defaults
+# one small run of each subcommand, with flags off their defaults, and the
+# values the run resolves for flags left to their defaults
 _RULE_RUNS = {
-    "spectrum": ["spectrum", "helix", "--kappa", "0:1:0.5", "--omega", "3",
-                 "--radius", "3", "--M", "2", "--lambda0", "500"],
-    "trapped": ["trapped", "--omega", "3", "--kappa-max", "4"],
-    "thermal": ["thermal", "--series", "cylinder", "--r", "1,2", "--kappa", "0:1:0.5",
-                "--beta", "2", "--M", "3"],
-    "discrete-line": ["discrete-line", "--d-over-lambda", "0.1", "--orientation", "par",
-                      "--kappa", "0:1:0.5"],
-    "oracle": ["oracle", "--generate", "helix", "--n", "20", "--R", "11.2", "--b", "7.8",
-               "--spacing", "2", "--gamma", "2"],
-    "fit-estimate": ["fit-estimate", "--cloud", "CLOUD", "--n0", "1.58", "--lambda0", "300"],
+    "spectrum": (["spectrum", "helix", "--kappa", "0:1:0.5", "--omega", "3",
+                  "--radius", "3", "--M", "2", "--lambda0", "500"], {"n0": 1.0 / 500.0}),
+    "spectrum-cylinder": (["spectrum", "cylinder", "--kappa", "0:1:0.5", "--radius", "2"],
+                          {"n0": 1.0 / 280.0, "order": 0}),
+    "trapped": (["trapped", "--omega", "3", "--kappa-max", "4"], {}),
+    "thermal": (["thermal", "--series", "helix-fix-r", "--r", "1", "--omega", "2,3",
+                 "--kappa", "0:1:0.5", "--beta", "2", "--M", "3"], {}),
+    "thermal-helix-default-M": (["thermal", "--series", "helix-fix-omega", "--omega", "3",
+                                 "--r", "1", "--kappa", "0:1:0.5"], {"M": 10}),
+    "discrete-line": (["discrete-line", "--d-over-lambda", "0.1", "--orientation", "par",
+                       "--kappa", "0:1:0.5"], {}),
+    "oracle": (["oracle", "--generate", "helix", "--n", "20", "--R", "11.2", "--b", "7.8",
+                "--spacing", "2", "--gamma", "2"], {}),
+    "oracle-helix-default-spacing": (["oracle", "--generate", "helix", "--n", "20", "--R",
+                                      "11.2", "--b", "7.8"], {"spacing": 1.0}),
+    "fit-estimate": (["fit-estimate", "--cloud", "CLOUD", "--n0", "1.58", "--lambda0", "300"],
+                     {}),
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(_RULE_RUNS))
-def test_manifest_params_are_the_parsed_flags(tmp_path, subcommand):
+@pytest.mark.parametrize("run", sorted(_RULE_RUNS))
+def test_manifest_params_are_the_parsed_flags(tmp_path, run):
     cloud = tmp_path / "h.txt"
     pos = synthetic_helix(11.2, 7.8, 200, turns=10).positions
     cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
     out = tmp_path / "out.csv"
-    argv = [str(cloud) if a == "CLOUD" else a for a in _RULE_RUNS[subcommand]]
+    argv, resolved = _RULE_RUNS[run]
+    argv = [str(cloud) if a == "CLOUD" else a for a in argv]
     argv += ["--output", str(out)]
     assert main(argv) == 0
     parsed = vars(build_parser().parse_args(argv))
     want = {k: v for k, v in parsed.items()
             if k not in ("func", "parser", "output", "subcommand")}
-    if subcommand == "spectrum":  # the resolved density, n0 = 1/lambda0 by default
-        want["n0"] = want["n0"] or 1.0 / want["lambda0"]
+    want.update(resolved)
     man = _manifest(out)
-    assert man["subcommand"] == subcommand
+    assert man["subcommand"] == argv[0]
     assert man["params"] == want
-    if subcommand == "fit-estimate":
+    if run == "fit-estimate":
         # --n0 overrides the fitted density, and its key says so
         assert man["params"]["n0_override"] == 1.58 and "n0" not in man["params"]
 
@@ -209,6 +217,64 @@ def test_determinism_byte_identical(tmp_path):
     assert main(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert _manifest(a)["sha256"] == _manifest(b)["sha256"]
+
+
+# a valid run of each mode of the subcommands whose mode picks their flags
+_MODE_RUNS = {
+    ("spectrum", "line"): ["spectrum", "line", "--kappa", "0:1:0.5"],
+    ("spectrum", "helix"): ["spectrum", "helix", "--kappa", "0:1:0.5", "--omega", "3",
+                            "--radius", "3"],
+    ("spectrum", "cylinder"): ["spectrum", "cylinder", "--kappa", "0:1:0.5", "--radius", "3"],
+    ("thermal", "helix-fix-omega"): ["thermal", "--series", "helix-fix-omega", "--omega", "3",
+                                     "--r", "1", "--kappa", "0:1:0.5"],
+    ("thermal", "helix-fix-r"): ["thermal", "--series", "helix-fix-r", "--r", "3",
+                                 "--omega", "1", "--kappa", "0:1:0.5"],
+    ("thermal", "cylinder"): ["thermal", "--series", "cylinder", "--r", "1",
+                              "--kappa", "0:1:0.5"],
+    ("oracle", "pair"): ["oracle", "--generate", "pair", "--s", "10"],
+    ("oracle", "line"): ["oracle", "--generate", "line", "--n", "5", "--s", "1"],
+    ("oracle", "ring"): ["oracle", "--generate", "ring", "--n", "5", "--R", "3"],
+    ("oracle", "helix"): ["oracle", "--generate", "helix", "--n", "5", "--R", "3", "--b", "2"],
+    ("oracle", None): ["oracle", "--cloud", "cloud.txt"],
+}
+# a negative M on a series that reads no M once exited 1 as a compute error
+_FLAG_VALUES = {"omega": "3", "radius": "3", "order": "1", "M": "-7", "r": "1", "n": "5",
+                "s": "1", "R": "3", "b": "2", "spacing": "5"}
+_UNREAD_FLAGS = [
+    (sub, mode, flag)
+    for sub, (_, modes) in cli._MODES.items() for mode, reads in modes.items()
+    for flag in dict.fromkeys(f for fs in modes.values() for f in fs) if flag not in reads
+]
+
+
+@pytest.mark.parametrize("subcommand, mode, flag", _UNREAD_FLAGS,
+                         ids=[f"{sub}-{mode or 'cloud'}-{flag}" for sub, mode, flag in _UNREAD_FLAGS])
+def test_flags_a_mode_does_not_read_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                     subcommand, mode, flag):
+    # spectrum line|cylinder --M, thermal cylinder --M and --spacing on any
+    # source but helix once ran as if absent and were recorded as given
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*_MODE_RUNS[subcommand, mode], f"--{flag}", _FLAG_VALUES[flag],
+              "--output", "x.out"])
+    assert exc.value.code == 2
+    assert f"{mode or '--cloud'} takes no --{flag}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
+    # building the parser cost about 1.3 ms, paid by every in-process call
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for name in ("a.csv", "b.csv"):
+        assert main(["spectrum", "line", "--kappa", "0:1:0.5",
+                     "--output", str(tmp_path / name)]) == 0
+    assert calls == []
 
 
 def test_grid_syntax(tmp_path):
@@ -442,8 +508,7 @@ def test_thermal_flag_validation(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--series", "helix-fix-r", "--r", "3", "--omega", "0.5,3", "--M", "-5"],
-    ["--series", "cylinder", "--r", "1", "--M", "-7"],
-], ids=["helix", "cylinder"])
+], ids=["helix"])
 def test_thermal_negative_truncation_exits_one(tmp_path, capsys, argv):
     # a helix entry once ran at its widened M and recorded the negative one
     out = tmp_path / "x.csv"
@@ -451,6 +516,16 @@ def test_thermal_negative_truncation_exits_one(tmp_path, capsys, argv):
     m = argv[-1]
     assert capsys.readouterr().err == f"error: truncation half-width M must be >= 0, got {m}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_thermal_at_large_beta_exits_zero(tmp_path):
+    # e^{-beta E_max} overflows at r = 0.1 (E_max = -0.636); the weights do not
+    out = tmp_path / "c.csv"
+    assert main(["thermal", "--series", "cylinder", "--r", "0.1,3", "--beta", "1e4",
+                 "--output", str(out)]) == 0
+    _, rows = _rows(out)
+    assert [r[0] for r in rows] == ["0.10000000000000001", "3"]
+    assert all(0.0 < float(r[1]) < 1.0 for r in rows)
 
 
 # ---------------------------------------------------------------- discrete line

@@ -1,9 +1,12 @@
-"""README and the package's public names stay in step, and its library tour runs."""
+"""README and the package's public names stay in step, its library tour runs,
+and its command lines parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import helirad
+from helirad import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -26,3 +29,17 @@ def test_readme_library_tour_runs():
     namespace = {}
     for block in ran:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_command_lines_parse():
+    # parsed and checked as main does, without running: a documented flag
+    # that its mode does not read would be a usage error
+    section = README.split("## Command line\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.M | re.S).group(1)
+    argvs = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("helirad ")]
+    assert {argv[0] for argv in argvs} == {"spectrum", "trapped", "thermal", "discrete-line",
+                                           "oracle", "fit-estimate"}
+    parser = cli.build_parser()
+    for argv in argvs:
+        cli._check_flags(parser.parse_args(argv))

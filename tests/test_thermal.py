@@ -117,6 +117,18 @@ def test_all_sentinel_profile_averages_uniformly():
     assert res.c_weight == float("inf")
 
 
+def test_large_beta_reports_an_infinite_c_and_finite_averages():
+    # at r = 0.1, E_max = -0.636, so c = e^{-beta E_max} leaves double range
+    # once beta passes about 1116; the weights 1 - e^{beta (E - E_max)} do not
+    cfg = ThermalConfig(beta=1e4)
+    (_, small), (_, large) = thermal_sweep([0.1, 3.0], cfg)
+    assert small.c_weight == float("inf") and large.c_weight == 0.0
+    ((_, mild),) = thermal_sweep([0.1], dataclasses.replace(cfg, beta=1e3))
+    assert small.E_max == mild.E_max < 0.0
+    gammas = [p.gamma_norm for p in cylinder_table(cfg.grid(), 0, 0.1, PHYS).points]
+    assert min(gammas) <= small.gamma_th <= max(gammas)
+
+
 def test_degenerate_ensembles_raise():
     # beta = 0 with finite shifts: every weight is exactly 0
     with pytest.raises(DegenerateEnsembleError):
