@@ -248,7 +248,7 @@ _UNREAD_FLAGS = [
 
 
 @pytest.mark.parametrize("subcommand, mode, flag", _UNREAD_FLAGS,
-                         ids=[f"{sub}-{mode or 'cloud'}-{flag}" for sub, mode, flag in _UNREAD_FLAGS])
+                         ids=[f"{sub}-{mode or 'cloud'}-{f}" for sub, mode, f in _UNREAD_FLAGS])
 def test_flags_a_mode_does_not_read_are_usage_errors(tmp_path, capsys, monkeypatch,
                                                      subcommand, mode, flag):
     # spectrum line|cylinder --M, thermal cylinder --M and --spacing on any
@@ -263,7 +263,7 @@ def test_flags_a_mode_does_not_read_are_usage_errors(tmp_path, capsys, monkeypat
 
 
 def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
-    # building the parser cost about 1.3 ms, paid by every in-process call
+    # building the parser costs about 1.4 ms, paid by every in-process call
     calls = []
 
     def counting_build_parser():
