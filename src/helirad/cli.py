@@ -23,10 +23,10 @@ from . import __version__
 from .discrete import (
     DiscreteLineParams,
     Orientation,
-    _chain_decay,
-    _chain_lamb,
     check_oracle_size,
     cloud_spectrum,
+    discrete_line_decay,
+    discrete_line_lamb,
     helix_cloud,
     line_cloud,
     pair_cloud,
@@ -243,7 +243,8 @@ def cmd_discrete_line(args):
     orientation = Orientation(args.orientation)
     k0d = 2.0 * math.pi * args.d_over_lambda
     chain = DiscreteLineParams(k0d=k0d, orientation=orientation)
-    rows = zip(grid, _chain_lamb(chain, grid).tolist(), _chain_decay(chain, grid).tolist())
+    rows = zip(grid, discrete_line_lamb(chain, grid).tolist(),
+               discrete_line_decay(chain, grid).tolist())
     text = _csv("kappa,E_over_gamma,Gamma_over_gamma", rows)
     _write_output(args, text)
     return 0

@@ -16,13 +16,14 @@ import contextlib
 import ctypes
 import enum
 import math
+import numbers
 import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import MAX_GRID_POINTS, EmitterPhysics, _check_ascending, _window_sum
+from .spectra import MAX_GRID_POINTS, EmitterPhysics, _check_kappa, _window_sum
 from .specfun import _TWO_PI, _libm, _polylogs
 
 # dense all-eigenvalue solves stay comfortable on a desktop to about here;
@@ -132,53 +133,43 @@ class OracleSpectrum:
     blas_threads: int | None = None  # OpenBLAS threads per solve; None where it cannot be set
 
 
-def _chain_lamb(params: DiscreteLineParams, kappa) -> np.ndarray:
-    """discrete_line_lamb over an ascending kappa grid, one polylog series for all."""
-    d = params.k0d
-    kappa = np.array(_check_ascending(kappa))
-    # rows: the reduced phases of k0 d (1 + kappa) and of k0 d (1 - kappa)
-    t = _libm(math.remainder, [d * (1.0 + kappa), d * (1.0 - kappa)], _TWO_PI)
-    li2, li3 = _polylogs(t)
-    bracket = li3.real.sum(axis=0) + d * li2.imag.sum(axis=0)
-    if params.orientation is Orientation.PARALLEL:
-        return -1.5 * bracket / d**3
-    mod = np.abs(2.0 * _libm(math.sin, 0.5 * t))  # |1 - e^{it}|
-    logs = _libm(lambda m: math.log(m) if m else -math.inf, mod)  # -inf carries to the sum
-    return 0.75 * (bracket + d * d * logs.sum(axis=0)) / d**3
-
-
-def discrete_line_lamb(params: DiscreteLineParams, kappa: float) -> float:
+def discrete_line_lamb(params: DiscreteLineParams, kappa):
     """Collective Lamb shift of the infinite chain, in units of gamma.
 
     The perpendicular orientation carries a log term that diverges whenever
     k0 d (1 +- kappa) is a multiple of 2 pi (so at kappa = +-1 in particular);
     those points are returned as the -inf sentinel.  The parallel shift is
-    finite everywhere.
+    finite everywhere.  One polylog series serves every kappa.
     """
-    return float(_chain_lamb(params, [kappa])[0])
-
-
-def _chain_decay(params: DiscreteLineParams, kappa) -> np.ndarray:
-    """discrete_line_decay over an ascending kappa grid, one window sum for all."""
     d = params.k0d
-    if not (d / math.pi < MAX_GRID_POINTS):  # the order window's 2/Omega bound, named by spacing
-        raise ValueError(f"d/lambda = {d / _TWO_PI:.6g} puts {MAX_GRID_POINTS} or more branches "
-                         f"in the light cone; it must stay below {MAX_GRID_POINTS // 2}")
-    sign = -1.0 if params.orientation is Orientation.PARALLEL else 1.0  # weights 1 -+ q^2
-    # -kappa's window at 2 pi/d: ascending g, |kappa + g 2 pi/d| <= 1; k - 2 pi g/d = -q exactly
-    total = _window_sum(-np.array(_check_ascending(kappa)), _TWO_PI / d,
-                        lambda k, g: 1.0 + sign * np.minimum(np.square(k - _TWO_PI * g / d), 1.0))
-    return 1.5 * math.pi * total / d
+    kappa = _check_kappa(kappa)
+    # rows: the reduced phases of k0 d (1 + kappa) and of k0 d (1 - kappa)
+    t = _libm(math.remainder, [d * (1.0 + kappa), d * (1.0 - kappa)], _TWO_PI)
+    li2, li3 = _polylogs(t)
+    bracket = li3.real.sum(axis=0) + d * li2.imag.sum(axis=0)
+    if params.orientation is Orientation.PARALLEL:
+        return (-1.5 * bracket / d**3)[()]
+    mod = np.abs(2.0 * _libm(math.sin, 0.5 * t))  # |1 - e^{it}|
+    logs = _libm(lambda m: math.log(m) if m else -math.inf, mod)  # -inf carries to the sum
+    return (0.75 * (bracket + d * d * logs.sum(axis=0)) / d**3)[()]
 
 
-def discrete_line_decay(params: DiscreteLineParams, kappa: float) -> float:
+def discrete_line_decay(params: DiscreteLineParams, kappa):
     """Collective decay rate of the infinite chain, in units of gamma.
 
     Sums (3 pi / 2 k0 d)(1 -+ q^2) over the reciprocal-lattice branches
     q = kappa + 2 pi g/(k0 d) that stay inside the light line |q| <= 1;
     zero when no branch qualifies (every such kappa is trapped).
     """
-    return float(_chain_decay(params, [kappa])[0])
+    d = params.k0d
+    if not (d / math.pi < MAX_GRID_POINTS):  # the order window's 2/Omega bound, named by spacing
+        raise ValueError(f"d/lambda = {d / _TWO_PI:.6g} puts {MAX_GRID_POINTS} or more branches "
+                         f"in the light cone; it must stay below {MAX_GRID_POINTS // 2}")
+    sign = -1.0 if params.orientation is Orientation.PARALLEL else 1.0  # weights 1 -+ q^2
+    # -kappa's window at 2 pi/d: ascending g, |kappa + g 2 pi/d| <= 1; k - 2 pi g/d = -q exactly
+    total = _window_sum(-_check_kappa(kappa), _TWO_PI / d,
+                        lambda k, g: 1.0 + sign * np.minimum(np.square(k - _TWO_PI * g / d), 1.0))
+    return 1.5 * math.pi * total / d
 
 
 def _kernel_rows(cloud: EmitterCloud, physics: EmitterPhysics, stop: int, fill=None):
@@ -476,6 +467,8 @@ def _centred_index(count: int) -> np.ndarray:
 
 
 def _check_generator(count, **sizes):
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count}")
     if count < 1:
         raise ValueError("count must be >= 1")
     for name, v in sizes.items():

@@ -27,7 +27,7 @@ import numpy as np
 
 from .discrete import EmitterCloud
 from .specfun import _TWO_PI
-from .spectra import _MAX_TERMS, EmitterPhysics, HelixSpec, _helix_decay, _window_orders
+from .spectra import _MAX_TERMS, EmitterPhysics, HelixSpec, _window_orders, helix_decay_norm
 
 _DEGENERACY_RTOL = 1e-10
 # cap on one axis' residual evaluations (MINPACK counts Jacobian evaluations
@@ -492,7 +492,7 @@ def _peak_decay(spec: HelixSpec) -> float:
         raise ValueError(f"Omega = lambda0/b = {omega:.6g} is too small for the peak-rate "
                          f"search: its {kappa.size} kappa points span {orders} Bessel orders, "
                          f"over the limit of {_MAX_TERMS} terms")
-    return float(_helix_decay(kappa, spec).max())
+    return float(helix_decay_norm(kappa, spec).max())
 
 
 def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:

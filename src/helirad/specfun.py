@@ -42,7 +42,7 @@ def bessel_y(m: int, x: float) -> float:
     """Y_m(x) for integer order and x > 0.
 
     x = 0 is a domain error: Y_m diverges there, and callers that need the
-    limiting behavior (the kappa = +-1 asymptotes) go through jh_product,
+    limiting behavior (the kappa = +-1 asymptotes) go through jh_products,
     which represents it as a sentinel instead.  Negative orders come from
     scipy, which keeps Y_{-m} = (-1)^m Y_m bitwise.
     """
@@ -57,7 +57,7 @@ def bessel_ik(m: int, x: float) -> tuple:
 
     Overflow of either value is raised, never returned as inf: the product
     I_m K_m stays modest even where the factors explode, and callers wanting
-    the product should use jh_product, which evaluates it in scaled form.
+    the product should use jh_products, which evaluates it in scaled form.
     Both are even in m, and scipy returns the same bits for -m as for m.
     """
     if x <= 0.0:
@@ -94,13 +94,20 @@ def _distinct(m, x, imaginary) -> tuple:
 
 
 def jh_products(m, x, imaginary) -> tuple:
-    """(Re, Im) arrays of J_m H_m^(1) over integer orders m and finite magnitudes x >= 0.
+    """(Re, Im) of J_m H_m^(1) over integer orders m and finite magnitudes x >= 0.
 
     m, x and the boolean mask `imaginary` broadcast together: where the mask
-    holds, the magnitude stands for the argument ix.  Each branch (real J Y,
-    imaginary scaled I K, zero-argument sentinel) is evaluated only where it
-    applies and gives the values jh_product documents.  This is the one place
-    the products are formed.
+    holds, the magnitude stands for the argument ix.  Each branch is
+    evaluated only where it applies:
+
+    Real x > 0:       J_m(x)^2 + i J_m(x) Y_m(x)
+    Imaginary ix:     -i (2/pi) I_m(x) K_m(x)   (real part exactly 0)
+    Zero, m = 0:      1 - i*inf (sentinel for the logarithmic divergence)
+    Zero, m != 0:     -i / (|m| pi)
+
+    The product is even in m, so the order is reduced to |m| up front.  This
+    is the one place the products are formed.  Scalars in give float scalars
+    out; otherwise both parts have the broadcast shape.
 
     Within one call each distinct (|m|, x bits, imaginary) triple is formed
     once and scattered back to every element that holds it.  Every branch
@@ -108,11 +115,14 @@ def jh_products(m, x, imaginary) -> tuple:
     alone.
     """
     from scipy import special
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu":  # a cast would truncate 2.7 to order 2
+        raise ValueError(f"Bessel order must be an integer, got {m.flat[0] if m.size else m}")
     x = np.asarray(x, dtype=float)
     ok = (x >= 0.0) & (x < math.inf)  # nan fails both
     if not ok.all():
         raise ValueError(f"Bessel argument magnitude must be finite and >= 0, got {x[~ok][0]}")
-    m, x, imaginary = np.broadcast_arrays(np.abs(np.asarray(m, dtype=np.int64)), x,
+    m, x, imaginary = np.broadcast_arrays(np.abs(m.astype(np.int64)), x,
                                           np.asarray(imaginary, dtype=bool))
     shape = x.shape
     first, inverse = _distinct(m, x, imaginary)
@@ -145,22 +155,7 @@ def jh_products(m, x, imaginary) -> tuple:
         q[bad] = np.where(mi[bad] > 0, 0.5 / np.hypot(mi[bad], xi[bad]), _k0_small(xi[bad]))
     im[real] = p
     im[imag] = -(2.0 / math.pi) * q
-    return re[inverse].reshape(shape), im[inverse].reshape(shape)
-
-
-def jh_product(m: int, x: float, imaginary: bool = False) -> complex:
-    """J_m H_m^(1) at the real argument x, or at ix where `imaginary` holds.
-
-    Real x > 0:       J_m(x)^2 + i J_m(x) Y_m(x)
-    Imaginary ix:     -i (2/pi) I_m(x) K_m(x)   (real part exactly 0)
-    Zero, m = 0:      1 - i*inf (sentinel for the logarithmic divergence)
-    Zero, m != 0:     -i / (|m| pi)
-
-    The product is even in m, so the order is reduced to |m| up front.  The
-    one-element view of jh_products.
-    """
-    re, im = jh_products(m, [x], imaginary)
-    return complex(re[0], im[0])
+    return re[inverse].reshape(shape)[()], im[inverse].reshape(shape)[()]
 
 
 # zeta(3 - k) for k = 0..64, float.hex of scipy's zeta(3), zeta(2) and

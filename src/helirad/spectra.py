@@ -22,6 +22,7 @@ contribute.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,27 +128,32 @@ class SpectrumTable:
     params: dict
 
 
-def _line(grid) -> tuple:
-    """(decay, lamb) arrays of the line over a checked grid: one pass, libm's log."""
-    kappa = np.asarray(grid, dtype=float)
-    v = np.abs((1.0 - kappa) * (1.0 + kappa))
-    lamb = -2.0 * EULER_GAMMA - _libm(lambda a: math.log(a) if a else math.inf, v)
-    return (np.abs(kappa) <= 1.0).astype(float), lamb
+def _check_kappa(kappa) -> np.ndarray:
+    """kappa as a float array, refused where (1 - kappa)(1 + kappa) is not finite."""
+    kappa = np.asarray(kappa, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = kappa[~np.isfinite((1.0 - kappa) * (1.0 + kappa))]
+    if bad.size:  # nan, +-inf, and |kappa| > 1.3e154 where 1 - kappa^2 overflows
+        where = ("with (1 - kappa)(1 + kappa) in double range" if math.isfinite(bad[0])
+                 else "at every grid node")
+        raise ValueError(f"kappa must be finite {where}, got {float(bad[0])}")
+    return kappa
 
 
-def line_decay_norm(kappa: float) -> float:
+def line_decay_norm(kappa):
     """Normalized line decay rate: 1 on |kappa| <= 1 (boundary included), else 0."""
-    return float(_line(_check_ascending([kappa]))[0][0])
+    return (np.abs(_check_kappa(kappa)) <= 1.0).astype(float)[()]
 
 
-def line_lamb_norm(kappa: float) -> float:
-    """Normalized line Lamb shift -2 gamma_E - ln|1 - kappa^2|.
+def line_lamb_norm(kappa):
+    """Normalized line Lamb shift -2 gamma_E - ln|1 - kappa^2|, with libm's log.
 
     The kappa = +-1 divergence is reported as the -inf sentinel, matching the
-    sign convention of the helix/cylinder asymptotes.  The one-element view
-    of the line table's pass.
+    sign convention of the helix/cylinder asymptotes.
     """
-    return float(_line(_check_ascending([kappa]))[1][0])
+    kappa = _check_kappa(kappa)
+    v = np.abs((1.0 - kappa) * (1.0 + kappa))
+    return (-2.0 * EULER_GAMMA - _libm(lambda a: math.log(a) if a else math.inf, v))[()]
 
 
 def _order_window(kappa, Omega: float) -> tuple:
@@ -183,8 +189,10 @@ def _window_orders(kappa, Omega: float) -> tuple:
 def _window_sum(kappa, Omega: float, term):
     """Sum of term(kappa rows, orders) over each kappa's order window, 0 where it is empty.
 
-    Summing C-contiguous rows of (rows, n) blocks gives np.sum's pairwise bits per window."""
+    Summing C-contiguous rows of (rows, n) blocks gives np.sum's pairwise bits per window.
+    The result has kappa's shape."""
     kappa = np.asarray(kappa, dtype=float)
+    shape, kappa = kappa.shape, kappa.ravel()
     m_lo, n, terms = _window_orders(kappa, Omega)
     if terms > _MAX_TERMS:
         raise ValueError(f"the order windows of {kappa.size} kappa points hold {terms} orders in "
@@ -196,23 +204,17 @@ def _window_sum(kappa, Omega: float, term):
         for rows in np.split(points, range(step, len(points), step)):
             m = m_lo[rows, None] + np.arange(length)
             out[rows] = np.sum(term(kappa[rows, None], m), axis=1)
-    return out
+    return out.reshape(shape)[()]
 
 
-def _helix_decay(kappa, spec: HelixSpec):
-    """Sum of J_m^2 over each kappa's order window, 0 where it is empty."""
+def helix_decay_norm(kappa, spec: HelixSpec):
+    """Normalized helix decay rate: sum of J_m^2 over the real-argument orders.
+
+    Zero exactly when no order qualifies (the trapped condition).
+    """
     from scipy import special
     return _window_sum(kappa, spec.Omega, lambda k, m: np.square(
         special.jv(m, _bessel_arg(k, m, spec.Omega, spec.r, True)[0])))
-
-
-def helix_decay_norm(kappa: float, spec: HelixSpec) -> float:
-    """Normalized helix decay rate: sum of J_m^2 over the real-argument orders.
-
-    Zero exactly when no order qualifies (the trapped condition).  The
-    one-element view of the grid-wide decay column.
-    """
-    return float(_helix_decay([kappa], spec)[0])
 
 
 def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
@@ -267,13 +269,19 @@ def _jh_sum(kappa, sums) -> np.ndarray:
     return out
 
 
+def _check_truncation(M):
+    if not isinstance(M, numbers.Integral):  # range() would refuse it mid-pass
+        raise ValueError(f"truncation half-width M must be an integer, got {M}")
+    if M < 0:
+        raise ValueError(f"truncation half-width M must be >= 0, got {M}")
+
+
 def _lamb_sum(kappa, spec: HelixSpec, M: int) -> tuple:
     """spec's Lamb sum over orders [-M, M] at each kappa, as a row of _jh_sum.
 
     Every refusal comes before any term is formed.
     """
-    if M < 0:
-        raise ValueError(f"truncation half-width M must be >= 0, got {M}")
+    _check_truncation(M)
     if 2 * M + 1 > MAX_GRID_POINTS:  # before a block of 2M + 1 orders is formed
         raise ValueError(f"truncation half-width M={M} sums 2M + 1 orders, over the limit "
                          f"of {MAX_GRID_POINTS}")
@@ -288,11 +296,7 @@ def _lamb_sum(kappa, spec: HelixSpec, M: int) -> tuple:
     return spec, -M, M
 
 
-def _helix_lamb(kappa_grid, spec: HelixSpec, M: int):
-    return _jh_sum(kappa_grid, [_lamb_sum(kappa_grid, spec, M)])[0]
-
-
-def helix_lamb_norm(kappa: float, spec: HelixSpec, M: int = 10) -> float:
+def helix_lamb_norm(kappa, spec: HelixSpec, M: int = 10):
     """Truncated helix Lamb shift: Im J_m H_m^(1) summed over m in [-M, M].
 
     The order window's (real-argument) orders contribute J_m Y_m, the rest
@@ -300,7 +304,9 @@ def helix_lamb_norm(kappa: float, spec: HelixSpec, M: int = 10) -> float:
     -inf sentinel when the m = 0 term hits its zero-argument divergence
     (kappa = +-1, up to the window's snap).
     """
-    return float(_helix_lamb([kappa], spec, M)[0])
+    kappa = np.asarray(kappa, dtype=float)
+    flat = kappa.ravel()
+    return _jh_sum(flat, [_lamb_sum(flat, spec, M)])[0].reshape(kappa.shape)[()]
 
 
 def helix_lamb_upper_bound(kappa: float, spec: HelixSpec) -> float:
@@ -321,12 +327,7 @@ def _check_radius(r: float):
         raise ValueError(f"cylinder radius must be finite and >= 0, got {r}")
 
 
-def _cylinder_sum(n: int, kappa, r: float) -> tuple:
-    _check_radius(r)
-    return jh_products(n, *_bessel_arg(np.asarray(kappa, dtype=float), 0, 0.0, r, False))
-
-
-def cylinder_norms(n: int, kappa: float, r: float) -> tuple:
+def cylinder_norms(n: int, kappa, r: float) -> tuple:
     """Dimensionless cylinder structure factors (gamma_norm, lamb_norm).
 
     gamma_norm = J_n^2 of the radial argument for |kappa| <= 1 and exactly 0
@@ -334,8 +335,10 @@ def cylinder_norms(n: int, kappa: float, r: float) -> tuple:
     -(2/pi) I_n K_n outside.  These are the n-th order analogues of the
     single-order helix terms and share their normalization.
     """
-    g, e = _cylinder_sum(n, _check_ascending([kappa]), r)
-    return float(g[0]), float(e[0])
+    kappa = _check_kappa(kappa)
+    _check_radius(r)
+    g, e = jh_products(n, *_bessel_arg(kappa.ravel(), 0, 0.0, r, False))
+    return g.reshape(kappa.shape)[()], e.reshape(kappa.shape)[()]
 
 
 def cylinder_eigen(n: int, kappa: float, r: float, physics: EmitterPhysics) -> tuple:
@@ -383,14 +386,9 @@ def classify(kappa: float, spec: HelixSpec, physics: EmitterPhysics, M: int = 10
     return sweep([kappa], spec, physics, M).points[0]
 
 
-def _check_ascending(kappa_grid):
-    grid = [float(k) for k in kappa_grid]
-    bad = [k for k in grid if not math.isfinite((1.0 - k) * (1.0 + k))]
-    if bad:  # nan, +-inf, and |kappa| > 1.3e154 where 1 - kappa^2 overflows
-        where = ("with (1 - kappa)(1 + kappa) in double range" if math.isfinite(bad[0])
-                 else "at every grid node")
-        raise ValueError(f"kappa must be finite {where}, got {bad[0]}")
-    if any(b < a for a, b in zip(grid, grid[1:])):
+def _check_ascending(kappa_grid) -> np.ndarray:
+    grid = _check_kappa(kappa_grid).ravel()
+    if np.any(grid[1:] < grid[:-1]):
         raise ValueError("kappa grid must be sorted ascending")
     return grid
 
@@ -398,7 +396,7 @@ def _check_ascending(kappa_grid):
 def _table(grid, gamma, lamb, physics, geometry, params,
            lamb_normalization=HELIX_LAMB_NORMALIZATION) -> SpectrumTable:
     points = []
-    for kappa, g, e in zip(grid, gamma, lamb):
+    for kappa, g, e in zip(grid.tolist(), gamma.tolist(), lamb.tolist()):
         # gamma/gamma_single against the strict 0/1 thresholds
         gog = physics.n0 * physics.lambda0 * g
         if gog == 0.0:
@@ -414,22 +412,21 @@ def _table(grid, gamma, lamb, physics, geometry, params,
 def sweep(kappa_grid, spec: HelixSpec, physics: EmitterPhysics, M: int = 10) -> SpectrumTable:
     """Helix eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-    return _table(grid, _helix_decay(grid, spec).tolist(), _helix_lamb(grid, spec, M).tolist(),
+    return _table(grid, helix_decay_norm(grid, spec), helix_lamb_norm(grid, spec, M),
                   physics, "helix", {"Omega": spec.Omega, "r": spec.r, "M": M})
 
 
 def line_table(kappa_grid, physics: EmitterPhysics) -> SpectrumTable:
     """Line eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-    g, e = _line(grid)
-    return _table(grid, g.tolist(), e.tolist(), physics, "line", {}, LINE_LAMB_NORMALIZATION)
+    return _table(grid, line_decay_norm(grid), line_lamb_norm(grid), physics, "line", {},
+                  LINE_LAMB_NORMALIZATION)
 
 
 def cylinder_table(kappa_grid, n: int, r: float, physics: EmitterPhysics) -> SpectrumTable:
     """Cylinder order-n eigenpoints over an ascending kappa grid."""
     grid = _check_ascending(kappa_grid)
-    g, e = _cylinder_sum(n, grid, r)
-    return _table(grid, g.tolist(), e.tolist(), physics, "cylinder", {"n": n, "r": r})
+    return _table(grid, *cylinder_norms(n, grid, r), physics, "cylinder", {"n": n, "r": r})
 
 
 def kappa_grid(lo: float, hi: float, step: float):

@@ -23,13 +23,14 @@ from .spectra import (
     MAX_GRID_POINTS,
     HelixSpec,
     SpectrumTable,
-    _check_ascending,
+    _check_kappa,
     _check_radius,
-    _cylinder_sum,
-    _helix_decay,
+    _check_truncation,
     _jh_sum,
     _lamb_sum,
     _order_window,
+    cylinder_norms,
+    helix_decay_norm,
     kappa_grid,
 )
 
@@ -53,8 +54,7 @@ class ThermalConfig:
             raise ValueError("kappa_min must be < kappa_max")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.M < 0:
-            raise ValueError(f"truncation half-width M must be >= 0, got {self.M}")
+        _check_truncation(self.M)
 
     def grid(self):
         return kappa_grid(self.kappa_min, self.kappa_max, self.kappa_step)
@@ -96,10 +96,10 @@ def _average(gamma, lamb, beta) -> ThermalResult:
         num += g * f
         den += f
     if den == 0.0:
-        raise DegenerateEnsembleError(
-            "all Boltzmann weights vanished (every state sits at E_max); "
-            "the thermal average is undefined for this ensemble"
-        )
+        cause = ("at beta = 0 every finite shift has weight -expm1(0) = 0" if beta == 0.0
+                 else "every state sits at E_max")
+        raise DegenerateEnsembleError(f"all Boltzmann weights vanished ({cause}); "
+                                      "the thermal average is undefined for this ensemble")
     return ThermalResult(num / den, c, e_max, len(gamma))
 
 
@@ -140,11 +140,11 @@ def thermal_sweep(entries, config: ThermalConfig):
     straight helices can share a config; a widening past MAX_GRID_POINTS
     orders is refused with a message that names it.  Every entry, helix or
     cylinder, is checked before any term is formed.  The Lamb columns of
-    helix entries of equal r are summed in one pass, which forms each
-    distinct term once.
+    all helix entries are summed in one pass, which forms each distinct
+    term once.
     Returns [(entry, ThermalResult), ...] in input order.
     """
-    grid = _check_ascending(config.grid())
+    grid = _check_kappa(config.grid())
     entries = list(entries)
     sums = {}
     for i, entry in enumerate(entries):
@@ -158,16 +158,12 @@ def thermal_sweep(entries, config: ThermalConfig):
             sums[i] = _lamb_sum(grid, entry, m_eff)
         else:
             _check_radius(float(entry))
-    averages = {}
-    for r in {entries[i].r for i in sums}:  # entries of different r share no term
-        same = [i for i in sums if entries[i].r == r]
-        for i, lamb in zip(same, _jh_sum(grid, [sums[i] for i in same])):
-            gamma = _helix_decay(grid, entries[i])
-            averages[i] = _average(gamma.tolist(), lamb.tolist(), config.beta)
+    lambs = dict(zip(sums, _jh_sum(grid, list(sums.values())))) if sums else {}
     out = []
     for i, entry in enumerate(entries):
-        if i not in averages:
-            gamma, lamb = _cylinder_sum(0, grid, float(entry))
-            averages[i] = _average(gamma.tolist(), lamb.tolist(), config.beta)
-        out.append((entry, averages[i]))
+        if i in lambs:
+            gamma, lamb = helix_decay_norm(grid, entry), lambs[i]
+        else:
+            gamma, lamb = cylinder_norms(0, grid, float(entry))
+        out.append((entry, _average(gamma.tolist(), lamb.tolist(), config.beta)))
     return out

@@ -1,0 +1,116 @@
+"""The closed forms' array contract, and the private names the modules share."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helirad.discrete import DiscreteLineParams, Orientation, discrete_line_decay, discrete_line_lamb
+from helirad.specfun import jh_products
+from helirad.spectra import (
+    HelixSpec,
+    cylinder_norms,
+    helix_decay_norm,
+    helix_lamb_norm,
+    line_decay_norm,
+    line_lamb_norm,
+)
+
+SPEC = HelixSpec(Omega=3.0, r=3.0)
+QUARTER = 2.0 * math.pi * 0.25  # k0 d at d/lambda = 1/4: branches 4 apart in kappa
+PAR = DiscreteLineParams(QUARTER, Orientation.PARALLEL)
+PERP = DiscreteLineParams(QUARTER, Orientation.PERPENDICULAR)
+
+# (function of one argument, its points): each list holds the -inf sentinel,
+# a band edge and a point where the decay is exactly 0 (trapped), out of order
+CLOSED_FORMS = {
+    "line_decay_norm": (line_decay_norm, [1.5, -1.0, 0.25, 1.0, -3.0, 0.0]),
+    "line_lamb_norm": (line_lamb_norm, [1.5, -1.0, 0.25, 1.0, -3.0, 0.0]),
+    "helix_decay_norm": (lambda k: helix_decay_norm(k, SPEC),
+                         [1.5, 2.0, -1.0, 1.0 + 1e-11, 4.0, 0.3, 1.0, -2.5]),
+    "helix_lamb_norm": (lambda k: helix_lamb_norm(k, SPEC, M=10),
+                        [1.5, 2.0, -1.0, 1.0 + 1e-11, 4.0, 0.3, 1.0, -2.5]),
+    "cylinder_norms": (lambda k: cylinder_norms(0, k, 3.0), [1.5, -1.0, 0.5, 1.0, -0.2, 4.0]),
+    "discrete_line_lamb": (lambda k: (discrete_line_lamb(PAR, k), discrete_line_lamb(PERP, k)),
+                           [2.0, 3.0, -1.0, 0.4, 1.0, -2.0, 5.0, 0.0]),
+    "discrete_line_decay": (lambda k: (discrete_line_decay(PAR, k), discrete_line_decay(PERP, k)),
+                            [2.0, 3.0, -1.0, 0.4, 1.0, -2.0, 5.0, 0.0]),
+    # the magnitude x takes kappa's place: x = 0 at m = 0 is the sentinel,
+    # 1e-310 takes m = 0's tiny-argument form and order 200 its fallbacks
+    "jh_products": (lambda x: jh_products(0, x, False) + jh_products(200, x, True),
+                    [4.87, 0.0, 1e-310, 2.404825557695773, 800.0, 1e-8]),
+}
+
+
+def _parts(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_array_results_are_the_scalar_results_in_the_arguments_shape(name):
+    f, points = CLOSED_FORMS[name]
+    whole = _parts(f(np.array(points)))
+    for k, point in enumerate(points):
+        for part, value in zip(whole, _parts(f(point))):
+            assert np.shape(value) == part.shape[:-1]
+            assert np.asarray(value).tobytes() == part[..., k].tobytes(), (name, point)
+    square = _parts(f(np.array(points[:4]).reshape(2, 2)))
+    for part, flat in zip(square, whole):
+        assert part.shape == flat.shape[:-1] + (2, 2)
+        assert part.tobytes() == np.ascontiguousarray(flat[..., :4]).tobytes()
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_a_float_argument_gives_a_float(name):
+    f, points = CLOSED_FORMS[name]
+    for value in _parts(f(points[2])):
+        assert isinstance(value, float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_a_non_finite_argument_in_an_array_is_refused_as_the_scalar_is(name, bad):
+    f, points = CLOSED_FORMS[name]
+    with pytest.raises(ValueError) as scalar:
+        f(bad)
+    grid = np.array(points)
+    grid[len(points) // 2] = bad
+    with pytest.raises(ValueError) as array:
+        f(grid.reshape(2, -1))
+    assert str(array.value) == str(scalar.value)
+    assert str(bad) in str(scalar.value)
+
+
+# every underscore name that one module of the package imports from another:
+# the package's private surface, pinned so that a new one shows in review
+PRIVATE_IMPORTS = {
+    ("discrete", "specfun", "_TWO_PI"),
+    ("discrete", "specfun", "_libm"),
+    ("discrete", "specfun", "_polylogs"),
+    ("discrete", "spectra", "_check_kappa"),
+    ("discrete", "spectra", "_window_sum"),
+    ("geomfit", "specfun", "_TWO_PI"),
+    ("geomfit", "spectra", "_MAX_TERMS"),
+    ("geomfit", "spectra", "_window_orders"),
+    ("spectra", "specfun", "_TWO_PI"),
+    ("spectra", "specfun", "_libm"),
+    ("thermal", "spectra", "_check_kappa"),
+    ("thermal", "spectra", "_check_radius"),
+    ("thermal", "spectra", "_check_truncation"),
+    ("thermal", "spectra", "_jh_sum"),
+    ("thermal", "spectra", "_lamb_sum"),
+    ("thermal", "spectra", "_order_window"),
+}
+
+
+def test_modules_share_only_the_pinned_private_names():
+    package = Path(__file__).resolve().parents[1] / "src" / "helirad"
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update((path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert found == PRIVATE_IMPORTS

@@ -205,9 +205,9 @@ def test_decay_matches_the_per_branch_reference_bitwise(d_over_lambda):
         p = _params(2.0 * math.pi * d_over_lambda, perp)
         decay = [_reference_decay(p, k).hex() for k in grid]
         assert [discrete_line_decay(p, k).hex() for k in grid] == decay
-        assert [v.hex() for v in discrete._chain_decay(p, grid).tolist()] == decay
+        assert [v.hex() for v in discrete.discrete_line_decay(p, grid).tolist()] == decay
         lamb = [_reference_lamb(p, k).hex() for k in grid]
-        assert [v.hex() for v in discrete._chain_lamb(p, grid).tolist()] == lamb
+        assert [v.hex() for v in discrete.discrete_line_lamb(p, grid).tolist()] == lamb
         assert (float("-inf").hex() in lamb) is perp
         # the public scalar is a one-element view of the same pass
         assert [discrete_line_lamb(p, k).hex() for k in grid[::37]] == lamb[::37]
@@ -228,7 +228,7 @@ def test_decay_matches_an_fsum_reference(d_over_lambda):
             q2 = [min((kappa + 2.0 * math.pi * g / d) ** 2, 1.0) for g in range(g_lo, g_hi + 1)]
             want.append(1.5 * math.pi * math.fsum(1.0 + v if perp else 1.0 - v for v in q2) / d)
         want = np.array(want)
-        got = discrete._chain_decay(p, grid)
+        got = discrete.discrete_line_decay(p, grid)
         assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
 
 
@@ -340,8 +340,8 @@ def test_lamb_orientation_average_is_the_scalar_chain(h):
     log_p = np.log(np.abs(2.0 * np.sin((1.0 + kappa) * h / 2.0)))
     log_m = np.log(np.abs(2.0 * np.sin((1.0 - kappa) * h / 2.0)))
     closed = (log_p + log_m) / (2.0 * h)
-    average = (discrete._chain_lamb(_params(h), kappa) / 3.0
-               + 2.0 * discrete._chain_lamb(_params(h, perp=True), kappa) / 3.0)
+    average = (discrete.discrete_line_lamb(_params(h), kappa) / 3.0
+               + 2.0 * discrete.discrete_line_lamb(_params(h, perp=True), kappa) / 3.0)
     # the two orientations' Li3 brackets, each at most 2 zeta(3) + 2.03 h
     # (|Cl2| <= 1.0149), cancel in the average after division by h^3; a few
     # roundings of those and of the logs bound the gap (measured 1.5 eps)
@@ -366,7 +366,7 @@ def test_decay_brillouin_zone_mean_is_the_lone_emitter_rate(h, perp):
     # of 3 pi/2h, costing at most 3 dk/8 each
     n = 200_000
     dk = TWO_PI / h / n
-    rate = discrete._chain_decay(_params(h, perp), np.linspace(-math.pi / h, math.pi / h, n + 1))
+    rate = discrete.discrete_line_decay(_params(h, perp), np.linspace(-math.pi / h, math.pi / h, n + 1))
     mean = math.fsum(rate[1:-1]) / n + 0.5 * (rate[0] + rate[-1]) / n
     bound = (3.0 * dk / 4.0 if perp else 0.0) + 3.0 * dk * dk / 8.0 + 1e-12
     assert abs(mean - 1.0) <= bound, (mean, bound)
@@ -387,8 +387,8 @@ def test_decay_orientation_average_is_the_scalar_chain(h):
     # kappa on a light line would leave the branch count to rounding
     assert np.min(np.abs(np.abs(q) - 1.0)) > 1e-6
     branches = np.count_nonzero(np.abs(q) <= 1.0, axis=0)
-    average = (discrete._chain_decay(_params(h), kappa) / 3.0
-               + 2.0 * discrete._chain_decay(_params(h, perp=True), kappa) / 3.0)
+    average = (discrete.discrete_line_decay(_params(h), kappa) / 3.0
+               + 2.0 * discrete.discrete_line_decay(_params(h, perp=True), kappa) / 3.0)
     assert np.allclose(average, math.pi / h * branches, rtol=1e-13, atol=0.0)
 
 
@@ -1007,3 +1007,11 @@ def test_generator_validation():
         helix_cloud(10, 1.0, -2.0, 0.5)
     with pytest.raises(ValueError, match="spacing"):
         helix_cloud(10, 1.0, 2.0, 0.0)
+
+
+def test_generators_refuse_a_fractional_count():
+    # 2.5 once built 3 emitters that do not mirror, or raised a TypeError
+    for make, count, sizes in ((helix_cloud, 2.5, (11.2, 7.8)), (line_cloud, 2.5, (1.0,)),
+                               (ring_cloud, 3.5, (1.0,))):
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {count}$"):
+            make(count, *sizes)

@@ -23,7 +23,7 @@ from helirad.geomfit import (
     load_emitters,
     with_density,
 )
-from helirad.spectra import EmitterPhysics, HelixSpec, _helix_decay, helix_decay_norm
+from helirad.spectra import EmitterPhysics, HelixSpec, helix_decay_norm
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
@@ -236,7 +236,7 @@ def test_estimate_peak_rate_below_omega_two_matches_a_dense_scan():
     for omega, r in ((1.0, 1.84), (1.6, 2.32), (0.2, 4.0), (1.99, 12.0)):
         est = estimate(_plain_fit(R=r * 280.0 / TWO_PI, b=280.0 / omega, n0=1.58), phys)
         spec = HelixSpec(est.Omega, est.r)
-        scan = float(_helix_decay(np.linspace(-6.0, 6.0, 24001), spec).max())
+        scan = float(helix_decay_norm(np.linspace(-6.0, 6.0, 24001), spec).max())
         assert scan > 1.0
         assert math.isclose(est.gamma_max_over_gamma, 1.58 * 280.0 * scan, rel_tol=1e-12)
     est = estimate(_plain_fit(R=1.84 * 280.0 / TWO_PI, b=280.0), phys)
@@ -250,7 +250,7 @@ def test_estimate_refuses_a_peak_search_over_the_work_limit(monkeypatch):
     # limit below Omega ~ 5.2e-6; the refusal names Omega and the search, and
     # comes before any Bessel value is formed
     phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
-    monkeypatch.setattr(geomfit, "_helix_decay", None)
+    monkeypatch.setattr(geomfit, "helix_decay_norm", None)
     with pytest.raises(ValueError, match=r"Omega = lambda0/b = 5e-06 is too small for the "
                                          r"peak-rate search: its 259 kappa points span "
                                          r"103600004 Bessel orders, over the limit of "

@@ -17,12 +17,16 @@ from helirad.specfun import (
     bessel_ik,
     bessel_j,
     bessel_y,
-    jh_product,
     jh_products,
     polylog_unit_circle,
 )
 
 from . import oracles
+
+
+def _jh(m, x, imaginary=False):
+    """J_m H_m^(1) at one argument, through jh_products, as a complex number."""
+    return complex(*jh_products(m, x, imaginary))
 
 # (kind, order, x, value) with value frozen from the oracle
 FROZEN = [
@@ -106,7 +110,14 @@ def test_bessel_domain_errors():
     for m, x in ((0, -1.0), (0, float("nan")), (0, math.inf), (3, math.inf)):
         for imaginary in (False, True):
             with pytest.raises(ValueError, match="magnitude must be finite and >= 0"):
-                jh_product(m, x, imaginary)
+                _jh(m, x, imaginary)
+
+
+def test_jh_products_refuse_orders_without_an_integer_type():
+    for m in (2.7, np.array([1.0, 2.5]), 3.0):
+        with pytest.raises(ValueError, match="^Bessel order must be an integer, got "):
+            jh_products(m, 0.5, False)
+    assert jh_products(np.int32(3), 0.5, False) == jh_products(3, 0.5, False)
 
 
 def test_y_small_argument_divergence_direction():
@@ -117,20 +128,20 @@ def test_y_small_argument_divergence_direction():
 
 def test_jh_product_zero_argument_sentinel():
     for imaginary in (False, True):
-        v = jh_product(0, 0.0, imaginary)
+        v = _jh(0, 0.0, imaginary)
         assert v.real == 1.0
         assert v.imag == float("-inf")
 
 
 def test_jh_product_zero_argument_finite_orders():
     for m in (1, 3, -3, 12):
-        v = jh_product(m, 0.0)
+        v = _jh(m, 0.0)
         assert v == complex(0.0, -1.0 / (abs(m) * math.pi))
 
 
 def test_jh_product_real_case_components():
     for m, x in ((0, 0.9), (2, 4.2), (5, 1.3)):
-        v = jh_product(m, x)
+        v = _jh(m, x)
         j = bessel_j(m, x)
         y = bessel_y(m, x)
         assert v.real == pytest.approx(j * j, rel=1e-14, abs=1e-300)
@@ -139,7 +150,7 @@ def test_jh_product_real_case_components():
 
 def test_jh_product_imaginary_case_is_negative_imaginary():
     for m, x in ((0, 0.4), (1, 2.0), (4, 7.7)):
-        v = jh_product(m, x, imaginary=True)
+        v = _jh(m, x, imaginary=True)
         i, k = bessel_ik(m, x)
         assert v.real == 0.0
         assert v.imag == pytest.approx(-(2.0 / math.pi) * i * k, rel=1e-13)
@@ -148,7 +159,7 @@ def test_jh_product_imaginary_case_is_negative_imaginary():
 
 def test_jh_product_even_in_order():
     for m in (1, 2, 7):
-        assert jh_product(-m, 2.6) == jh_product(m, 2.6)
+        assert _jh(-m, 2.6) == _jh(m, 2.6)
 
 
 def test_jh_product_real_part_stays_in_unit_interval():
@@ -156,16 +167,16 @@ def test_jh_product_real_part_stays_in_unit_interval():
     for m in range(0, 7):
         for k in range(1, 60):
             x = 0.05 * k * k
-            v = jh_product(m, x)
+            v = _jh(m, x)
             assert 0.0 <= v.real < 1.0
 
 
 def test_jh_product_extreme_order_fallbacks():
     # m >> x: J underflows while Y overflows, hit the -1/(m pi) limit
-    v = jh_product(200, 1e-8)
+    v = _jh(200, 1e-8)
     assert v.imag == pytest.approx(-1.0 / (200 * math.pi), rel=1e-12)
     assert math.isfinite(v.imag)
-    w = jh_product(200, 1e-8, imaginary=True)
+    w = _jh(200, 1e-8, imaginary=True)
     assert w.imag == pytest.approx(-1.0 / (200 * math.pi), rel=1e-12)
 
 
@@ -178,7 +189,7 @@ def test_jh_products_over_an_order_array_match_each_order_bitwise(imaginary):
     mask = np.resize([False, True, True], m.shape[0])[:, None] if imaginary == "mask" \
         else np.full((m.shape[0], 1), imaginary)
     re, im = jh_products(m, x, mask)
-    want = np.array([[jh_product(int(k), float(v), bool(i)) for v in x]
+    want = np.array([[_jh(int(k), float(v), bool(i)) for v in x]
                      for k, i in zip(m[:, 0], mask[:, 0])])
     assert re.tobytes() == want.real.tobytes()
     assert im.tobytes() == want.imag.tobytes()
@@ -202,7 +213,7 @@ def test_jh_products_with_repeated_triples_match_each_element_bitwise():
     m, x, imaginary = (np.array([[SHARED_TRIPLES[i][k] for i in row] for row in picks])
                        for k in range(3))
     re, im = jh_products(m, x, imaginary)
-    want = np.array([[jh_product(*SHARED_TRIPLES[i]) for i in row] for row in picks])
+    want = np.array([[_jh(*SHARED_TRIPLES[i]) for i in row] for row in picks])
     assert re.shape == im.shape == picks.shape
     assert re.tobytes() == want.real.tobytes()
     assert im.tobytes() == want.imag.tobytes()
@@ -214,7 +225,7 @@ def test_jh_products_with_repeated_triples_match_each_element_bitwise():
 @pytest.mark.parametrize("m, x", [(100, 0.068), (200, 4.565), (500, 112.3), (1000, 620.8)])
 def test_jh_product_where_the_scaled_i_underflows(m, x):
     want = -(2.0 / math.pi) * float(mpmath.besseli(m, x) * mpmath.besselk(m, x))
-    assert jh_product(m, x, imaginary=True).imag == pytest.approx(want, rel=1e-7)
+    assert _jh(m, x, imaginary=True).imag == pytest.approx(want, rel=1e-7)
 
 
 # band centres where scipy's jv underflows to 0 while yv is finite; the
@@ -224,7 +235,7 @@ def test_jh_product_where_the_scaled_i_underflows(m, x):
 @pytest.mark.parametrize("m, x", [(100, 0.08), (200, 4.87), (1000, 379.5)])
 def test_jh_product_where_j_underflows(m, x):
     want = float(mpmath.besselj(m, x) * mpmath.bessely(m, x))
-    assert jh_product(m, x).imag == pytest.approx(want, rel=2e-7)
+    assert _jh(m, x).imag == pytest.approx(want, rel=2e-7)
 
 
 @pytest.mark.parametrize("x", [1e-300, 1e-307, 1e-310, 5e-324])
@@ -232,13 +243,13 @@ def test_jh_product_order_zero_at_tiny_arguments(x):
     # scipy's Y_0 and K_0 overflow below x ~ 1e-307; the product stays finite
     jy = float(oracles.oracle_j(0, x) * oracles.oracle_y(0, x))
     ik = float(oracles.oracle_i(0, x) * oracles.oracle_k(0, x))
-    assert jh_product(0, x).imag == pytest.approx(jy, rel=1e-14)
-    assert jh_product(0, x, imaginary=True).imag == pytest.approx(-(2.0 / math.pi) * ik, rel=1e-14)
+    assert _jh(0, x).imag == pytest.approx(jy, rel=1e-14)
+    assert _jh(0, x, imaginary=True).imag == pytest.approx(-(2.0 / math.pi) * ik, rel=1e-14)
 
 
 def test_jh_product_imaginary_large_argument_scaled():
     # I_0 K_0 -> 1/(2x): the scaled route must survive where I_0 overflows
-    v = jh_product(0, 800.0, imaginary=True)
+    v = _jh(0, 800.0, imaginary=True)
     assert v.imag == pytest.approx(-(2.0 / math.pi) / 1600.0, rel=1e-3)
 
 

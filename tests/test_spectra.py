@@ -275,6 +275,20 @@ def test_cylinder_norms_reject_negative_radius():
             cylinder_norms(0, 0.5, r)
 
 
+def test_fractional_orders_and_truncations_are_refused():
+    # a cast would compute order 2 for 2.7, and the table record "n": 2.7
+    for call in (lambda: cylinder_norms(2.7, 0.5, 3.0),
+                 lambda: cylinder_table([0.0, 0.5], 2.7, 3.0, PHYS_UNIT)):
+        with pytest.raises(ValueError, match="^Bessel order must be an integer, got 2.7$"):
+            call()
+    spec = HelixSpec(Omega=3.0, r=3.0)
+    for call in (lambda: helix_lamb_norm(0.3, spec, M=2.5),
+                 lambda: sweep([0.0, 0.3], spec, PHYS_UNIT, M=2.5)):
+        with pytest.raises(ValueError, match="^truncation half-width M must be an integer, "
+                                             "got 2.5$"):
+            call()
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_nan_kappa_is_a_bessel_domain_error(n):
     nan = float("nan")
@@ -515,7 +529,7 @@ def _reference_decay(kappa, spec):
 # windows hold 15 or 16 orders, and padding a 15 with a zero would regroup
 # its pairwise sum.  kappa = +-1 + m Omega puts band edges on the grid.  A
 # block of 7 elements splits one window length over many blocks; there the
-# column is read from _helix_decay, the pass sweep takes it from, since
+# column is read from helix_decay_norm, the pass sweep takes it from, since
 # sweep's Lamb pass at that block costs seconds and is covered by
 # test_sweep_matches_scalar_reference_bitwise.
 @pytest.mark.parametrize("block", [None, 7])
@@ -532,7 +546,7 @@ def test_sweep_decay_matches_per_point_reference_bitwise(Omega, block, monkeypat
                 table = sweep(grid, spec, PHYS_UNIT, M=math.ceil(4.0 / Omega))
                 column = [p.gamma_norm for p in table.points]
             else:
-                column = spectra._helix_decay(grid, spec).tolist()
+                column = spectra.helix_decay_norm(grid, spec).tolist()
             assert [g.hex() for g in column] == [_reference_decay(k, spec).hex() for k in grid]
             assert [helix_decay_norm(k, spec).hex() for k in grid[::37]] == \
                 [g.hex() for g in column[::37]]

@@ -131,10 +131,11 @@ def test_large_beta_reports_an_infinite_c_and_finite_averages():
 
 def test_degenerate_ensembles_raise():
     # beta = 0 with finite shifts: every weight is exactly 0
-    with pytest.raises(DegenerateEnsembleError):
+    with pytest.raises(DegenerateEnsembleError, match=r"\(at beta = 0 every finite shift has "
+                                                      r"weight -expm1\(0\) = 0\)"):
         thermal_average(_table([1.0, 2.0], [-1.0, 0.0]), _config(2, beta=0.0))
     # constant Lamb profile: every state sits at E_max
-    with pytest.raises(DegenerateEnsembleError):
+    with pytest.raises(DegenerateEnsembleError, match=r"\(every state sits at E_max\)"):
         thermal_average(_table([1.0, 2.0], [0.3, 0.3]), _config(2))
 
 
@@ -218,7 +219,7 @@ def test_thermal_sweep_entries_are_each_their_widened_sweep():
 ], ids=["widened-M", "terms", "cylinder-radius", "cylinder-nan"])
 def test_thermal_sweep_refuses_a_series_before_forming_any_term(last, message, monkeypatch):
     formed = []
-    for module, name in ((spectra, "jh_products"), (thermal, "_helix_decay")):
+    for module, name in ((spectra, "jh_products"), (thermal, "helix_decay_norm")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real: formed.append(a) or real(*a))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -240,3 +241,8 @@ def test_config_defaults_and_validation():
         ThermalConfig(beta=float("inf"))
     with pytest.raises(ValueError, match="truncation half-width M must be >= 0, got -1"):
         ThermalConfig(M=-1)
+
+
+def test_a_fractional_truncation_is_refused_with_the_config():
+    with pytest.raises(ValueError, match="^truncation half-width M must be an integer, got 2.5$"):
+        ThermalConfig(M=2.5)
