@@ -96,8 +96,9 @@ def _average(gamma, lamb, beta) -> ThermalResult:
         num += g * f
         den += f
     if den == 0.0:
-        cause = ("at beta = 0 every finite shift has weight -expm1(0) = 0" if beta == 0.0
-                 else "every state sits at E_max")
+        # no sentinel here, so every shift is finite
+        cause = ("every state sits at E_max" if min(lamb) == e_max
+                 else f"every weight -expm1(beta (E - E_max)) is 0 at beta = {beta:g}")
         raise DegenerateEnsembleError(f"all Boltzmann weights vanished ({cause}); "
                                       "the thermal average is undefined for this ensemble")
     return ThermalResult(num / den, c, e_max, len(gamma))

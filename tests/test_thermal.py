@@ -130,10 +130,12 @@ def test_large_beta_reports_an_infinite_c_and_finite_averages():
 
 
 def test_degenerate_ensembles_raise():
-    # beta = 0 with finite shifts: every weight is exactly 0
-    with pytest.raises(DegenerateEnsembleError, match=r"\(at beta = 0 every finite shift has "
-                                                      r"weight -expm1\(0\) = 0\)"):
-        thermal_average(_table([1.0, 2.0], [-1.0, 0.0]), _config(2, beta=0.0))
+    # beta = 0 with finite shifts: every weight is exactly 0, and so it is
+    # where beta (E - E_max) rounds to 0
+    for beta, lambs in ((0.0, [-1.0, 0.0]), (5e-324, [-0.3, 0.0])):
+        with pytest.raises(DegenerateEnsembleError, match=re.escape(
+                f"(every weight -expm1(beta (E - E_max)) is 0 at beta = {beta:g})")):
+            thermal_average(_table([1.0, 2.0], lambs), _config(2, beta=beta))
     # constant Lamb profile: every state sits at E_max
     with pytest.raises(DegenerateEnsembleError, match=r"\(every state sits at E_max\)"):
         thermal_average(_table([1.0, 2.0], [0.3, 0.3]), _config(2))
