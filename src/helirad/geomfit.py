@@ -4,10 +4,10 @@ Pipeline: principal directions of the centered cloud give axis candidates,
 an algebraic circle fit of the axis-normal projection gives the radius and
 center, and a linear regression of unwrapped azimuth against the axial
 coordinate gives the pitch, phase, and handedness.  A Levenberg-Marquardt
-pass over all seven parameters refines the candidates in order of their
-start cost, the lowest first; a later candidate is refined only while its
-start cost is below the best refined cost so far, and the lowest-cost
-solution wins.
+pass over all seven parameters (_refine, numpy only) refines the candidates
+in order of their start cost, the lowest first; a later candidate is refined
+only while its start cost is below the best refined cost so far, and the
+lowest-cost solution wins.
 
 The azimuth unwrapping assumes consecutive points (in axial order) advance
 by less than pi; clouds sampled more coarsely than half a turn per step get
@@ -30,8 +30,9 @@ from .specfun import _TWO_PI
 from .spectra import _MAX_TERMS, EmitterPhysics, HelixSpec, _window_orders, helix_decay_norm
 
 _DEGENERACY_RTOL = 1e-10
-# cap on one axis' residual evaluations (MINPACK counts Jacobian evaluations
-# apart, uncapped); a winner that reaches it gets a FitWarning
+# cap on one axis' residual evaluations in _refine (Jacobian evaluations,
+# one per accepted step, are not counted); a winner that reaches it gets a
+# FitWarning
 _MAX_NFEV = 2000
 # bisection from a pitch/16 bracket to 1e-12 relative takes about 40 steps
 _CURVE_SEARCH_ITERATIONS = 100
@@ -282,6 +283,69 @@ def _jacobian(params, centered, v0, e1_0, e2_0):
     return jac
 
 
+def _refine(fun, jac, x0, args):
+    """Levenberg-Marquardt minimum of 0.5 |r|^2, r = fun(x, *args), from x0.
+
+    More's scheme as MINPACK's lmder runs it.  Parameter j is scaled by D_j,
+    the running maximum of the norm of Jacobian column j (1 where the first
+    column is zero), and the damped step solves [J; sqrt(lam) D] step =
+    [-r; 0] by least squares: J^T J is never formed, because the tilt
+    columns are orders of magnitude stiffer than the rest.  lam starts at
+    1e-12 max(D^2).  A step whose actual cost reduction is rho > 1e-4 times
+    the predicted one is taken and scales lam by max(1/3, 1 - (2 rho - 1)^3);
+    any other step scales lam by 4.  The stops are MINPACK's, at 2 eps:
+    1 (gtol), every |J_j . r| / (D_j |r|); 2 (ftol), the predicted relative
+    reduction and the actual one, a rise from rounding included; 3 (xtol),
+    |D step| against |D x|.  0: _MAX_NFEV residual evaluations are spent.
+    Returns (x, cost, status).
+    """
+    # near-eps stops: a leftover 1e-10 rad tilt already costs span * tilt in
+    # residual.  2 eps is the floor MINPACK allows, which refuses below eps
+    tol = 2.0 * np.finfo(float).eps
+    x = np.array(x0, dtype=float)
+    r = fun(x, *args)
+    cost = 0.5 * (r @ r)
+    nfev = 1
+    scale = None
+    while True:
+        j = jac(x, *args)
+        norms = np.linalg.norm(j, axis=0)
+        if scale is None:
+            scale = np.where(norms > 0.0, norms, 1.0)
+            lam = 1e-12 * np.max(scale * scale)
+        else:
+            scale = np.maximum(scale, norms)
+        if np.max(np.abs(j.T @ r) / scale) <= tol * math.sqrt(2.0 * cost):
+            return x, cost, 1
+        rhs = np.concatenate([-r, np.zeros(x.size)])
+        while True:
+            if nfev >= _MAX_NFEV:
+                return x, cost, 0
+            step = np.linalg.lstsq(np.vstack([j, math.sqrt(lam) * np.diag(scale)]), rhs,
+                                   rcond=None)[0]
+            trial = x + step
+            r_trial = fun(trial, *args)
+            nfev += 1
+            jp, dstep = j @ step, scale * step
+            predicted = 0.5 * (jp @ jp) + lam * (dstep @ dstep)
+            cost_trial = 0.5 * (r_trial @ r_trial)
+            actual = cost - cost_trial
+            rho = actual / predicted if predicted > 0.0 else 0.0
+            flat = actual <= tol * cost and predicted <= tol * cost and rho <= 2.0
+            taken = rho > 1e-4
+            if taken:
+                x, r, cost = trial, r_trial, cost_trial
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            else:
+                lam *= 4.0
+            if flat:
+                return x, cost, 2
+            if math.sqrt(dstep @ dstep) <= tol * np.linalg.norm(scale * x):
+                return x, cost, 3
+            if taken:
+                break
+
+
 def _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
     """RMS of true point-to-curve distances, searched for all points at once.
 
@@ -356,17 +420,17 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
 
     Tries each principal direction of the centered cloud as the axis and
     ranks the viable starts by their residual score.  All seven parameters
-    are refined by MINPACK's Levenberg-Marquardt with the exact Jacobian of
-    the cylindrical residuals (radial mismatch and radius-scaled wrapped
-    phase mismatch), from the best start and then from each next one while
-    its start cost is below the best refined cost; the lowest-cost solution
-    wins.  A winning pass that stopped at its evaluation cap gets a
-    FitWarning, and so does a winner whose rms_residual exceeds R: every
-    point of the fitted axis is exactly R from the curve, so points that
-    sit farther from it than that, on average, fit the curve worse than its
-    own axis does and are not a sampling of that helix.
+    are refined by _refine, a Levenberg-Marquardt loop in numpy, with the
+    exact Jacobian of the cylindrical residuals (radial mismatch and
+    radius-scaled wrapped phase mismatch), from the best start and then from
+    each next one while its start cost is below the best refined cost; the
+    lowest-cost solution wins.  A winning pass that stopped at its cap of
+    _MAX_NFEV residual evaluations gets a FitWarning, and so does a winner
+    whose rms_residual exceeds R: every point of the fitted axis is exactly
+    R from the curve, so points that sit farther from it than that, on
+    average, fit the curve worse than its own axis does and are not a
+    sampling of that helix.
     """
-    import scipy.optimize
     pos = cloud.positions
     n = cloud.count
     if n < 8:
@@ -393,35 +457,24 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
         )
     cands.sort(key=lambda c: c[0])
 
-    eps = np.finfo(float).eps
     best = None
     for score, v0, start in cands:
         # n * score is the least-squares cost 0.5 * sum(res^2) at the start
         # (score is the mean over 2n residuals); an axis that starts no
         # better than the best refined cost, and every later one, is skipped
-        if best is not None and n * score >= best[0].cost:
+        if best is not None and n * score >= best[0]:
             break
         e1_0, e2_0 = _perp_frame(v0)
-        x0 = np.array([0.0, 0.0, *start])
-        # near-eps tolerances with Jacobian scaling: the tilt parameters are
-        # orders of magnitude more sensitive than the rest, and a leftover
-        # 1e-10 rad tilt already costs span * tilt in residual.  MINPACK
-        # refuses tolerances below eps; at 2 eps its ftol, xtol and gtol
-        # tests fire before the eps-level stops (info 6-8) that scipy does
-        # not map to a status
-        sol = scipy.optimize.least_squares(
-            _residuals, x0, jac=_jacobian, args=(centered, v0, e1_0, e2_0),
-            method="lm", x_scale="jac", ftol=2 * eps, xtol=2 * eps, gtol=2 * eps,
-            max_nfev=_MAX_NFEV,
-        )
-        if best is None or sol.cost < best[0].cost:
-            best = (sol, v0, e1_0, e2_0)
-    sol, v0, e1_0, e2_0 = best
-    axis, e1, e2 = _frame_of(sol.x, v0, e1_0, e2_0)
-    c1, c2, radius, slope, phi0 = sol.x[2:]
+        x, cost, status = _refine(_residuals, _jacobian, np.array([0.0, 0.0, *start]),
+                                  (centered, v0, e1_0, e2_0))
+        if best is None or cost < best[0]:
+            best = (cost, x, status, v0, e1_0, e2_0)
+    _, x, status, v0, e1_0, e2_0 = best
+    axis, e1, e2 = _frame_of(x, v0, e1_0, e2_0)
+    c1, c2, radius, slope, phi0 = x[2:]
     if slope == 0.0 or radius <= 0.0:
         raise FitDegeneracyError("refinement collapsed the helix")
-    if sol.status == 0:
+    if status == 0:
         warnings.warn(
             f"refinement stopped at {_MAX_NFEV} evaluations without converging",
             FitWarning,

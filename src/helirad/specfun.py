@@ -19,6 +19,7 @@ All functions are pure and hold no mutable state.
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
@@ -26,12 +27,22 @@ EULER_GAMMA = 0.5772156649015329
 
 _TWO_PI = 2.0 * math.pi
 
+# orders are held as int64 with |m| taken; -2^63 has no int64 magnitude
+_MAX_ORDER = 2**63 - 1
+
+
+def _check_order(m):
+    """Refuse an order that is not an integer: int() would truncate 2.5 to order 2."""
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"Bessel order must be an integer, got {m}")
+
 
 def bessel_j(m: int, x: float) -> float:
     """J_m(x) for integer order and x >= 0.
 
     Negative orders come from scipy, which keeps J_{-m} = (-1)^m J_m bitwise.
     """
+    _check_order(m)
     if x < 0.0:
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
     from scipy import special
@@ -46,6 +57,7 @@ def bessel_y(m: int, x: float) -> float:
     which represents it as a sentinel instead.  Negative orders come from
     scipy, which keeps Y_{-m} = (-1)^m Y_m bitwise.
     """
+    _check_order(m)
     if x <= 0.0:
         raise ValueError(f"bessel_y requires x > 0 (logarithmic divergence at 0), got {x}")
     from scipy import special
@@ -60,6 +72,7 @@ def bessel_ik(m: int, x: float) -> tuple:
     the product should use jh_products, which evaluates it in scaled form.
     Both are even in m, and scipy returns the same bits for -m as for m.
     """
+    _check_order(m)
     if x <= 0.0:
         raise ValueError(f"bessel_ik requires x > 0, got {x}")
     from scipy import special
@@ -116,8 +129,15 @@ def jh_products(m, x, imaginary) -> tuple:
     """
     from scipy import special
     m = np.asarray(m)
-    if m.dtype.kind not in "iu":  # a cast would truncate 2.7 to order 2
+    if m.dtype.kind == "O":  # Python integers past int64, or a mix
+        for v in m.flat:
+            _check_order(v)
+    elif m.dtype.kind not in "iu":  # a cast would truncate 2.7 to order 2
         raise ValueError(f"Bessel order must be an integer, got {m.flat[0] if m.size else m}")
+    out = (m < -_MAX_ORDER) | (m > _MAX_ORDER)
+    if out.any():
+        raise ValueError(f"Bessel order must lie within +-(2^63 - 1) = +-{_MAX_ORDER}, "
+                         f"got {m[out].flat[0]}")
     x = np.asarray(x, dtype=float)
     ok = (x >= 0.0) & (x < math.inf)  # nan fails both
     if not ok.all():
@@ -146,7 +166,7 @@ def jh_products(m, x, imaginary) -> tuple:
         # Y_0 and K_0 overflow below x ~ 1e-307, where K_0 = ln 2 - gamma_E - ln x
         # to O(x^2 ln x)
         bad = (j == 0.0) | ~np.isfinite(p)
-        mb, xb = mr[bad], xr[bad]
+        mb, xb = mr[bad].astype(float), xr[bad]  # m^2 overflows int64 past 3.04e9
         p[bad] = np.where(mb > 0, -1.0 / (math.pi * np.sqrt(mb * mb - xb * xb)),
                           -(2.0 / math.pi) * _k0_small(xb))
         # at large m, ive underflows to 0 or kve overflows; there I_m K_m is

@@ -1,7 +1,9 @@
 """The closed forms' array contract, and the private names the modules share."""
 
 import ast
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from helirad.spectra import (
     line_lamb_norm,
 )
 
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "helirad"
 SPEC = HelixSpec(Omega=3.0, r=3.0)
 QUARTER = 2.0 * math.pi * 0.25  # k0 d at d/lambda = 1/4: branches 4 apart in kappa
 PAR = DiscreteLineParams(QUARTER, Orientation.PARALLEL)
@@ -106,11 +109,32 @@ PRIVATE_IMPORTS = {
 
 
 def test_modules_share_only_the_pinned_private_names():
-    package = Path(__file__).resolve().parents[1] / "src" / "helirad"
     found = set()
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 found.update((path.stem, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_") and not alias.name.startswith("__"))
     assert found == PRIVATE_IMPORTS
+
+
+def _imported_module(node, alias):
+    """The module an import names: `from scipy import special` names scipy.special."""
+    if isinstance(node, ast.Import):
+        return alias.name
+    submodule = f"{node.module}.{alias.name}"
+    if node.module.partition(".")[0] in sys.stdlib_module_names:
+        return node.module
+    return submodule if importlib.util.find_spec(submodule) else node.module
+
+
+def test_the_package_imports_only_numpy_and_scipy_special():
+    # every import of every module, function bodies included: the third-party
+    # surface, pinned so that a new dependency shows in review
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.level:
+                found.update(_imported_module(node, alias) for alias in node.names)
+    assert {m for m in found if m.partition(".")[0] not in sys.stdlib_module_names} \
+        == {"numpy", "scipy.special"}

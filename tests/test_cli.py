@@ -151,6 +151,27 @@ def test_non_finite_kappa_refusals_write_nothing(tmp_path, capsys, recwarn, argv
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize("order", [3_100_000_000, 2**63 - 1, -(2**63 - 1)])
+def test_cylinder_orders_past_the_int64_square_keep_the_debye_limit(tmp_path, order):
+    # J underflows, so each row takes -1/(pi sqrt(m^2 - x^2)), about -1/(pi |m|)
+    out = tmp_path / "c.csv"
+    assert main(["spectrum", "cylinder", f"--order={order}", "--radius", "1",
+                 "--kappa", "0:2:0.5", "--output", str(out)]) == 0
+    header, rows = _rows(out)
+    assert [float(row[2]) for row in rows] == pytest.approx([-1.0 / (math.pi * abs(order))] * 5,
+                                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [-2**63, 2**63, 99999999999999999999])
+def test_cylinder_orders_past_int64_are_refused_with_the_range(tmp_path, capsys, order):
+    rc = main(["spectrum", "cylinder", f"--order={order}", "--radius", "1",
+               "--kappa", "0:2:0.5", "--output", str(tmp_path / "c.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: Bessel order must lie within +-(2^63 - 1) = "
+                                       f"+-9223372036854775807, got {order}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_records_run(tmp_path):
     out = tmp_path / "line.csv"
     main(["spectrum", "line", "--kappa", "0:1:0.5", "--output", str(out)])
@@ -952,8 +973,9 @@ def test_console_script_smoke(tmp_path):
 
 _IMPORT_GUARD = """
 import json, sys
-loaded = lambda: [m for m in ("scipy", "scipy.special", "scipy.linalg", "scipy.spatial",
-                              "scipy.optimize") if m in sys.modules]
+# scipy and its public subpackages, scipy.version aside (scipy loads it)
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                        and m.count(".") == 1 and m[6] != "_" and m != "scipy.version")
 import helirad
 steps = [("import helirad", 0, loaded())]
 import helirad.cli
@@ -979,9 +1001,8 @@ def _import_guard(argvs):
 
 
 def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path):
-    # scipy.special costs about 0.3 s of a fresh import, and scipy.optimize
-    # with scipy.linalg and scipy.spatial about as much; each loads on the
-    # first call that computes with it
+    # scipy.special costs about 0.3 s of a fresh import and loads on the
+    # first call that computes with it; the fit's refinement is numpy's
     cloud = tmp_path / "h.txt"
     pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
     cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
@@ -1002,8 +1023,7 @@ def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path
     assert steps[:-2] == [("import helirad", 0, []), ("import helirad.cli", 0, []),
                           ("--help", 0, [])] + [(argv[0], 0, []) for argv in scipy_free]
     assert steps[-2] == ("spectrum", 0, special)
-    # the fit's scipy.optimize brings in scipy.linalg and scipy.spatial
-    assert steps[-1][:2] == ("fit-estimate", 0) and "scipy.optimize" in steps[-1][2]
+    assert steps[-1] == ("fit-estimate", 0, special)
     # a fresh process each, since a module once loaded stays loaded; the
     # discrete line's polylogs read a literal zeta table
     argv = ["thermal", "--series", "helix-fix-omega", "--omega", "3", "--r", "1",

@@ -347,7 +347,7 @@ def _reference_point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, ph
 def _reference_fit_all_axes(cloud):
     """(axis, R, b, handedness) from the rule that refines every viable axis.
 
-    Each axis is refined the way fit_helix refines it: MINPACK's
+    Each axis is refined the way fit_helix refines it: _refine's
     Levenberg-Marquardt with the exact Jacobian.
     """
     centered = cloud.positions - cloud.positions.mean(axis=0)
@@ -359,18 +359,15 @@ def _reference_fit_all_axes(cloud):
         if cand is None or cand[1][3] == 0.0:
             continue
         e1_0, e2_0 = geomfit._perp_frame(v0)
-        sol = scipy.optimize.least_squares(
-            geomfit._residuals, np.array([0.0, 0.0, *cand[1]]), jac=geomfit._jacobian,
-            args=(centered, v0, e1_0, e2_0), method="lm", x_scale="jac",
-            ftol=2 * EPS, xtol=2 * EPS, gtol=2 * EPS, max_nfev=2000,
-        )
-        if best is None or sol.cost < best[0].cost:
-            best = (sol, v0, e1_0, e2_0)
-    sol, v0, e1_0, e2_0 = best
-    axis = geomfit._frame_of(sol.x, v0, e1_0, e2_0)[0]
-    slope = sol.x[5]
+        x, cost, _ = geomfit._refine(geomfit._residuals, geomfit._jacobian,
+                                     np.array([0.0, 0.0, *cand[1]]), (centered, v0, e1_0, e2_0))
+        if best is None or cost < best[0]:
+            best = (cost, x, v0, e1_0, e2_0)
+    _, x, v0, e1_0, e2_0 = best
+    axis = geomfit._frame_of(x, v0, e1_0, e2_0)[0]
+    slope = x[5]
     hand = Handedness.RIGHT if slope > 0.0 else Handedness.LEFT
-    return axis, float(sol.x[4]), float(TWO_PI / abs(slope)), hand
+    return axis, float(x[4]), float(TWO_PI / abs(slope)), hand
 
 
 def _fit_with_curve_args(cloud):
@@ -628,31 +625,35 @@ def test_fit_matches_the_all_axes_rule_bit_for_bit():
 
 
 class _CountingLeastSquares:
-    """Wraps scipy.optimize.least_squares, recording each start axis and cost.
+    """Wraps geomfit._refine, recording each start axis and cost.
 
-    `starts` keeps every call's (fun, x0, args, kwargs), so a test can refine
-    the same starts another way.
+    `starts` keeps every call's (fun, jac, x0, args) and `results` its
+    (x, cost, status), so a test can refine the same starts another way.
     """
 
     def __init__(self, monkeypatch, inflate_first=None):
-        self.real = scipy.optimize.least_squares
+        self.real = geomfit._refine
         self.calls = []
         self.starts = []
+        self.results = []
         self.inflate_first = inflate_first
-        monkeypatch.setattr(scipy.optimize, "least_squares", self)
+        monkeypatch.setattr(geomfit, "_refine", self)
 
-    def __call__(self, fun, x0, args=(), **kwargs):
-        self.starts.append((fun, x0, args, kwargs))
-        sol = self.real(fun, x0, args=args, **kwargs)
+    def __call__(self, fun, jac, x0, args):
+        self.starts.append((fun, jac, x0, args))
+        x, cost, status = self.real(fun, jac, x0, args)
+        self.results.append((x, cost, status))
         if not self.calls and self.inflate_first is not None:
-            sol.cost = self.inflate_first
-        self.calls.append((args[1], sol.cost))
-        return sol
+            cost = self.inflate_first
+        self.calls.append((args[1], cost))
+        return x, cost, status
 
 
-# the refinement call fit_helix made before MINPACK's Levenberg-Marquardt:
-# scipy's trust-region reflective loop; gtol=None turns off its gradient test
+# references from scipy, for the tests only: the trust-region reflective
+# loop that refined the fit before any Levenberg-Marquardt (gtol=None turns
+# off its gradient test), and MINPACK's lmder, which _refine replaced
 _TRF = dict(method="trf", x_scale="jac", ftol=2 * EPS, xtol=2 * EPS, gtol=None, max_nfev=2000)
+_LM = dict(method="lm", x_scale="jac", ftol=2 * EPS, xtol=2 * EPS, gtol=2 * EPS, max_nfev=2000)
 
 
 def _assert_fit_agrees_with_refining_its_starts(monkeypatch, rel_tol, axis_tol, **refinement):
@@ -663,9 +664,9 @@ def _assert_fit_agrees_with_refining_its_starts(monkeypatch, rel_tol, axis_tol, 
         counter = _CountingLeastSquares(monkeypatch)
         fit = fit_helix(cloud)
         best = None
-        for fun, x0, args, kwargs in counter.starts:
-            assert kwargs["jac"] is geomfit._jacobian
-            sol = counter.real(fun, x0, args=args, **refinement)
+        for fun, jac, x0, args in counter.starts:
+            assert jac is geomfit._jacobian
+            sol = scipy.optimize.least_squares(fun, x0, args=args, **refinement)
             if best is None or sol.cost < best[0].cost:
                 best = (sol, args)
         sol, (_, v0, e1_0, e2_0) = best
@@ -736,3 +737,146 @@ def test_fit_warns_when_the_winner_hits_the_evaluation_cap(monkeypatch):
     with pytest.warns(FitWarning, match="stopped at 2 evaluations"):
         fit = fit_helix(_jittered(7))
     assert isinstance(fit, HelixFit)
+
+
+def test_refine_solves_a_linear_problem_to_lstsq_accuracy():
+    # columns over two decades; much wider, and lstsq's own answer loses
+    # digits with the condition number
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=(40, 6)) * np.logspace(-1, 1, 6)
+
+    def refine(y):
+        return geomfit._refine(lambda x, a, y: a @ x - y, lambda x, a, y: a, np.zeros(6), (a, y))
+
+    # a consistent system: the cost falls to rounding, so x is pinned
+    y = a @ rng.normal(size=6)
+    want = np.linalg.lstsq(a, y, rcond=None)[0]
+    x, _, status = refine(y)
+    assert status != 0
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    # an inconsistent one: its cost is flat at the minimum, so the cost is
+    # what a cost-reduction stop pins
+    y = rng.normal(size=40)
+    r = a @ np.linalg.lstsq(a, y, rcond=None)[0] - y
+    _, cost, status = refine(y)
+    assert status != 0 and cost <= 0.5 * (r @ r) * (1.0 + 1e-12)
+
+
+def _rosenbrock(x, units):
+    """More, Garbow and Hillstrom's problem 1, with x[1] in the given units."""
+    return np.array([10.0 * (units * x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def _rosenbrock_jacobian(x, units):
+    return np.array([[-20.0 * x[0], 10.0 * units], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("units", [2.0**-10, 2.0**-20, 2.0**-30])
+def test_refine_takes_the_same_steps_in_any_units(units):
+    # scaling each parameter by its Jacobian column norm makes the steps
+    # independent of its units (powers of 2 rescale exactly) while another
+    # column sets the damping's start, as the tilt columns do in the fit;
+    # unscaled, the smaller columns drown in the damping
+    def run(units):
+        calls = []
+
+        def fun(x, units):
+            calls.append(x)
+            return _rosenbrock(x, units)
+
+        x, cost, status = geomfit._refine(fun, _rosenbrock_jacobian,
+                                          np.array([-1.2, 1.0 / units]), (units,))
+        return x * [1.0, units], cost, status, len(calls)
+
+    x, cost, status, nfev = run(units)
+    assert status != 0 and cost == 0.0
+    assert x == pytest.approx([1.0, 1.0], rel=1e-12, abs=0.0)
+    assert nfev == run(1.0)[3]
+
+
+def test_refine_solves_browns_badly_scaled_problem():
+    # More, Garbow and Hillstrom's problem 4: the minimum (1e6, 2e-6) lies
+    # twelve decades apart, and the loop refuses steps on its way there, so
+    # the damping must fall again after it grows
+    x, cost, status = geomfit._refine(
+        lambda x: np.array([x[0] - 1e6, x[1] - 2e-6, x[0] * x[1] - 2.0]),
+        lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [x[1], x[0]]]), np.array([1.0, 1.0]), ())
+    assert status != 0
+    assert x == pytest.approx([1e6, 2e-6], rel=1e-12, abs=0.0)
+    assert cost <= 1e-20
+
+
+def test_refine_spends_at_most_its_cap_and_reports_when_it_does(monkeypatch):
+    # the start of the cloud's first principal axis
+    pos = _jittered(7).positions
+    centered = pos - pos.mean(axis=0)
+    v0 = np.linalg.svd(centered, full_matrices=False)[2][0]
+    x0 = np.array([0.0, 0.0, *geomfit._candidate_fit(centered, v0)[1]])
+    args = (centered, v0, *geomfit._perp_frame(v0))
+    calls = []
+
+    def fun(x, *args):
+        calls.append(x)
+        return geomfit._residuals(x, *args)
+
+    free = geomfit._refine(fun, geomfit._jacobian, x0, args)
+    needed = len(calls)
+    assert free[2] != 0 and needed > 3
+    for cap in range(1, needed + 3):
+        monkeypatch.setattr(geomfit, "_MAX_NFEV", cap)
+        calls.clear()
+        x, cost, status = geomfit._refine(fun, geomfit._jacobian, x0, args)
+        assert len(calls) == min(cap, needed), cap
+        assert (status == 0) == (cap < needed), cap
+        if cap >= needed:
+            assert np.array_equal(x, free[0]) and (cost, status) == free[1:]
+
+
+def test_refine_never_takes_a_step_that_raises_the_cost():
+    # the Jacobian is evaluated once at each point the loop moves to, so the
+    # costs there, then the returned one, trace the taken steps; the
+    # 2.8-turn cloud's three axes misfit it and reject many steps
+    costs, evaluations = [], []
+
+    def jac(x, *args):
+        r = geomfit._residuals(x, *args)
+        costs[-1].append(0.5 * (r @ r))
+        return geomfit._jacobian(x, *args)
+
+    def fun(x, *args):
+        evaluations[-1] += 1
+        return geomfit._residuals(x, *args)
+
+    for cloud in [helix_cloud(200, 11.2, 7.8)] + [_jittered(seed) for seed in range(5)]:
+        centered = cloud.positions - cloud.positions.mean(axis=0)
+        for row in np.linalg.svd(centered, full_matrices=False)[2]:
+            v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
+            cand = geomfit._candidate_fit(centered, v0)
+            if cand is None or cand[1][3] == 0.0:
+                continue
+            costs.append([])
+            evaluations.append(0)
+            x, cost, _ = geomfit._refine(fun, jac, np.array([0.0, 0.0, *cand[1]]),
+                                         (centered, v0, *geomfit._perp_frame(v0)))
+            r = geomfit._residuals(x, centered, v0, *geomfit._perp_frame(v0))
+            assert cost == 0.5 * (r @ r)
+            costs[-1].append(cost)
+            assert all(b <= a for a, b in zip(costs[-1], costs[-1][1:])), costs[-1]
+    # some steps were refused: more residual evaluations than points moved to
+    assert sum(evaluations) > sum(len(c) for c in costs)
+
+
+def test_refine_meets_minpacks_minimum_from_the_same_starts(monkeypatch):
+    clouds = _bench_style_clouds() + [_jittered(seed, sigma=0.05 + 0.01 * (seed % 5))
+                                      for seed in range(20)]
+    for k, cloud in enumerate(clouds):
+        counter = _CountingLeastSquares(monkeypatch)
+        fit_helix(cloud)
+        for (fun, jac, x0, args), (x, cost, status) in zip(counter.starts, counter.results):
+            sol = scipy.optimize.least_squares(fun, x0, jac=jac, args=args, **_LM)
+            assert status != 0 and sol.status > 0, k
+            assert math.isclose(x[4], sol.x[4], rel_tol=1e-9), k
+            assert math.isclose(TWO_PI / abs(x[5]), TWO_PI / abs(sol.x[5]), rel_tol=1e-9), k
+            axis, ref = (geomfit._frame_of(p, *args[1:])[0] for p in (x, sol.x))
+            assert 1.0 - abs(axis @ ref) <= 1e-12, k
+            assert cost <= sol.cost * (1.0 + 1e-12), k

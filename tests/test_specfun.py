@@ -120,6 +120,34 @@ def test_jh_products_refuse_orders_without_an_integer_type():
     assert jh_products(np.int32(3), 0.5, False) == jh_products(3, 0.5, False)
 
 
+@pytest.mark.parametrize("f, m", [(bessel_j, 2.5), (bessel_y, 2.9), (bessel_ik, 1.7),
+                                  (bessel_j, 3.0), (bessel_ik, np.float64(2.0))])
+def test_scalar_bessels_refuse_orders_without_an_integer_type(f, m):
+    # int(m) would truncate: bessel_j(2.5, 1.0) was bessel_j(2, 1.0)
+    with pytest.raises(ValueError, match=f"^Bessel order must be an integer, got {m}$"):
+        f(m, 1.0)
+    assert f(np.int32(2), 1.0) == f(2, 1.0)
+
+
+@pytest.mark.parametrize("m", [3_100_000_000, 2**62, 2**63 - 1, -(2**63 - 1)])
+def test_jh_products_past_the_int64_square_take_the_debye_limit(m):
+    # m^2 overflows int64 past 3.04e9, and the Debye term once read nan there
+    for x in (0.0, 0.5, 1.0):
+        for imaginary in (False, True):
+            re, im = jh_products(m, x, imaginary)
+            assert re == 0.0
+            assert im == pytest.approx(-1.0 / (math.pi * abs(m)), rel=1e-12), (x, imaginary)
+
+
+@pytest.mark.parametrize("m", [-2**63, 2**63, 10**20, -10**20, np.uint64(2**63),
+                               np.array([1, -2**63]), np.array([3, 2**70], dtype=object)])
+def test_jh_products_refuse_orders_past_int64(m):
+    # |-2^63| is -2^63 in int64; and a Python integer past int64 is not an order
+    with pytest.raises(ValueError, match=r"^Bessel order must lie within \+-\(2\^63 - 1\) = "
+                                         r"\+-9223372036854775807, got -?[0-9]+$"):
+        jh_products(m, 0.5, False)
+
+
 def test_y_small_argument_divergence_direction():
     # Y_0 ~ (2/pi) ln x, Y_1 ~ -2/(pi x): both blow up toward -inf at 0+
     assert bessel_y(0, 1e-8) < -10.0
