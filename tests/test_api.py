@@ -122,9 +122,9 @@ def _imported_module(node, alias):
     """The module an import names: `from scipy import special` names scipy.special."""
     if isinstance(node, ast.Import):
         return alias.name
-    submodule = f"{node.module}.{alias.name}"
     if node.module.partition(".")[0] in sys.stdlib_module_names:
         return node.module
+    submodule = f"{node.module}.{alias.name}"
     return submodule if importlib.util.find_spec(submodule) else node.module
 
 

@@ -157,7 +157,7 @@ def test_cylinder_orders_past_the_int64_square_keep_the_debye_limit(tmp_path, or
     out = tmp_path / "c.csv"
     assert main(["spectrum", "cylinder", f"--order={order}", "--radius", "1",
                  "--kappa", "0:2:0.5", "--output", str(out)]) == 0
-    header, rows = _rows(out)
+    _, rows = _rows(out)
     assert [float(row[2]) for row in rows] == pytest.approx([-1.0 / (math.pi * abs(order))] * 5,
                                                             rel=1e-12)
 
