@@ -530,12 +530,24 @@ def line_density(cloud: EmitterCloud, fit: HelixFit) -> float:
 def _peak_decay(spec: HelixSpec) -> float:
     """Largest unit-normalised helix decay over the period 1 - Omega <= kappa <= 1.
 
-    The candidates are a uniform grid over that period and its band edges
-    kappa = m Omega +- 1, where an order enters its window at zero
-    argument: the ends, and m Omega - 1 for the one or two m between
-    2/Omega - 1 and 2/Omega.  The m = 0 edge kappa = 1 adds J_0(0)^2 = 1
-    to whatever the other orders in its window give.  For Omega >= 2 no
-    other order there has a nonzero J_m, so the peak is exactly 1.
+    The m = 0 band edge kappa = 1 adds J_0(0)^2 = 1 to whatever the other
+    orders in its window give.  For Omega >= 2 no other order there has a
+    nonzero J_m, so the peak is exactly 1 and is returned without forming
+    a Bessel value (_peak_search gives the same bits).  Below 2 the peak
+    is _peak_search's.
+    """
+    if spec.Omega >= 2.0:
+        return 1.0
+    return _peak_search(spec)
+
+
+def _peak_search(spec: HelixSpec) -> float:
+    """Largest helix decay over a grid of the period and its band edges.
+
+    The candidates are a uniform grid over 1 - Omega <= kappa <= 1 and its
+    band edges kappa = m Omega +- 1, where an order enters its window at
+    zero argument: the ends, and m Omega - 1 for the one or two m between
+    2/Omega - 1 and 2/Omega.
     """
     omega = spec.Omega
     edges = np.array([np.ceil(2.0 / omega - 1.0), np.floor(2.0 / omega)]) * omega - 1.0
@@ -553,12 +565,13 @@ def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:
 
     The maximally superradiant rate is n0 lambda0 times the peak of the
     unit-normalised decay (see _peak_decay): exactly n0 lambda0 for
-    Omega >= 2, and more below, where other orders share the window of
-    the band edge kappa = 1 (1.34 n0 lambda0 at Omega = 1, r = 1.84).
-    The trapped share is the measure (Omega - 2)/Omega of the
-    axial-momentum line, zero below Omega = 2.  An Omega too small for an
-    order window, or for the peak search's work limit (below about
-    5.2e-6), is refused with its message.
+    Omega >= 2, a closed form that loads no scipy module, and more below,
+    where a search over kappa finds it; there other orders share the
+    window of the band edge kappa = 1 (1.34 n0 lambda0 at Omega = 1,
+    r = 1.84).  The trapped share is the measure (Omega - 2)/Omega of the
+    axial-momentum line, zero below Omega = 2.  Every HelixSpec refusal
+    stays; an Omega too small for an order window, or for the peak
+    search's work limit (below about 5.2e-6), is refused with its message.
     """
     omega = physics.lambda0 / fit.b
     r = physics.k0 * fit.R

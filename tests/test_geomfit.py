@@ -258,6 +258,33 @@ def test_estimate_refuses_a_peak_search_over_the_work_limit(monkeypatch):
         estimate(_plain_fit(R=5.0, b=280.0 / 5e-6), phys)
 
 
+@pytest.mark.parametrize("omega", [2.0, 2.0 + 1e-10, 2.0000001, 2.49, 3.83, 35.9, 1e3, 1e8])
+@pytest.mark.parametrize("r", [0.0, 1e-9, 0.251, 12.0, 2e3])
+def test_peak_closed_form_is_the_searchs_grid_maximum_bitwise(omega, r):
+    # at Omega >= 2 no order but m = 0 has a nonzero J_m in the window of
+    # kappa = 1, so the search over the period finds exactly J_0(0)^2 = 1;
+    # Omega = 2 + 1e-10 is where the order window snaps
+    spec = HelixSpec(omega, r)
+    assert geomfit._peak_decay(spec).hex() == geomfit._peak_search(spec).hex() == (1.0).hex()
+
+
+def test_estimate_at_omega_two_and_above_forms_no_bessel_value(monkeypatch):
+    phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
+    monkeypatch.setattr(geomfit, "helix_decay_norm", None)
+    for R, b, n0 in ((11.2, 7.8, 1.58), (2.64, 73.1, 0.75), (2.71, 112.3, 2.07),
+                     (1e-9, 140.0, 1.0), (2e3, 280.0 / 1e8, 3.0)):
+        est = estimate(_plain_fit(R=R, b=b, n0=n0), phys)
+        assert est.Omega >= 2.0
+        assert est.gamma_max_over_gamma == n0 * 280.0
+    # the closed form keeps every HelixSpec refusal: k0 R overflows to
+    # r = inf at Omega = 1e10, and a negative pitch gives Omega < 0
+    with pytest.raises(ValueError, match=r"HelixSpec.r must be >= 0, got inf"):
+        estimate(_plain_fit(R=1e10, b=1e-310),
+                 EmitterPhysics(gamma=1.0, lambda0=1e-300, n0=1.0))
+    with pytest.raises(ValueError, match=r"HelixSpec.Omega must be > 0, got -35.8"):
+        estimate(_plain_fit(R=11.2, b=-7.8), phys)
+
+
 def test_trapped_percent_zero_below_two_then_increasing():
     phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
     omegas, percents = [], []
