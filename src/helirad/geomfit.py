@@ -564,13 +564,13 @@ def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:
     """Dimensionless parameters and the peak-rate estimate for a fitted helix.
 
     The maximally superradiant rate is n0 lambda0 times the peak of the
-    unit-normalised decay (see _peak_decay): exactly n0 lambda0 for
-    Omega >= 2, a closed form that loads no scipy module, and more below,
-    where a search over kappa finds it; there other orders share the
-    window of the band edge kappa = 1 (1.34 n0 lambda0 at Omega = 1,
-    r = 1.84).  The trapped share is the measure (Omega - 2)/Omega of the
-    axial-momentum line, zero below Omega = 2.  Every HelixSpec refusal
-    stays; an Omega too small for an order window, or for the peak
+    unit-normalised decay (see _peak_decay).  For Omega >= 2 it is exactly
+    n0 lambda0, a closed form that loads no scipy module.  Below, other
+    orders share the window of the band edge kappa = 1 and a search over
+    kappa finds more (1.34 n0 lambda0 at Omega = 1, r = 1.84).  The
+    trapped share is the measure (Omega - 2)/Omega of the axial-momentum
+    line, zero below Omega = 2.  Every HelixSpec refusal holds at any
+    Omega; an Omega too small for an order window, or for the peak
     search's work limit (below about 5.2e-6), is refused with its message.
     """
     omega = physics.lambda0 / fit.b
