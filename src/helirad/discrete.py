@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import MAX_GRID_POINTS, EmitterPhysics, _check_kappa, _window_sum
-from .specfun import _TWO_PI, _libm, _polylogs
+from .specfun import _libm, _polylogs
 
 # dense all-eigenvalue solves stay comfortable on a desktop to about here;
 # beyond it memory and O(N^3) time both turn painful.  At the limit
@@ -144,7 +144,7 @@ def discrete_line_lamb(params: DiscreteLineParams, kappa):
     d = params.k0d
     kappa = _check_kappa(kappa)
     # rows: the reduced phases of k0 d (1 + kappa) and of k0 d (1 - kappa)
-    t = _libm(math.remainder, [d * (1.0 + kappa), d * (1.0 - kappa)], _TWO_PI)
+    t = _libm(math.remainder, [d * (1.0 + kappa), d * (1.0 - kappa)], math.tau)
     li2, li3 = _polylogs(t)
     bracket = li3.real.sum(axis=0) + d * li2.imag.sum(axis=0)
     if params.orientation is Orientation.PARALLEL:
@@ -157,19 +157,22 @@ def discrete_line_lamb(params: DiscreteLineParams, kappa):
 def discrete_line_decay(params: DiscreteLineParams, kappa):
     """Collective decay rate of the infinite chain, in units of gamma.
 
-    Sums (3 pi / 2 k0 d)(1 -+ q^2) over the reciprocal-lattice branches
-    q = kappa + 2 pi g/(k0 d) that stay inside the light line |q| <= 1;
-    zero when no branch qualifies (every such kappa is trapped).
+    Sums the direct lattice sum's weight, (3 pi / 2 k0 d)(1 - q^2) for
+    parallel dipoles and (3 pi / 4 k0 d)(1 + q^2) for perpendicular ones,
+    over the reciprocal-lattice branches q = kappa + 2 pi g/(k0 d) that stay
+    inside the light line |q| <= 1; zero when no branch qualifies (every
+    such kappa is trapped).  Either weight averages to 1 over |q| <= 1.
     """
     d = params.k0d
     if not (d / math.pi < MAX_GRID_POINTS):  # the order window's 2/Omega bound, named by spacing
-        raise ValueError(f"d/lambda = {d / _TWO_PI:.6g} puts {MAX_GRID_POINTS} or more branches "
+        raise ValueError(f"d/lambda = {d / math.tau:.6g} puts {MAX_GRID_POINTS} or more branches "
                          f"in the light cone; it must stay below {MAX_GRID_POINTS // 2}")
-    sign = -1.0 if params.orientation is Orientation.PARALLEL else 1.0  # weights 1 -+ q^2
+    parallel = params.orientation is Orientation.PARALLEL
+    sign = -1.0 if parallel else 1.0  # weights 1 -+ q^2
     # -kappa's window at 2 pi/d: ascending g, |kappa + g 2 pi/d| <= 1; k - 2 pi g/d = -q exactly
-    total = _window_sum(-_check_kappa(kappa), _TWO_PI / d,
-                        lambda k, g: 1.0 + sign * np.minimum(np.square(k - _TWO_PI * g / d), 1.0))
-    return 1.5 * math.pi * total / d
+    total = _window_sum(-_check_kappa(kappa), math.tau / d,
+                        lambda k, g: 1.0 + sign * np.minimum(np.square(k - math.tau * g / d), 1.0))
+    return (1.5 if parallel else 0.75) * math.pi * total / d
 
 
 def _kernel_rows(cloud: EmitterCloud, physics: EmitterPhysics, stop: int, fill=None):
@@ -506,7 +509,7 @@ def ring_cloud(count: int, radius: float) -> EmitterCloud:
     (2 pi / count) u for the centred indices u.
     """
     _check_generator(count, radius=radius)
-    phi = (_TWO_PI / count) * _centred_index(count)
+    phi = (math.tau / count) * _centred_index(count)
     return EmitterCloud(np.column_stack([radius * np.cos(phi),
                                          radius * np.sin(phi),
                                          np.zeros(count)]))
@@ -523,9 +526,9 @@ def helix_cloud(count: int, radius: float, pitch: float, spacing: float = 1.0) -
     _check_generator(count, radius=radius, pitch=pitch, spacing=spacing)
     # the arc length bounds the height span, and the phase span is formed below
     _check_span(count, spacing, "spacing", "nm")
-    dphi = spacing / math.hypot(radius, pitch / _TWO_PI)
+    dphi = spacing / math.hypot(radius, pitch / math.tau)
     _check_span(count, dphi, "phase step spacing / hypot(radius, pitch / 2 pi)", "rad")
     phi = dphi * _centred_index(count)
     return EmitterCloud(np.column_stack([radius * np.cos(phi),
                                          radius * np.sin(phi),
-                                         (pitch / _TWO_PI) * phi]))
+                                         (pitch / math.tau) * phi]))

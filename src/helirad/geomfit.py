@@ -5,9 +5,9 @@ an algebraic circle fit of the axis-normal projection gives the radius and
 center, and a linear regression of unwrapped azimuth against the axial
 coordinate gives the pitch, phase, and handedness.  A Levenberg-Marquardt
 pass over all seven parameters (_refine, numpy only) refines the candidates
-in order of their start cost, the lowest first; a later candidate is refined
-only while its start cost is below the best refined cost so far, and the
-lowest-cost solution wins.
+in order of their start cost, the cost _refine starts from, lowest first; a
+later candidate is refined only while its start cost is below the best
+refined cost so far, and the lowest-cost solution wins.
 
 The azimuth unwrapping assumes consecutive points (in axial order) advance
 by less than pi; clouds sampled more coarsely than half a turn per step get
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import EmitterCloud
-from .specfun import _TWO_PI
 from .spectra import _MAX_TERMS, EmitterPhysics, HelixSpec, _window_orders, helix_decay_norm
 
 _DEGENERACY_RTOL = 1e-10
@@ -120,15 +119,18 @@ def load_emitters(path) -> EmitterCloud:
     return EmitterCloud(np.array(rows, dtype=float))
 
 
-def _perp_frame(axis):
-    """Right-handed orthonormal (e1, e2) completing axis: e1 x e2 = axis."""
-    pick = np.argmin(np.abs(axis))
-    seed = np.zeros(3)
-    seed[pick] = 1.0
-    e1 = seed - np.dot(seed, axis) * axis
+def _complete(axis, v):
+    """Right-handed orthonormal (e1, e2) completing the unit axis, e1 x e2 =
+    axis, with e1 along the part of v normal to it."""
+    e1 = v - np.dot(v, axis) * axis
     e1 /= np.linalg.norm(e1)
-    e2 = _cross(axis, e1)
-    return e1, e2
+    return e1, _cross(axis, e1)
+
+
+def _coords(centered, axis, e1, e2, c1, c2):
+    """rel = centered - c1 e1 - c2 e2 and its frame coordinates u, w, z."""
+    rel = centered - c1 * e1 - c2 * e2
+    return rel, rel @ e1, rel @ e2, rel @ axis
 
 
 def _cross(a, b):
@@ -191,12 +193,18 @@ def _wrap(delta):
     return np.angle(np.exp(1j * delta))
 
 
-def _candidate_fit(centered, axis):
-    """Initial (c1, c2, R, slope, phi0) in the frame of axis, plus score."""
-    e1, e2 = _perp_frame(axis)
+def _candidate_fit(centered, v0):
+    """(cost, x0, args): the start _refine takes for the axis v0, or None.
+
+    x0 is the untilted start (0, 0, c1, c2, R, slope, phi0) in the frame
+    args = (centered, v0, e1_0, e2_0), and cost = 0.5 |r|^2 with
+    r = _residuals(x0, *args), the cost _refine starts from.  None where the
+    circle, the phase regression or a nonzero slope is out of reach.
+    """
+    e1, e2 = _complete(v0, np.eye(3)[np.argmin(np.abs(v0))])
     u = centered @ e1
     w = centered @ e2
-    z = centered @ axis
+    z = centered @ v0
     circ = _circle_fit(u, w)
     if circ is None:
         return None
@@ -206,10 +214,12 @@ def _candidate_fit(centered, axis):
     if reg is None:
         return None
     slope, phi0 = reg
-    rho = np.hypot(u - c1, w - c2)
-    res = np.concatenate([rho - radius, radius * _wrap(phi - slope * z - phi0)])
-    score = float(np.mean(res * res))
-    return score, (c1, c2, radius, slope, phi0)
+    if slope == 0.0:
+        return None
+    x0 = np.array([0.0, 0.0, c1, c2, radius, slope, phi0])
+    args = (centered, v0, e1, e2)
+    r = _residuals(x0, *args)
+    return 0.5 * (r @ r), x0, args
 
 
 def _frame_of(params, v0, e1_0, e2_0):
@@ -217,19 +227,13 @@ def _frame_of(params, v0, e1_0, e2_0):
     t1, t2 = params[0], params[1]
     axis = v0 + t1 * e1_0 + t2 * e2_0
     axis = axis / np.linalg.norm(axis)
-    e1 = e1_0 - np.dot(e1_0, axis) * axis
-    e1 /= np.linalg.norm(e1)
-    e2 = _cross(axis, e1)
-    return axis, e1, e2
+    return axis, *_complete(axis, e1_0)
 
 
 def _residuals(params, centered, v0, e1_0, e2_0):
     axis, e1, e2 = _frame_of(params, v0, e1_0, e2_0)
     c1, c2, radius, slope, phi0 = params[2:]
-    rel = centered - c1 * e1 - c2 * e2
-    z = rel @ axis
-    u = rel @ e1
-    w = rel @ e2
+    _, u, w, z = _coords(centered, axis, e1, e2, c1, c2)
     rho = np.hypot(u, w)
     phi = np.arctan2(w, u)
     return np.concatenate([rho - radius, radius * _wrap(phi - slope * z - phi0)])
@@ -255,10 +259,7 @@ def _jacobian(params, centered, v0, e1_0, e2_0):
     de1 = (dp - np.outer(e1, e1 @ dp)) / np.linalg.norm(e1_0 - e1_dot_a * axis)
     de2 = _cross(da, e1) + _cross(axis, de1)
     drel = -c1 * de1 - c2 * de2
-    rel = centered - c1 * e1 - c2 * e2
-    z = rel @ axis
-    u = rel @ e1
-    w = rel @ e2
+    rel, u, w, z = _coords(centered, axis, e1, e2, c1, c2)
     n = len(z)
     # d(z, u, w) over the columns t1, t2, c1, c2
     dz = np.zeros((n, 4))
@@ -361,11 +362,9 @@ def _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0):
     slope t + phi0, so a phase of tens of radians far along the axis does
     not lift the evaluated point off the curve.
     """
-    rel = centered - c1 * e1 - c2 * e2
-    u = (rel @ e1)[:, None]
-    w = (rel @ e2)[:, None]
-    z = (rel @ axis)[:, None]
-    period = _TWO_PI / abs(slope)
+    _, u, w, z = _coords(centered, axis, e1, e2, c1, c2)
+    u, w, z = u[:, None], w[:, None], z[:, None]
+    period = math.tau / abs(slope)
 
     def dist2(t):
         th = slope * t + phi0
@@ -419,17 +418,17 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
     """Best single helix through the cloud.
 
     Tries each principal direction of the centered cloud as the axis and
-    ranks the viable starts by their residual score.  All seven parameters
-    are refined by _refine, a Levenberg-Marquardt loop in numpy, with the
-    exact Jacobian of the cylindrical residuals (radial mismatch and
-    radius-scaled wrapped phase mismatch), from the best start and then from
-    each next one while its start cost is below the best refined cost; the
-    lowest-cost solution wins.  A winning pass that stopped at its cap of
-    _MAX_NFEV residual evaluations gets a FitWarning, and so does a winner
-    whose rms_residual exceeds R: every point of the fitted axis is exactly
-    R from the curve, so points that sit farther from it than that, on
-    average, fit the curve worse than its own axis does and are not a
-    sampling of that helix.
+    ranks the viable starts by the cost _refine starts from (_candidate_fit).
+    All seven parameters are refined by _refine, a Levenberg-Marquardt loop
+    in numpy, with the exact Jacobian of the cylindrical residuals (radial
+    mismatch and radius-scaled wrapped phase mismatch), from the best start
+    and then from each next one while its start cost is below the best
+    refined cost; the lowest-cost solution wins.  A winning pass that
+    stopped at its cap of _MAX_NFEV residual evaluations gets a FitWarning,
+    and so does a winner whose rms_residual exceeds R: every point of the
+    fitted axis is exactly R from the curve, so points that sit farther from
+    it than that, on average, fit the curve worse than its own axis does and
+    are not a sampling of that helix.
     """
     pos = cloud.positions
     n = cloud.count
@@ -449,8 +448,8 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
         # handedness are frame-independent under this flip
         v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
         cand = _candidate_fit(centered, v0)
-        if cand is not None and cand[1][3] != 0.0:
-            cands.append((cand[0], v0, cand[1]))
+        if cand is not None:
+            cands.append(cand)
     if not cands:
         raise FitDegeneracyError(
             "no principal direction admits a circle-plus-phase fit"
@@ -458,18 +457,15 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
     cands.sort(key=lambda c: c[0])
 
     best = None
-    for score, v0, start in cands:
-        # n * score is the least-squares cost 0.5 * sum(res^2) at the start
-        # (score is the mean over 2n residuals); an axis that starts no
-        # better than the best refined cost, and every later one, is skipped
-        if best is not None and n * score >= best[0]:
+    for start_cost, x0, args in cands:
+        # an axis that starts no better than the best refined cost, and
+        # every later one, is skipped
+        if best is not None and start_cost >= best[0]:
             break
-        e1_0, e2_0 = _perp_frame(v0)
-        x, cost, status = _refine(_residuals, _jacobian, np.array([0.0, 0.0, *start]),
-                                  (centered, v0, e1_0, e2_0))
+        x, cost, status = _refine(_residuals, _jacobian, x0, args)
         if best is None or cost < best[0]:
-            best = (cost, x, status, v0, e1_0, e2_0)
-    _, x, status, v0, e1_0, e2_0 = best
+            best = (cost, x, status, args)
+    _, x, status, (_, v0, e1_0, e2_0) = best
     axis, e1, e2 = _frame_of(x, v0, e1_0, e2_0)
     c1, c2, radius, slope, phi0 = x[2:]
     if slope == 0.0 or radius <= 0.0:
@@ -481,7 +477,7 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
             stacklevel=2,
         )
 
-    z = (centered - c1 * e1 - c2 * e2) @ axis
+    z = _coords(centered, axis, e1, e2, c1, c2)[3]
     dz = np.diff(np.sort(z))
     if np.any(np.abs(slope) * dz >= math.pi):
         warnings.warn(
@@ -491,7 +487,7 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
         )
 
     span = float(z.max() - z.min())
-    pitch = _TWO_PI / abs(slope)
+    pitch = math.tau / abs(slope)
     rms = _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0)
     if rms > radius:
         warnings.warn(
@@ -516,7 +512,7 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
 def _density(count, span, radius, pitch):
     if span <= 0.0:
         raise FitDegeneracyError("zero axial extent; line density is undefined")
-    arc = span * math.sqrt(1.0 + (_TWO_PI * radius / pitch) ** 2)
+    arc = span * math.sqrt(1.0 + (math.tau * radius / pitch) ** 2)
     return count / arc
 
 

@@ -25,8 +25,6 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 
-_TWO_PI = 2.0 * math.pi
-
 # orders are held as int64 with |m| taken; -2^63 has no int64 magnitude
 _MAX_ORDER = 2**63 - 1
 
@@ -241,4 +239,4 @@ def polylog_unit_circle(s: int, phase: float) -> complex:
     """
     if s not in (2, 3):
         raise ValueError(f"polylog order must be 2 or 3, got {s}")
-    return complex(_polylogs(_libm(math.remainder, [phase], _TWO_PI))[s - 2][0])
+    return complex(_polylogs(_libm(math.remainder, [phase], math.tau))[s - 2][0])

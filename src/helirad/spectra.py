@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _TWO_PI, EULER_GAMMA, _libm, jh_products
+from .specfun import EULER_GAMMA, _libm, jh_products
 
 # _bessel_arg zeroes a radicand this close to 0: a band edge up to rounding
 RADICAND_TOL = 1e-14
@@ -72,7 +72,7 @@ class EmitterPhysics:
 
     @property
     def k0(self) -> float:
-        return _TWO_PI / self.lambda0
+        return math.tau / self.lambda0
 
 
 @dataclass(frozen=True)

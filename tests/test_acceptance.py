@@ -276,10 +276,16 @@ def test_criterion_8_discrete_line_structure():
         for kappa in (1.0, -1.0):
             assert discrete_line_lamb(perp, kappa) == float("-inf")
             assert math.isfinite(discrete_line_lamb(par, kappa))
+        # only g = 0 radiates at this spacing: 15 (1 - kappa^2) and
+        # 7.5 (1 + kappa^2) inside the light line, 0 beyond
         for kappa in kappa_grid(-2.0, 2.0, 0.01):
-            g_perp = discrete_line_decay(perp, kappa)
-            g_par = discrete_line_decay(par, kappa)
-            assert g_perp >= g_par >= 0.0, f"kappa={kappa}"
+            inside = abs(kappa) <= 1.0
+            want_perp = 7.5 * (1.0 + kappa * kappa) if inside else 0.0
+            want_par = 15.0 * (1.0 - kappa * kappa) if inside else 0.0
+            assert math.isclose(discrete_line_decay(perp, kappa), want_perp,
+                                rel_tol=1e-14, abs_tol=0.0), f"kappa={kappa}"
+            assert math.isclose(discrete_line_decay(par, kappa), want_par,
+                                rel_tol=1e-14, abs_tol=0.0), f"kappa={kappa}"
         grid = kappa_grid(0.0, 1.0, 0.01)
         peaks = []
         for frac in (0.5, 0.1, 0.02):

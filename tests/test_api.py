@@ -89,15 +89,12 @@ def test_a_non_finite_argument_in_an_array_is_refused_as_the_scalar_is(name, bad
 # every underscore name that one module of the package imports from another:
 # the package's private surface, pinned so that a new one shows in review
 PRIVATE_IMPORTS = {
-    ("discrete", "specfun", "_TWO_PI"),
     ("discrete", "specfun", "_libm"),
     ("discrete", "specfun", "_polylogs"),
     ("discrete", "spectra", "_check_kappa"),
     ("discrete", "spectra", "_window_sum"),
-    ("geomfit", "specfun", "_TWO_PI"),
     ("geomfit", "spectra", "_MAX_TERMS"),
     ("geomfit", "spectra", "_window_orders"),
-    ("spectra", "specfun", "_TWO_PI"),
     ("spectra", "specfun", "_libm"),
     ("thermal", "spectra", "_check_kappa"),
     ("thermal", "spectra", "_check_radius"),

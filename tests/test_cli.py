@@ -110,6 +110,8 @@ def test_spectrum_compute_error_exits_one(tmp_path, capsys):
     (["--omega", "3", "--kappa", "0,nan"], "kappa must be finite"),
     # kappa = 1 is the first point whose real-argument orders pass M = 3
     (["--omega", "0.5", "--kappa", "0:3:0.5", "--M", "3"], "orders [0, 4]"),
+    (["--omega", "3", "--kappa", "0:1:0.5", "--M", "600000"],
+     "truncation half-width M=600000 sums 2M + 1 orders, over the limit of 1000000"),
 ])
 def test_spectrum_helix_refusals_write_nothing(tmp_path, capsys, args, message):
     out = tmp_path / "x.csv"
@@ -424,6 +426,29 @@ def test_trapped_wide_first_interval(tmp_path):
     assert json.loads(_read(out))["intervals"][0] == [1.0, 9.0]
 
 
+def test_trapped_refuses_a_million_intervals(tmp_path, capsys):
+    # kappa_max/Omega = 1e6 sits on the limit, which is refused
+    out = tmp_path / "t.json"
+    assert main(["trapped", "--omega", "3", "--kappa-max", "3e6", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: kappa_max/Omega = 1000000.0 exceeds the limit of "
+                                       "1000000 trapped intervals\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_value_outside_the_contract_exits_one_and_writes_nothing(tmp_path, capsys,
+                                                                   monkeypatch, bad):
+    # only -inf is a sentinel; a table that held nan or +inf is refused
+    # before any byte is written
+    monkeypatch.setattr(cli, "discrete_line_decay", lambda chain, grid: np.full(len(grid), bad))
+    out = tmp_path / "x.csv"
+    assert main(["discrete-line", "--d-over-lambda", "0.05", "--orientation", "par",
+                 "--kappa", "0:1:0.5", "--output", str(out)]) == 1
+    message = f"value {bad!r} violates the finite-or-sentinel contract"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _cap_address_space():
     cap = 768 << 20  # the imports need about 320 MB of address space
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -660,6 +685,11 @@ def test_oracle_flag_validation(tmp_path):
      "at k0 = 6.28319e+160/nm"),
     (["pair", "--s", "1", "--gamma", "1e308"],
      "gamma / (k0 r) overflows at rows 0 and 1, k0 r = 0.0224399"),
+    (["line", "--n", "3", "--s", "1e308"],
+     "spacing = 1e+308 nm is too large: 3 emitters would span 2 times it, beyond double range"),
+    (["helix", "--n", "3", "--R", "1e-300", "--b", "1e-300", "--spacing", "1e10"],
+     "phase step spacing / hypot(radius, pitch / 2 pi) = inf rad is too large: "
+     "3 emitters would span 2 times it, beyond double range"),
 ])
 def test_oracle_overflowing_input_is_refused_without_warnings(tmp_path, capsys, args, message):
     # numpy's RuntimeWarnings are errors under this suite's filterwarnings

@@ -67,18 +67,18 @@ def _mp_lamb(k0d, kappa, perp):
 
 
 def test_decay_single_branch_dense_spacing():
-    # k0 d = 0.1 pi admits only g = 0 at kappa = 0, so both orientations
-    # reduce to 1.5 pi / k0d = 15 exactly
+    # k0 d = 0.1 pi admits only g = 0 at kappa = 0, so the orientations
+    # reduce to 1.5 pi / k0d = 15 and 0.75 pi / k0d = 7.5 exactly
     assert discrete_line_decay(_params(0.1 * math.pi), 0.0) == 15.0
-    assert discrete_line_decay(_params(0.1 * math.pi, perp=True), 0.0) == 15.0
+    assert discrete_line_decay(_params(0.1 * math.pi, perp=True), 0.0) == 7.5
 
 
 def test_decay_three_branch_closed_form():
     # k0 d = 3 pi at kappa = 0 admits g in {-1, 0, 1} with q = 0, +-2/3:
-    # parallel (1/2)(1 + 2(1 - 4/9)) = 19/18, perpendicular 35/18
+    # parallel (1/2)(1 + 2(1 - 4/9)) = 19/18, perpendicular (1/4)(1 + 2(1 + 4/9)) = 35/36
     assert math.isclose(discrete_line_decay(_params(3.0 * math.pi), 0.0), 19.0 / 18.0, rel_tol=1e-14)
     assert math.isclose(
-        discrete_line_decay(_params(3.0 * math.pi, perp=True), 0.0), 35.0 / 18.0, rel_tol=1e-14
+        discrete_line_decay(_params(3.0 * math.pi, perp=True), 0.0), 35.0 / 36.0, rel_tol=1e-14
     )
 
 
@@ -98,12 +98,19 @@ def test_decay_symmetric_in_kappa():
                 assert math.isclose(a, b, rel_tol=5e-15, abs_tol=0.0)
 
 
-def test_decay_perp_dominates_par():
-    for k0d in (0.1 * math.pi, 2.0, 3.0 * math.pi):
-        for kappa in np.arange(0.0, 2.0, 0.03):
-            par = discrete_line_decay(_params(k0d), float(kappa))
-            per = discrete_line_decay(_params(k0d, perp=True), float(kappa))
-            assert per >= par >= 0.0
+def test_decay_dense_chain_is_the_single_branch_form():
+    # at k0 d = 0.1 pi only g = 0 radiates for |kappa| < 2: the parallel rate
+    # is 15 (1 - kappa^2) and the perpendicular 7.5 (1 + kappa^2) on
+    # |kappa| <= 1, both 0 beyond; perp < par wherever kappa^2 < 1/3
+    for kappa in np.arange(-1.98, 2.0, 0.03):
+        kappa = float(kappa)
+        par = discrete_line_decay(_params(0.1 * math.pi), kappa)
+        per = discrete_line_decay(_params(0.1 * math.pi, perp=True), kappa)
+        inside = abs(kappa) <= 1.0
+        assert math.isclose(par, 15.0 * (1.0 - kappa * kappa) if inside else 0.0,
+                            rel_tol=1e-14, abs_tol=0.0), kappa
+        assert math.isclose(per, 7.5 * (1.0 + kappa * kappa) if inside else 0.0,
+                            rel_tol=1e-14, abs_tol=0.0), kappa
 
 
 def test_decay_band_edge_branch_is_clamped():
@@ -111,7 +118,8 @@ def test_decay_band_edge_branch_is_clamped():
     # parallel weight 1 - q^2 vanishes, the perpendicular weight is 2
     d = 0.1 * math.pi
     assert discrete_line_decay(_params(d), 1.0) == 0.0
-    assert math.isclose(discrete_line_decay(_params(d, perp=True), 1.0), 3.0 * math.pi / d, rel_tol=1e-14)
+    assert math.isclose(discrete_line_decay(_params(d, perp=True), 1.0), 3.0 * math.pi / (2.0 * d),
+                        rel_tol=1e-14)
 
 
 def test_decay_peak_grows_as_spacing_shrinks():
@@ -143,7 +151,7 @@ def _reference_decay(params, kappa):
         q = kappa + 2.0 * math.pi * g / d
         q2 = min(q * q, 1.0)
         total += 1.0 - q2 if params.orientation is Orientation.PARALLEL else 1.0 + q2
-    return 1.5 * math.pi * total / d
+    return (1.5 if params.orientation is Orientation.PARALLEL else 0.75) * math.pi * total / d
 
 
 def _reference_zeta(n):
@@ -226,7 +234,8 @@ def test_decay_matches_an_fsum_reference(d_over_lambda):
             g_lo, g_hi = _scalar_window((-1.0 - kappa) * d / (2.0 * math.pi),
                                         (1.0 - kappa) * d / (2.0 * math.pi))
             q2 = [min((kappa + 2.0 * math.pi * g / d) ** 2, 1.0) for g in range(g_lo, g_hi + 1)]
-            want.append(1.5 * math.pi * math.fsum(1.0 + v if perp else 1.0 - v for v in q2) / d)
+            want.append((0.75 if perp else 1.5) * math.pi
+                        * math.fsum(1.0 + v if perp else 1.0 - v for v in q2) / d)
         want = np.array(want)
         got = discrete.discrete_line_decay(p, grid)
         assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
@@ -349,12 +358,7 @@ def test_lamb_orientation_average_is_the_scalar_chain(h):
     assert np.all(np.abs(average - closed) <= 8.0 * np.finfo(float).eps * scale)
 
 
-@pytest.mark.parametrize("perp", [
-    False,
-    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason=(
-        "perpendicular branches carry (3 pi/2 k0d)(1 + q^2), twice the direct "
-        "lattice sum's (3 pi/4 k0d)(1 + q^2), so the mean is 2 (ROADMAP item 2)"))),
-], ids=["par", "perp"])
+@pytest.mark.parametrize("perp", [False, True], ids=["par", "perp"])
 @pytest.mark.parametrize("h", IDENTITY_SPACINGS)
 def test_decay_brillouin_zone_mean_is_the_lone_emitter_rate(h, perp):
     # Each branch q = kappa + 2 pi g/h crosses the light cone once as kappa
@@ -372,10 +376,6 @@ def test_decay_brillouin_zone_mean_is_the_lone_emitter_rate(h, perp):
     assert abs(mean - 1.0) <= bound, (mean, bound)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "perpendicular branches carry (3 pi/2 k0d)(1 + q^2), twice the direct lattice "
-    "sum's (3 pi/4 k0d)(1 + q^2), so the average is (pi/2h)(3 + q^2) per branch "
-    "(ROADMAP item 2)"))
 @pytest.mark.parametrize("h", IDENTITY_SPACINGS)
 def test_decay_orientation_average_is_the_scalar_chain(h):
     # (1/3) G_par + (2/3) G_perp is the scalar kernel e^{ix}/x, whose chain
@@ -1007,6 +1007,20 @@ def test_generator_validation():
         helix_cloud(10, 1.0, -2.0, 0.5)
     with pytest.raises(ValueError, match="spacing"):
         helix_cloud(10, 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: line_cloud(3, 1e308),
+     "spacing = 1e+308 nm is too large: 3 emitters would span 2 times it, beyond double range"),
+    (lambda: helix_cloud(3, 1e-300, 1e-300, 1e10),
+     "phase step spacing / hypot(radius, pitch / 2 pi) = inf rad is too large: "
+     "3 emitters would span 2 times it, beyond double range"),
+], ids=["line-spacing", "helix-phase-step"])
+def test_generators_refuse_a_span_beyond_double_range(make, message):
+    # the span check names the step before any position is formed
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_generators_refuse_a_fractional_count():

@@ -383,15 +383,14 @@ def _reference_fit_all_axes(cloud):
     for row in vt:
         v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
         cand = geomfit._candidate_fit(centered, v0)
-        if cand is None or cand[1][3] == 0.0:
+        if cand is None:
             continue
-        e1_0, e2_0 = geomfit._perp_frame(v0)
-        x, cost, _ = geomfit._refine(geomfit._residuals, geomfit._jacobian,
-                                     np.array([0.0, 0.0, *cand[1]]), (centered, v0, e1_0, e2_0))
+        _, x0, args = cand
+        x, cost, _ = geomfit._refine(geomfit._residuals, geomfit._jacobian, x0, args)
         if best is None or cost < best[0]:
-            best = (cost, x, v0, e1_0, e2_0)
-    _, x, v0, e1_0, e2_0 = best
-    axis = geomfit._frame_of(x, v0, e1_0, e2_0)[0]
+            best = (cost, x, args)
+    _, x, args = best
+    axis = geomfit._frame_of(x, *args[1:])[0]
     slope = x[5]
     hand = Handedness.RIGHT if slope > 0.0 else Handedness.LEFT
     return axis, float(x[4]), float(TWO_PI / abs(slope)), hand
@@ -595,8 +594,7 @@ def test_jacobian_matches_central_differences():
     for cloud in clouds:
         centered = cloud.positions - cloud.positions.mean(axis=0)
         v0 = np.linalg.svd(centered, full_matrices=False)[2][0]
-        args = (centered, v0, *geomfit._perp_frame(v0))
-        c1, c2, radius, slope, phi0 = geomfit._candidate_fit(centered, v0)[1]
+        _, (_, _, c1, c2, radius, slope, phi0), args = geomfit._candidate_fit(centered, v0)
         span = np.ptp(centered @ v0)
         # tilted and off centre, so every link of the chain is live
         params = np.array([0.02 * radius / span, -0.015 * radius / span,
@@ -618,7 +616,7 @@ def test_jacobian_matches_central_differences():
 
 def test_jacobian_is_finite_at_a_point_on_the_axis():
     v0 = np.array([0.0, 0.0, 1.0])
-    e1_0, e2_0 = geomfit._perp_frame(v0)
+    e1_0, e2_0 = np.eye(3)[0], np.eye(3)[1]
     centered = np.vstack([synthetic_helix(3.0, 5.0, 40, turns=4).positions, [0.0, 0.0, 2.5]])
     params = np.array([0.0, 0.0, 0.0, 0.0, 3.0, TWO_PI / 5.0, 0.0])
     assert centered[-1] @ e1_0 == 0.0 and centered[-1] @ e2_0 == 0.0
@@ -654,8 +652,9 @@ def test_fit_matches_the_all_axes_rule_bit_for_bit():
 class _CountingLeastSquares:
     """Wraps geomfit._refine, recording each start axis and cost.
 
-    `starts` keeps every call's (fun, jac, x0, args) and `results` its
-    (x, cost, status), so a test can refine the same starts another way.
+    `starts` keeps every call's (fun, jac, x0, args), `results` its
+    (x, cost, status) and `first_residuals` the residuals of its first
+    evaluation, so a test can refine the same starts another way.
     """
 
     def __init__(self, monkeypatch, inflate_first=None):
@@ -663,12 +662,20 @@ class _CountingLeastSquares:
         self.calls = []
         self.starts = []
         self.results = []
+        self.first_residuals = []
         self.inflate_first = inflate_first
         monkeypatch.setattr(geomfit, "_refine", self)
 
     def __call__(self, fun, jac, x0, args):
         self.starts.append((fun, jac, x0, args))
-        x, cost, status = self.real(fun, jac, x0, args)
+        evaluations = []
+
+        def recorded(x, *args):
+            evaluations.append(fun(x, *args))
+            return evaluations[-1]
+
+        x, cost, status = self.real(recorded, jac, x0, args)
+        self.first_residuals.append(evaluations[0])
         self.results.append((x, cost, status))
         if not self.calls and self.inflate_first is not None:
             cost = self.inflate_first
@@ -718,16 +725,44 @@ def test_levenberg_marquardt_fit_agrees_with_the_trust_region_refinement(monkeyp
 
 
 def _ranked_start_costs(cloud):
-    """n * score of every viable principal-axis start, lowest first."""
+    """_candidate_fit's cost of every viable principal-axis start, lowest first."""
     centered = cloud.positions - cloud.positions.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     costs = []
     for row in vt:
         v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
         cand = geomfit._candidate_fit(centered, v0)
-        if cand is not None and cand[1][3] != 0.0:
-            costs.append(cloud.count * cand[0])
+        if cand is not None:
+            costs.append(cand[0])
     return sorted(costs)
+
+
+def test_start_cost_is_the_cost_refine_starts_from_bit_for_bit(monkeypatch):
+    # an infinite first refined cost makes fit_helix refine a later start too
+    clouds = ([helix_cloud(200, 11.2, 7.8), helix_cloud(150, 11.2, 7.8)]
+              + _bench_style_clouds() + [_jittered(seed) for seed in range(5)])
+    real, refine = geomfit._candidate_fit, geomfit._refine
+    start_costs = {}
+
+    def spy(centered, v0):
+        cand = real(centered, v0)
+        if cand is not None:
+            start_costs[id(cand[2])] = cand[0]
+        return cand
+
+    monkeypatch.setattr(geomfit, "_candidate_fit", spy)
+    refined = []
+    for k, cloud in enumerate(clouds):
+        for inflate_first in (None, math.inf):
+            monkeypatch.setattr(geomfit, "_refine", refine)
+            counter = _CountingLeastSquares(monkeypatch, inflate_first)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FitWarning)
+                fit_helix(cloud)
+            for (_, _, _, args), r in zip(counter.starts, counter.first_residuals):
+                assert start_costs[id(args)] == 0.5 * (r @ r), k
+            refined.append(len(counter.starts))
+    assert min(refined) == 1 and max(refined) >= 2
 
 
 def test_well_posed_fit_refines_one_axis(monkeypatch):
@@ -838,8 +873,7 @@ def test_refine_spends_at_most_its_cap_and_reports_when_it_does(monkeypatch):
     pos = _jittered(7).positions
     centered = pos - pos.mean(axis=0)
     v0 = np.linalg.svd(centered, full_matrices=False)[2][0]
-    x0 = np.array([0.0, 0.0, *geomfit._candidate_fit(centered, v0)[1]])
-    args = (centered, v0, *geomfit._perp_frame(v0))
+    _, x0, args = geomfit._candidate_fit(centered, v0)
     calls = []
 
     def fun(x, *args):
@@ -879,13 +913,13 @@ def test_refine_never_takes_a_step_that_raises_the_cost():
         for row in np.linalg.svd(centered, full_matrices=False)[2]:
             v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
             cand = geomfit._candidate_fit(centered, v0)
-            if cand is None or cand[1][3] == 0.0:
+            if cand is None:
                 continue
+            _, x0, args = cand
             costs.append([])
             evaluations.append(0)
-            x, cost, _ = geomfit._refine(fun, jac, np.array([0.0, 0.0, *cand[1]]),
-                                         (centered, v0, *geomfit._perp_frame(v0)))
-            r = geomfit._residuals(x, centered, v0, *geomfit._perp_frame(v0))
+            x, cost, _ = geomfit._refine(fun, jac, x0, args)
+            r = geomfit._residuals(x, *args)
             assert cost == 0.5 * (r @ r)
             costs[-1].append(cost)
             assert all(b <= a for a, b in zip(costs[-1], costs[-1][1:])), costs[-1]

@@ -125,6 +125,21 @@ def test_per_order_loops_are_refused_before_they_start(call, message):
     assert message in proc.stdout
 
 
+@pytest.mark.parametrize("call, message", [
+    # each of the 200,000 points holds about 2/Omega = 1000 orders, 2e8 in all
+    (lambda: helix_decay_norm(np.linspace(0.0, 1.0, 200_000), HelixSpec(2e-3, 1.0)),
+     "the order windows of 200000 kappa points hold 200000002 orders in all, "
+     "over the limit of 100000000 terms"),
+    # 1,200,001 orders at one kappa, within the term limit
+    (lambda: helix_lamb_norm(0.5, HelixSpec(3.0, 1.0), M=600_000),
+     "truncation half-width M=600000 sums 2M + 1 orders, over the limit of 1000000"),
+], ids=["decay-terms", "lamb-orders"])
+def test_work_limits_refuse_before_any_term_is_formed(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_helix_decay_at_band_edge_is_unity():
     # kappa = 1, Omega = 3: single order m = 0 at zero argument, J_0(0)^2 = 1
     for r in (0.1, 1.0, 7.2):
