@@ -11,8 +11,6 @@ brightest mode up to (and past) the infinite-helix band-edge scale.
 
 import math
 
-import numpy as np
-
 from helirad.discrete import (
     build_scalar_kernel,
     cloud_spectrum,

@@ -15,7 +15,6 @@ import tempfile
 
 import numpy as np
 
-from helirad.discrete import EmitterCloud
 from helirad.geomfit import estimate, fit_helix, line_density, load_emitters, with_density
 from helirad.spectra import EmitterPhysics
 

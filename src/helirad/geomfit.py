@@ -172,20 +172,13 @@ def _circle_fit(u, w):
     a = np.column_stack([2.0 * u, 2.0 * w, np.ones_like(u)])
     rhs = u * u + w * w
     (c1, c2, t), *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    r2 = t + c1 * c1 + c2 * c2
-    if not (r2 > 0.0):
-        return None
-    return c1, c2, math.sqrt(r2)
+    return c1, c2, math.sqrt(t + c1 * c1 + c2 * c2)
 
 
 def _phase_regression(z, phi):
     """Slope and intercept of unwrapped azimuth against axial coordinate."""
     order = np.argsort(z, kind="stable")
-    zs = z[order]
-    if zs[-1] - zs[0] <= 0.0:
-        return None
-    unwrapped = np.unwrap(phi[order])
-    slope, intercept = np.polyfit(zs, unwrapped, 1)
+    slope, intercept = np.polyfit(z[order], np.unwrap(phi[order]), 1)
     return slope, intercept
 
 
@@ -198,22 +191,16 @@ def _candidate_fit(centered, v0):
 
     x0 is the untilted start (0, 0, c1, c2, R, slope, phi0) in the frame
     args = (centered, v0, e1_0, e2_0), and cost = 0.5 |r|^2 with
-    r = _residuals(x0, *args), the cost _refine starts from.  None where the
-    circle, the phase regression or a nonzero slope is out of reach.
+    r = _residuals(x0, *args), the cost _refine starts from.  None for a zero
+    slope; the SVD refusals in fit_helix already rule out a zero axial span
+    and a non-positive circle radius.
     """
     e1, e2 = _complete(v0, np.eye(3)[np.argmin(np.abs(v0))])
     u = centered @ e1
     w = centered @ e2
     z = centered @ v0
-    circ = _circle_fit(u, w)
-    if circ is None:
-        return None
-    c1, c2, radius = circ
-    phi = np.arctan2(w - c2, u - c1)
-    reg = _phase_regression(z, phi)
-    if reg is None:
-        return None
-    slope, phi0 = reg
+    c1, c2, radius = _circle_fit(u, w)
+    slope, phi0 = _phase_regression(z, np.arctan2(w - c2, u - c1))
     if slope == 0.0:
         return None
     x0 = np.array([0.0, 0.0, c1, c2, radius, slope, phi0])
@@ -523,20 +510,6 @@ def line_density(cloud: EmitterCloud, fit: HelixFit) -> float:
     return _density(cloud.count, span, fit.R, fit.b)
 
 
-def _peak_decay(spec: HelixSpec) -> float:
-    """Largest unit-normalised helix decay over the period 1 - Omega <= kappa <= 1.
-
-    The m = 0 band edge kappa = 1 adds J_0(0)^2 = 1 to whatever the other
-    orders in its window give.  For Omega >= 2 no other order there has a
-    nonzero J_m, so the peak is exactly 1 and is returned without forming
-    a Bessel value (_peak_search gives the same bits).  Below 2 the peak
-    is _peak_search's.
-    """
-    if spec.Omega >= 2.0:
-        return 1.0
-    return _peak_search(spec)
-
-
 def _peak_search(spec: HelixSpec) -> float:
     """Largest helix decay over a grid of the period and its band edges.
 
@@ -560,7 +533,7 @@ def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:
     """Dimensionless parameters and the peak-rate estimate for a fitted helix.
 
     The maximally superradiant rate is n0 lambda0 times the peak of the
-    unit-normalised decay (see _peak_decay).  For Omega >= 2 it is exactly
+    unit-normalised decay over the period.  For Omega >= 2 it is exactly
     n0 lambda0, a closed form that loads no scipy module.  Below, other
     orders share the window of the band edge kappa = 1 and a search over
     kappa finds more (1.34 n0 lambda0 at Omega = 1, r = 1.84).  The
@@ -570,12 +543,16 @@ def estimate(fit: HelixFit, physics: EmitterPhysics) -> EstimateReport:
     search's work limit (below about 5.2e-6), is refused with its message.
     """
     omega = physics.lambda0 / fit.b
-    r = physics.k0 * fit.R
+    spec = HelixSpec(omega, physics.k0 * fit.R)
+    # the band edge kappa = 1 gets J_0(0)^2 = 1 from order 0; at Omega >= 2 no
+    # other order in its window has a nonzero J_m, so that is the peak
+    # (_peak_search gives the same bits), formed without a Bessel value
+    peak = 1.0 if omega >= 2.0 else _peak_search(spec)
     trapped = 100.0 * (omega - 2.0) / omega if omega >= 2.0 else 0.0
     return EstimateReport(
         Omega=omega,
-        r=r,
-        gamma_max_over_gamma=fit.n0 * physics.lambda0 * _peak_decay(HelixSpec(omega, r)),
+        r=spec.r,
+        gamma_max_over_gamma=fit.n0 * physics.lambda0 * peak,
         trapped_percent=trapped,
     )
 

@@ -146,14 +146,16 @@ def line_decay_norm(kappa):
 
 
 def line_lamb_norm(kappa):
-    """Normalized line Lamb shift -2 gamma_E - ln|1 - kappa^2|, with libm's log.
+    """Normalized line Lamb shift -2 gamma_E + ln|1 - kappa^2|, with libm's log.
 
-    The kappa = +-1 divergence is reported as the -inf sentinel, matching the
-    sign convention of the helix/cylinder asymptotes.
+    Its kappa-differences are the thin-helix, thin-cylinder and dense
+    scalar-chain limits (pi times the helix and cylinder norms, 2h times the
+    chain's); it falls toward the light line, where kappa = +-1 gives the
+    formula's own limit, the -inf sentinel.
     """
     kappa = _check_kappa(kappa)
     v = np.abs((1.0 - kappa) * (1.0 + kappa))
-    return (-2.0 * EULER_GAMMA - _libm(lambda a: math.log(a) if a else math.inf, v))[()]
+    return (-2.0 * EULER_GAMMA + _libm(lambda a: math.log(a) if a else -math.inf, v))[()]
 
 
 def _order_window(kappa, Omega: float) -> tuple:

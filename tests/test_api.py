@@ -135,3 +135,26 @@ def test_the_package_imports_only_numpy_and_scipy_special():
                 found.update(_imported_module(node, alias) for alias in node.names)
     assert {m for m in found if m.partition(".")[0] not in sys.stdlib_module_names} \
         == {"numpy", "scipy.special"}
+
+
+def _unused_imports(path):
+    """(line, name) of each name the module imports and never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.partition(".")[0], node.lineno)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports are its re-export surface, so it is left out
+    root = PACKAGE.parents[1]
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py"))
+    found = {str(p.relative_to(root)): u for p in paths if (u := _unused_imports(p))}
+    assert found == {}

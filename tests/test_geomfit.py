@@ -162,6 +162,51 @@ def test_fit_rejects_small_and_degenerate_clouds():
         fit_helix(ring_cloud(12, 3.0))
 
 
+def test_circle_and_phase_fits_of_clouds_that_pass_the_svd_refusals():
+    # Past the collinear and coplanar refusals every principal axis leaves
+    # the circle fit a positive radius and the phase regression a positive
+    # axial span, on clouds as close to those refusals as they let through
+    rot = Rotation.from_rotvec([0.3, -1.1, 0.7]).as_matrix()
+    far = np.array([1e6, -1e6, 1e6])
+    thin = [synthetic_helix(3e-6, 7.8, 200, 10, rot=rot),
+            synthetic_helix(3e-7, 7.8, 200, 10, rot=rot),
+            synthetic_helix(1e-6, 100.0, 300, 3, rot=rot)]
+    clouds = thin + [
+        # arcs of under 0.1 turn
+        synthetic_helix(11.2, 7.8, 50, 0.05, rot=rot),
+        synthetic_helix(11.2, 1000.0, 30, 0.09, rot=rot),
+        synthetic_helix(30.0, 2.0, 100, 0.099, rot=rot),
+        # offset by 1e6 nm
+        synthetic_helix(11.2, 7.8, 200, 10, rot=rot, shift=far),
+        synthetic_helix(0.5, 7.8, 200, 3, rot=rot, shift=-far),
+        # N = 8
+        synthetic_helix(11.2, 7.8, 8, 1.5, rot=rot),
+        synthetic_helix(11.2, 7.8, 8, 0.08, rot=rot, shift=far),
+    ]
+    for k, cloud in enumerate(clouds):
+        centered = cloud.positions - cloud.positions.mean(axis=0)
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        assert svals[2] > geomfit._DEGENERACY_RTOL * svals[0], k
+        if k < len(thin):
+            assert 1e-9 < svals[2] / svals[0] < 1e-6, k
+        for row in vt:
+            v0 = -row if row[np.argmax(np.abs(row))] < 0.0 else row
+            e1, e2 = geomfit._complete(v0, np.eye(3)[np.argmin(np.abs(v0))])
+            u, w, z = centered @ e1, centered @ e2, centered @ v0
+            c1, c2, radius = geomfit._circle_fit(u, w)
+            assert math.isfinite(radius) and radius > 0.0, k
+            # the column of ones makes the residuals sum to 0, so R^2 is the
+            # mean squared distance to the centre, up to the least-squares
+            # forward error eps cond(A) in t, c1, c2 (measured below 0.71 of it)
+            a = np.column_stack([2.0 * u, 2.0 * w, np.ones_like(u)])
+            mean2 = np.mean((u - c1) ** 2 + (w - c2) ** 2)
+            scale = radius * radius + c1 * c1 + c2 * c2
+            assert abs(radius * radius - mean2) <= 8.0 * EPS * np.linalg.cond(a) * scale, k
+            assert z.max() - z.min() > 0.0, k
+            slope, phi0 = geomfit._phase_regression(z, np.arctan2(w - c2, u - c1))
+            assert math.isfinite(slope) and math.isfinite(phi0), k
+
+
 def test_fit_warns_on_axial_gap():
     # a missing stretch of the helix makes consecutive retained points
     # advance far more than pi in azimuth across the gap
@@ -265,7 +310,14 @@ def test_peak_closed_form_is_the_searchs_grid_maximum_bitwise(omega, r):
     # kappa = 1, so the search over the period finds exactly J_0(0)^2 = 1;
     # Omega = 2 + 1e-10 is where the order window snaps
     spec = HelixSpec(omega, r)
-    assert geomfit._peak_decay(spec).hex() == geomfit._peak_search(spec).hex() == (1.0).hex()
+    peak = geomfit._peak_search(spec)
+    assert peak.hex() == (1.0).hex()
+    if r > 0.0:
+        # estimate's closed form, through a fit that carries this Omega and r
+        phys = EmitterPhysics(gamma=1.0, lambda0=280.0, n0=1.0)
+        fit = _plain_fit(R=r / phys.k0, b=280.0 / omega, n0=1.58)
+        assert (estimate(fit, phys).gamma_max_over_gamma.hex()
+                == (fit.n0 * phys.lambda0 * peak).hex())
 
 
 def test_estimate_at_omega_two_and_above_forms_no_bessel_value(monkeypatch):
@@ -649,8 +701,12 @@ def test_fit_matches_the_all_axes_rule_bit_for_bit():
         assert (fit.R, fit.b, fit.handedness) == (R, b, hand), seed
 
 
-class _CountingLeastSquares:
-    """Wraps geomfit._refine, recording each start axis and cost.
+# the real _refine, so that counters built one after another never nest
+_REFINE = geomfit._refine
+
+
+class _CountingRefine:
+    """Stands in for geomfit._refine, recording each start axis and cost.
 
     `starts` keeps every call's (fun, jac, x0, args), `results` its
     (x, cost, status) and `first_residuals` the residuals of its first
@@ -658,7 +714,7 @@ class _CountingLeastSquares:
     """
 
     def __init__(self, monkeypatch, inflate_first=None):
-        self.real = geomfit._refine
+        self.real = _REFINE
         self.calls = []
         self.starts = []
         self.results = []
@@ -695,7 +751,7 @@ def _assert_fit_agrees_with_refining_its_starts(monkeypatch, rel_tol, axis_tol, 
     of each start it refined, the lowest-cost solution winning."""
     for seed in range(20):
         cloud = _jittered(seed, sigma=0.05 + 0.01 * (seed % 5))
-        counter = _CountingLeastSquares(monkeypatch)
+        counter = _CountingRefine(monkeypatch)
         fit = fit_helix(cloud)
         best = None
         for fun, jac, x0, args in counter.starts:
@@ -710,6 +766,8 @@ def _assert_fit_agrees_with_refining_its_starts(monkeypatch, rel_tol, axis_tol, 
         assert math.isclose(fit.b, TWO_PI / abs(slope), rel_tol=rel_tol), seed
         assert abs(fit.axis_direction @ axis) > 1.0 - axis_tol, seed
         assert fit.handedness is (Handedness.RIGHT if slope > 0.0 else Handedness.LEFT), seed
+    # each counter wrapped the real _refine, not the counter before it
+    assert geomfit._refine is counter and counter.real is _REFINE
 
 
 def test_exact_jacobian_fit_agrees_with_forward_differences(monkeypatch):
@@ -741,7 +799,7 @@ def test_start_cost_is_the_cost_refine_starts_from_bit_for_bit(monkeypatch):
     # an infinite first refined cost makes fit_helix refine a later start too
     clouds = ([helix_cloud(200, 11.2, 7.8), helix_cloud(150, 11.2, 7.8)]
               + _bench_style_clouds() + [_jittered(seed) for seed in range(5)])
-    real, refine = geomfit._candidate_fit, geomfit._refine
+    real = geomfit._candidate_fit
     start_costs = {}
 
     def spy(centered, v0):
@@ -754,8 +812,7 @@ def test_start_cost_is_the_cost_refine_starts_from_bit_for_bit(monkeypatch):
     refined = []
     for k, cloud in enumerate(clouds):
         for inflate_first in (None, math.inf):
-            monkeypatch.setattr(geomfit, "_refine", refine)
-            counter = _CountingLeastSquares(monkeypatch, inflate_first)
+            counter = _CountingRefine(monkeypatch, inflate_first)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", FitWarning)
                 fit_helix(cloud)
@@ -767,7 +824,7 @@ def test_start_cost_is_the_cost_refine_starts_from_bit_for_bit(monkeypatch):
 
 def test_well_posed_fit_refines_one_axis(monkeypatch):
     for cloud in (synthetic_helix(11.2, 7.8, 200, turns=10), _jittered(5)):
-        counter = _CountingLeastSquares(monkeypatch)
+        counter = _CountingRefine(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit_helix(cloud)
@@ -779,11 +836,11 @@ def test_later_axis_is_refined_while_it_starts_below_the_best(monkeypatch):
     starts = _ranked_start_costs(cloud)
     assert len(starts) == 3
     # a best cost equal to the next start cost stops the loop
-    counter = _CountingLeastSquares(monkeypatch, inflate_first=starts[1])
+    counter = _CountingRefine(monkeypatch, inflate_first=starts[1])
     plain = fit_helix(cloud)
     assert len(counter.calls) == 1
     # one just above it refines the next axis, which then wins
-    counter = _CountingLeastSquares(monkeypatch, inflate_first=starts[1] * (1 + 1e-9))
+    counter = _CountingRefine(monkeypatch, inflate_first=starts[1] * (1 + 1e-9))
     # the true axis lost to an inflated cost, so the winner misfits the cloud
     with pytest.warns(FitWarning, match="exceeds the fitted radius"):
         fit = fit_helix(cloud)
@@ -931,7 +988,7 @@ def test_refine_meets_minpacks_minimum_from_the_same_starts(monkeypatch):
     clouds = _bench_style_clouds() + [_jittered(seed, sigma=0.05 + 0.01 * (seed % 5))
                                       for seed in range(20)]
     for k, cloud in enumerate(clouds):
-        counter = _CountingLeastSquares(monkeypatch)
+        counter = _CountingRefine(monkeypatch)
         fit_helix(cloud)
         for (fun, jac, x0, args), (x, cost, status) in zip(counter.starts, counter.results):
             sol = scipy.optimize.least_squares(fun, x0, jac=jac, args=args, **_LM)
@@ -941,3 +998,4 @@ def test_refine_meets_minpacks_minimum_from_the_same_starts(monkeypatch):
             axis, ref = (geomfit._frame_of(p, *args[1:])[0] for p in (x, sol.x))
             assert 1.0 - abs(axis @ ref) <= 1e-12, k
             assert cost <= sol.cost * (1.0 + 1e-12), k
+    assert geomfit._refine is counter and counter.real is _REFINE

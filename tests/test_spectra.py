@@ -63,8 +63,82 @@ def test_line_lamb_sentinels_at_light_line():
 
 
 def test_line_lamb_zero_crossing():
-    k = math.sqrt(1.0 - math.exp(-2.0 * EULER_GAMMA))
+    # -2 gamma_E + ln|1 - kappa^2| = 0 outside the light line only
+    k = math.sqrt(1.0 + math.exp(2.0 * EULER_GAMMA))
     assert abs(line_lamb_norm(k)) < 1e-12
+
+
+LAMB_LIMIT_KAPPAS = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.2, 1.5, 1.9])
+
+
+def _helix_limit_coefficient(kappa, omega, M):
+    """c with pi dE_helix - dE_line = c r^2 + O(r^4 ln r) at Omega = omega > 1 + |kappa|.
+
+    d is the kappa-difference f(kappa) - f(0).  Only order 0 radiates; the
+    small-argument series pi J_0 Y_0(x) = 2L - L x^2 + x^2/2 with
+    L = ln(x/2) + gamma_E (and -2 I_0 K_0 its continuation past the light
+    line), -2 I_1 K_1(y) = -1 - (y^2/2)(ln(y/2) + gamma_E) + y^2/8 and
+    -2 I_m K_m(y) = -1/|m| + y^2/(2|m|(m^2 - 1)) for |m| >= 2, at
+    x^2 = r^2 (1 - kappa^2) and y^2 = r^2 ((kappa - m omega)^2 - 1), leave
+    r^2 ln r with the coefficient -(1 - kappa^2) - sum_{|m|=1} y^2/(2 r^2)
+    = -omega^2 at every kappa, so it drops out of the difference.
+    """
+    def terms(k):
+        s = 1.0 - k * k
+        c = -0.5 * s * math.log(abs(s)) + 0.5 * s
+        for m in range(-M, M + 1):
+            t = (k - m * omega) ** 2 - 1.0
+            if abs(m) == 1:
+                c += -0.25 * t * math.log(t) + t / 8.0
+            elif m:
+                c += t / (2.0 * abs(m) * (m * m - 1))
+        return c
+    return np.array([terms(k) - terms(0.0) for k in kappa])
+
+
+@pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4])
+def test_line_lamb_is_the_thin_helix_cylinder_and_dense_chain_limit(r):
+    # The line's kappa-differences dE(kappa) = E(kappa) - E(0) are the limits
+    # of three structures of other dimension: pi times a thin helix's
+    # (Omega = 3, M = 10) and the order-0 cylinder's as r -> 0, and 2h times
+    # the scalar chain's (1/(2h)) [ln|2 sin((1+kappa)h/2)| +
+    # ln|2 sin((1-kappa)h/2)|] as h -> 0 (h plays r).  The additive constant
+    # is a convention, so only differences are compared.  Each gap has a
+    # leading term c(kappa) r^2 derived from the small-argument series:
+    # - chain: ln(sin a / a) = -a^2/6 + O(a^4) gives c = -kappa^2/12
+    # - cylinder: the series of _helix_limit_coefficient's order 0 give
+    #   c = kappa^2 (ln(r/2) + gamma_E - 1/2) - (1 - kappa^2) ln|1 - kappa^2|/2
+    # - helix: _helix_limit_coefficient, where the r^2 ln r of orders 0
+    #   and +-1 cancel
+    # The next terms are O(r^4 ln r), below 6 r^4 (1 + |ln r|) at r = 1e-2
+    # and 1e-3, and the differences of values up to 30 in size carry a few
+    # roundings (1.4e-14 measured at 1e-4).  A flipped sign of the line's
+    # log misses by 2 ln|1 - kappa^2|, 0.575 at kappa = 0.5.
+    k = LAMB_LIMIT_KAPPAS
+    line = line_lamb_norm(k) - line_lamb_norm(0.0)
+    spec = HelixSpec(3.0, r)
+    helix = math.pi * (helix_lamb_norm(k, spec, M=10) - helix_lamb_norm(0.0, spec, M=10))
+    cylinder = math.pi * (cylinder_norms(0, k, r)[1] - cylinder_norms(0, 0.0, r)[1])
+
+    def chain(kappa):
+        return (np.log(np.abs(2.0 * np.sin((1.0 + kappa) * r / 2.0)))
+                + np.log(np.abs(2.0 * np.sin((1.0 - kappa) * r / 2.0))))
+
+    log_r = math.log(r / 2.0) + EULER_GAMMA
+    s = 1.0 - k * k
+    leading = {
+        "helix": _helix_limit_coefficient(k, 3.0, 10),
+        "cylinder": k * k * (log_r - 0.5) - 0.5 * s * np.log(np.abs(s)),
+        "chain": -k * k / 12.0,
+    }
+    bound = 20.0 * r**4 * (1.0 + abs(math.log(r))) + 1e-13
+    for name, route in (("helix", helix), ("cylinder", cylinder), ("chain", chain(k) - chain(0.0))):
+        gap = route - line
+        assert np.all(np.abs(gap - leading[name] * r * r) <= bound), (name, gap)
+        # so the gap falls like r^2 (r^2 ln r for the cylinder): with
+        # kappa^2 <= 3.61 every c(kappa) is below 4 ln(2/r), a fall of 70 or
+        # more per decade (measured 1.8e-3, 2.6e-5, 3.4e-7 for the cylinder)
+        assert np.max(np.abs(gap)) <= 4.0 * r * r * math.log(2.0 / r), name
 
 
 def test_line_lamb_even_in_kappa():
