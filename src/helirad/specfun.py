@@ -14,12 +14,27 @@ Two conventions run through everything here:
   finite results, never NaN.  The only such divergence is the m = 0,
   zero-argument product J_0 H_0^(1)(0) = 1 - i*inf.
 
-All functions are pure and hold no mutable state.
+The Bessel values are scipy's ufuncs jv, yv, iv, kv, ive and kve, which
+all live in one extension, scipy/special/_special_ufuncs.  _special loads
+that extension alone.  The scipy.special package pulls in some 300 modules
+(scipy._lib._array_api, numpy.f2py, unittest, email, ...) at about 0.14 s
+and 19 MB of a fresh process; the extension alone takes about 2 ms and
+1 MB.  Its ufuncs are the package's own objects, so every value keeps its
+bits either way.
+
+All functions are pure and hold no mutable state beyond that one cached
+module.
 """
 
 import cmath
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -27,6 +42,56 @@ EULER_GAMMA = 0.5772156649015329
 
 # orders are held as int64 with |m| taken; -2^63 has no int64 magnitude
 _MAX_ORDER = 2**63 - 1
+
+_UFUNCS = ("jv", "yv", "iv", "kv", "ive", "kve")
+_EXTENSION = "scipy.special._special_ufuncs"
+# held from the sys.modules check to the removal, so that a thread never
+# keeps an entry that another thread's load added after its check
+_LOADING = threading.Lock()
+
+
+def _load_extension():
+    """scipy's _special_ufuncs extension, loaded without the scipy package, or None.
+
+    find_spec locates scipy without importing it.  Loading an extension
+    with single-phase init leaves a sys.modules entry under its dotted name;
+    this call removes the entry it added, so that a later `import
+    scipy.special` builds its own `_special_ufuncs` attribute, around the
+    same ufunc objects.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    folder = os.path.join(scipy.submodule_search_locations[0], "special")
+    paths = [os.path.join(folder, "_special_ufuncs" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        return None
+    spec = importlib.util.spec_from_file_location(_EXTENSION, path)
+    with _LOADING:
+        added = _EXTENSION not in sys.modules
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            if added:
+                sys.modules.pop(_EXTENSION, None)
+    return module if all(hasattr(module, name) for name in _UFUNCS) else None
+
+
+@functools.cache
+def _special():
+    """The module whose jv, yv, iv, kv, ive and kve every Bessel value here comes from.
+
+    scipy.special itself once it is imported; else the extension that holds
+    the six ufuncs, loaded alone; else, on a scipy without that extension,
+    scipy.special.
+    """
+    module = sys.modules.get("scipy.special") or _load_extension()
+    if module is None:
+        from scipy import special as module
+    return module
 
 
 def _check_order(m):
@@ -43,8 +108,7 @@ def bessel_j(m: int, x: float) -> float:
     _check_order(m)
     if x < 0.0:
         raise ValueError(f"bessel_j requires x >= 0, got {x}")
-    from scipy import special
-    return float(special.jv(int(m), x))
+    return float(_special().jv(int(m), x))
 
 
 def bessel_y(m: int, x: float) -> float:
@@ -58,8 +122,7 @@ def bessel_y(m: int, x: float) -> float:
     _check_order(m)
     if x <= 0.0:
         raise ValueError(f"bessel_y requires x > 0 (logarithmic divergence at 0), got {x}")
-    from scipy import special
-    return float(special.yv(int(m), x))
+    return float(_special().yv(int(m), x))
 
 
 def bessel_ik(m: int, x: float) -> tuple:
@@ -73,7 +136,7 @@ def bessel_ik(m: int, x: float) -> tuple:
     _check_order(m)
     if x <= 0.0:
         raise ValueError(f"bessel_ik requires x > 0, got {x}")
-    from scipy import special
+    special = _special()
     m = int(m)
     i = float(special.iv(m, x))
     k = float(special.kv(m, x))
@@ -125,7 +188,6 @@ def jh_products(m, x, imaginary) -> tuple:
     and fallback is elementwise, so each element keeps the bits it would get
     alone.
     """
-    from scipy import special
     m = np.asarray(m)
     if m.dtype.kind == "O":  # Python integers past int64, or a mix
         for v in m.flat:
@@ -153,6 +215,7 @@ def jh_products(m, x, imaginary) -> tuple:
     re[zero] = m[zero] == 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         im[zero] = -1.0 / (m[zero] * math.pi)  # -inf at m = 0: the sentinel
+        special = _special()
         j = special.jv(mr, xr)
         p = j * special.yv(mr, xr)
         re[real] = j * j
@@ -168,9 +231,12 @@ def jh_products(m, x, imaginary) -> tuple:
         p[bad] = np.where(mb > 0, -1.0 / (math.pi * np.sqrt(mb * mb - xb * xb)),
                           -(2.0 / math.pi) * _k0_small(xb))
         # at large m, ive underflows to 0 or kve overflows; there I_m K_m is
-        # 1/(2 sqrt(m^2 + x^2)) to O(1/m^2) (A&S 9.7.7-8), and K_0 at m = 0 where I_0 = 1
+        # 1/(2 sqrt(m^2 + x^2)) to O(1/m^2) (A&S 9.7.7-8).  scipy returns nan
+        # past x ~ 1e9 at every m, where the same form holds to O(1/x^2)
+        # (A&S 9.7.1-2), and K_0 at m = 0 where I_0 = 1 below x ~ 1e-307
         bad = ~np.isfinite(q) | (q == 0.0)
-        q[bad] = np.where(mi[bad] > 0, 0.5 / np.hypot(mi[bad], xi[bad]), _k0_small(xi[bad]))
+        q[bad] = np.where((mi[bad] > 0) | (xi[bad] > 1.0), 0.5 / np.hypot(mi[bad], xi[bad]),
+                          _k0_small(xi[bad]))
     im[real] = p
     im[imag] = -(2.0 / math.pi) * q
     return re[inverse].reshape(shape)[()], im[inverse].reshape(shape)[()]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, _libm, jh_products
+from .specfun import EULER_GAMMA, _libm, _special, jh_products
 
 # _bessel_arg zeroes a radicand this close to 0: a band edge up to rounding
 RADICAND_TOL = 1e-14
@@ -214,9 +214,8 @@ def helix_decay_norm(kappa, spec: HelixSpec):
 
     Zero exactly when no order qualifies (the trapped condition).
     """
-    from scipy import special
     return _window_sum(kappa, spec.Omega, lambda k, m: np.square(
-        special.jv(m, _bessel_arg(k, m, spec.Omega, spec.r, True)[0])))
+        _special().jv(m, _bessel_arg(k, m, spec.Omega, spec.r, True)[0])))
 
 
 def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
@@ -225,12 +224,22 @@ def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
     The one place the radicand is formed and its branch chosen: 0 within
     RADICAND_TOL, clamped to >= 0 where `real` holds (m in kappa's order
     window, which may snap it onto a band edge), else imaginary if negative.
+    An argument past double range is refused, naming the first kappa and m
+    where it occurs.
     """
-    u = kappa - m * Omega
-    rad = (1.0 - u) * (1.0 + u)
-    rad[np.abs(rad) <= RADICAND_TOL] = 0.0
-    rad = np.where(real, np.maximum(rad, 0.0), rad)
-    return np.sqrt(np.abs(rad)) * r, rad < 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at r = 0
+        u = kappa - m * Omega
+        rad = (1.0 - u) * (1.0 + u)
+        rad[np.abs(rad) <= RADICAND_TOL] = 0.0
+        rad = np.where(real, np.maximum(rad, 0.0), rad)
+        x = np.sqrt(np.abs(rad)) * r
+    bad = ~np.isfinite(x)
+    if bad.any():
+        k, m, Omega, r = (np.broadcast_to(v, x.shape)[bad][0] for v in (kappa, m, Omega, r))
+        raise ValueError(f"Omega = {Omega}, r = {r}: the Bessel argument "
+                         f"r sqrt|1 - (kappa - m Omega)^2| exceeds double range at "
+                         f"kappa = {k}, m = {m}")
+    return x, rad < 0.0
 
 
 def _jh_sum(kappa, sums) -> np.ndarray:

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from helirad.spectra import (
     line_decay_norm,
     line_lamb_norm,
 )
+
+from .child import child_env
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "helirad"
 SPEC = HelixSpec(Omega=3.0, r=3.0)
@@ -96,6 +99,7 @@ PRIVATE_IMPORTS = {
     ("geomfit", "spectra", "_MAX_TERMS"),
     ("geomfit", "spectra", "_window_orders"),
     ("spectra", "specfun", "_libm"),
+    ("spectra", "specfun", "_special"),
     ("thermal", "spectra", "_check_kappa"),
     ("thermal", "spectra", "_check_radius"),
     ("thermal", "spectra", "_check_truncation"),
@@ -158,3 +162,31 @@ def test_no_module_imports_a_name_it_never_uses():
     paths += sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py"))
     found = {str(p.relative_to(root)): u for p in paths if (u := _unused_imports(p))}
     assert found == {}
+
+
+_PEAK_AFTER = """
+import re, sys
+from helirad.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_a_helix_spectrum_peaks_within_a_few_mb_of_a_line_spectrum(tmp_path):
+    # The helix's Bessel ufuncs come from scipy's one extension, loaded
+    # alone: about 3.5 MB above the line's peak, where the whole
+    # scipy.special package put the helix 22 MB above it.  The child's own
+    # VmHWM is read, because its ru_maxrss would also count the forking
+    # parent's RSS, which is the larger under pytest.
+    def peak(argv):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_AFTER, *argv,
+                               "--output", str(tmp_path / "out.csv")],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.split()[-1])  # KiB
+
+    line = peak(["spectrum", "line", "--kappa", "0:5:0.01"])
+    helix = peak(["spectrum", "helix", "--omega", "3", "--radius", "3", "--kappa", "0:5:0.01"])
+    assert helix - line < 8 * 1024

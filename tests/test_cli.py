@@ -721,6 +721,34 @@ def test_oracle_generator_overflow_is_refused_under_warning_errors(tmp_path, arg
     assert not out.exists()
 
 
+def _bessel_overflow(omega, r, kappa, m):
+    return (f"Omega = {omega}, r = {r}: the Bessel argument r sqrt|1 - (kappa - m Omega)^2| "
+            f"exceeds double range at kappa = {kappa}, m = {m}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "helix", "--omega", "1e308", "--radius", "1", "--kappa", "0:1:0.5"],
+     _bessel_overflow(1e308, 1.0, 0.0, -10)),
+    (["spectrum", "helix", "--omega", "3", "--radius", "1e308", "--kappa", "0:1:0.5"],
+     _bessel_overflow(3.0, 1e308, 0.0, -10)),
+    (["thermal", "--series", "cylinder", "--r", "1e308"], _bessel_overflow(0.0, 1e308, 2.06, 0)),
+    (["thermal", "--series", "helix-fix-omega", "--omega", "1e307", "--r", "1"],
+     _bessel_overflow(1e307, 1.0, 0.0, -10)),
+], ids=["helix-omega", "helix-radius", "thermal-cylinder", "thermal-helix"])
+def test_a_bessel_argument_past_double_range_is_one_error_line(tmp_path, argv, message):
+    # a fresh interpreter with numpy's warnings shown, not raised: the
+    # overflow once printed "warning: overflow encountered in multiply"
+    # ahead of an error that named no input
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-W", "default::RuntimeWarning", "-m", "helirad.cli", *argv,
+         "--output", str(out)],
+        capture_output=True, text=True, env=child_env(PYTHONWARNINGS=""), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_oracle_size_limit_precedes_the_kernel_build(tmp_path, capsys):
     cloud = tmp_path / "big.txt"
     cloud.write_text("".join(f"0 0 {z}\n" for z in range(4001)))
@@ -1003,9 +1031,15 @@ def test_console_script_smoke(tmp_path):
 
 _IMPORT_GUARD = """
 import json, sys
-# scipy and its public subpackages, scipy.version aside (scipy loads it)
-loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
-                        and m.count(".") == 1 and m[6] != "_" and m != "scipy.version")
+def loaded():
+    # every scipy module and numpy.f2py, which only the scipy.special package
+    # loads, plus the module specfun takes its Bessel ufuncs from: loaded
+    # alone, that extension leaves no entry in sys.modules
+    names = {{m for m in sys.modules if m.startswith("scipy") or m == "numpy.f2py"}}
+    specfun = sys.modules.get("helirad.specfun")
+    if specfun and specfun._special.cache_info().currsize:
+        names.add(specfun._special().__name__)
+    return sorted(names)
 import helirad
 steps = [("import helirad", 0, loaded())]
 import helirad.cli
@@ -1031,9 +1065,10 @@ def _import_guard(argvs):
 
 
 def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path):
-    # scipy.special costs about 0.14 s and 20 MB of a fresh process and
-    # loads on the first call that computes with it; the fit's refinement
-    # is numpy's, and estimate's peak rate at Omega >= 2 is a closed form
+    # scipy's Bessel extension costs about 2 ms and 1 MB of a fresh process
+    # (the whole scipy.special package 0.14 s and 19 MB) and loads on the
+    # first call that computes with it; the fit's refinement is numpy's, and
+    # estimate's peak rate at Omega >= 2 is a closed form
     cloud = tmp_path / "h.txt"
     pos = synthetic_helix(11.2, 7.8, 50, turns=3).positions
     cloud.write_text("".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pos))
@@ -1047,7 +1082,7 @@ def test_table_subcommands_do_not_load_the_oracle_and_fit_scipy_modules(tmp_path
         ["oracle", "--generate", "pair", "--s", "100"],
         ["fit-estimate", "--cloud", str(cloud)],  # Omega = 280/7.8 ~ 36
     ]
-    special = ["scipy", "scipy.special"]
+    special = ["scipy.special._special_ufuncs"]
     steps = _import_guard([["--help"], *map(out, scipy_free),
                            out(["spectrum", "helix", "--omega", "3", "--radius", "1",
                                 "--kappa", "0:1:0.5"])])

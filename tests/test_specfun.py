@@ -6,7 +6,10 @@ production code must land within a few ulp of them.
 """
 
 import cmath
+import json
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -22,6 +25,7 @@ from helirad.specfun import (
 )
 
 from . import oracles
+from .child import child_env
 
 
 def _jh(m, x, imaginary=False):
@@ -358,3 +362,80 @@ def test_polylog_rejects_other_orders():
         polylog_unit_circle(4, 0.5)
     with pytest.raises(ValueError):
         polylog_unit_circle(1, 0.5)
+
+
+# A child process, since a module once loaded stays loaded.  It runs the
+# deep-truncation helix golden (orders up to 120) before and after importing
+# scipy.special, and reports which module the Bessel ufuncs came from.
+_ACCESSOR = """
+import hashlib, json, sys
+{setup}
+from helirad import specfun
+from helirad.cli import main
+def digest():
+    assert main(["spectrum", "helix", "--omega", "0.05", "--radius", "3", "--kappa", "0:5:0.01",
+                 "--M", "120", "--output", {out!r}]) == 0
+    with open({out!r}, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+before = digest()
+first = specfun._special()
+package_first = "scipy.special" in sys.modules
+f2py = "numpy.f2py" in sys.modules
+scipy_modules = sorted(m for m in sys.modules if m.startswith("scipy"))
+import scipy.special
+names = ("jv", "yv", "iv", "kv", "ive", "kve")
+print(json.dumps({{
+    "digests": [before, digest()],
+    "package_first": package_first,
+    "is_package": first is scipy.special,
+    "same_ufuncs": all(getattr(first, n) is getattr(scipy.special, n) for n in names),
+    "package_ufuncs": all(getattr(scipy.special._special_ufuncs, n) is getattr(first, n)
+                          for n in names),
+    "f2py": f2py,
+    "scipy_modules": scipy_modules,
+}}))
+"""
+
+DEEP_LAMB = "0612917de573439620efda4c9d7620c8e4d59b66b1d06ec993b12c739d0b18ca"
+
+# eight threads load the extension at once, each past the cache: each may
+# remove only the sys.modules entry it added
+_THREADS = """
+import threading
+from helirad.specfun import _special
+sys.setswitchinterval(1e-6)
+go = threading.Barrier(8)
+threads = [threading.Thread(target=lambda: (go.wait(), _special.__wrapped__()))
+           for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+"""
+
+
+@pytest.mark.parametrize("setup, package", [
+    ("", False),  # the extension alone, then the package around it
+    ("import scipy.special", True),  # the package already loaded
+    # the extension lookup misses, as on a scipy without it
+    ("import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = []", True),
+    # the extension loads but lacks a name the product uses
+    ("import helirad.specfun as s; s._UFUNCS += ('no_such_ufunc',)", True),
+    (_THREADS, False),
+], ids=["extension", "package-first", "no-extension", "missing-ufunc", "threads"])
+def test_bessel_ufuncs_are_scipy_specials_own_however_they_load(tmp_path, setup, package):
+    code = _ACCESSOR.format(setup=setup, out=str(tmp_path / "deep.csv"))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["digests"] == [DEEP_LAMB, DEEP_LAMB]
+    assert got["package_first"] is package and got["is_package"] is package
+    # the package built later keeps its own _special_ufuncs attribute, around
+    # the very ufunc objects the computation used
+    assert got["same_ufuncs"] and got["package_ufuncs"]
+    # numpy.f2py is one of the modules that only the package pulls in, and the
+    # extension alone leaves no scipy module behind
+    assert got["f2py"] is package
+    assert package or got["scipy_modules"] == []

@@ -358,6 +358,40 @@ def test_cylinder_lamb_where_j_underflows():
     assert e == pytest.approx(want, rel=1e-9)
 
 
+def test_cylinder_lamb_where_the_scaled_bessels_are_nan():
+    # scipy's ive and kve are nan past x ~ 1.08e9 at every order; I_0 K_0
+    # there is 1/(2x) to O(1/x^2), where the zero-argument form of K_0 once
+    # gave +14.9 at r = 1e10
+    for n, r in ((0, 1e10), (0, 1e300), (3, 1e10)):
+        x = math.sqrt(2.0**2 - 1.0) * r
+        g, e = cylinder_norms(n, 2.0, r)
+        assert g == 0.0
+        assert e == pytest.approx(-(2.0 / math.pi) / (2.0 * x), rel=1e-15), (n, r)
+
+
+def _overflow(omega, r, kappa, m):
+    return re.escape(f"Omega = {omega}, r = {r}: the Bessel argument r sqrt|1 - (kappa - m "
+                     f"Omega)^2| exceeds double range at kappa = {kappa}, m = {m}")
+
+
+@pytest.mark.parametrize("call, message", [
+    # m Omega overflows at the truncation's first order, m = -M
+    (lambda: helix_lamb_norm([0.0, 0.5], HelixSpec(Omega=1e308, r=1.0)),
+     _overflow(1e308, 1.0, 0.0, -10)),
+    (lambda: helix_lamb_norm([0.5, 0.0], HelixSpec(Omega=3.0, r=1e308), M=2),
+     _overflow(3.0, 1e308, 0.5, -2)),
+    # inf * 0 is nan: refused as well
+    (lambda: helix_lamb_norm([0.0], HelixSpec(Omega=1e308, r=0.0)), _overflow(1e308, 0.0, 0.0, -10)),
+    # sqrt(kappa^2 - 1) r passes 1.8e308 at kappa = 3, not at kappa = 2
+    (lambda: cylinder_norms(0, [0.0, 2.0, 3.0], 1e308), _overflow(0.0, 1e308, 3.0, 0)),
+], ids=["lamb-omega", "lamb-radius", "lamb-radius-zero", "cylinder"])
+def test_a_bessel_argument_past_double_range_is_refused_by_name(call, message):
+    # numpy's RuntimeWarnings are errors under this suite's filterwarnings,
+    # so an overflow warning would end the call before the refusal
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_cylinder_norms_reject_negative_radius():
     for r in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"cylinder radius must be finite and >= 0, got {r}"):

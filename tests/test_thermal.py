@@ -229,6 +229,18 @@ def test_thermal_sweep_refuses_a_series_before_forming_any_term(last, message, m
     assert formed == []
 
 
+@pytest.mark.parametrize("entry, message", [
+    (1e308, "Omega = 0.0, r = 1e+308: the Bessel argument r sqrt|1 - (kappa - m Omega)^2| "
+     "exceeds double range at kappa = 2.06, m = 0"),
+    (HelixSpec(Omega=1e307, r=1.0), "Omega = 1e+307, r = 1.0: the Bessel argument "
+     "r sqrt|1 - (kappa - m Omega)^2| exceeds double range at kappa = 0.0, m = -10"),
+], ids=["cylinder", "helix"])
+def test_thermal_sweep_names_a_bessel_argument_past_double_range(entry, message):
+    # a ValueError, not numpy's overflow warning (an error under this suite)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        thermal_sweep([HelixSpec(Omega=3.0, r=3.0), entry], ThermalConfig())
+
+
 def test_config_defaults_and_validation():
     cfg = ThermalConfig()
     assert (cfg.beta, cfg.kappa_min, cfg.kappa_max, cfg.kappa_step) == (1.0, 0.0, 5.0, 0.01)
