@@ -42,7 +42,7 @@ print(f"R    = {fit.R:8.4f} nm   (true {R_true})")
 print(f"b    = {fit.b:8.4f} nm   (true {b_true})")
 print(f"hand = {fit.handedness.value}")
 print(f"rms  = {fit.rms_residual:.4f} nm")
-print(f"n0   = {fit.n0:.4f} per nm of arc (from the cloud: {line_density(cloud, fit):.4f})")
+print(f"n0   = {fit.n0:.4f} per nm of axis (from the cloud: {line_density(cloud, fit):.4f})")
 
 # Table-style estimate at the tryptophan transition; the density can be
 # overridden when the structure's stoichiometry is known independently

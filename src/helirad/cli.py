@@ -345,7 +345,7 @@ def build_parser():
                    help="Lamb-shift truncation half-width (helix; default 10)")
     _add_lambda0_flag(p)
     p.add_argument("--n0", type=float, default=None,
-                   help="line density in 1/nm (default 1/lambda0)")
+                   help="line density, emitters per nm of axis (default 1/lambda0)")
     _add_output_flag(p)
     p.set_defaults(func=cmd_spectrum, parser=p)
 
@@ -401,7 +401,8 @@ def build_parser():
     _add_lambda0_flag(p)
     # --n0 replaces the fitted density, so the manifest records it as n0_override
     p.add_argument("--n0", type=float, default=None, dest="n0_override",
-                   help="line density in 1/nm replacing the fitted one (default: the fitted)")
+                   help="line density, emitters per nm of axis, replacing the fitted one "
+                        "(default: the fitted)")
     _add_output_flag(p)
     p.set_defaults(func=cmd_fit_estimate, parser=p)
 

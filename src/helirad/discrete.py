@@ -519,9 +519,9 @@ def helix_cloud(count: int, radius: float, pitch: float, spacing: float = 1.0) -
     """count emitters along a right-handed helix, uniform in arc length.
 
     radius and pitch are the usual R and b (nm); spacing is the arc length
-    between consecutive emitters, so the line density is 1/spacing.  The
-    helix winds about the z axis with the middle of the chain at phase 0
-    and height 0.
+    between consecutive emitters, so the axial line density the helix closed
+    form counts is sqrt((2 pi R)^2 + b^2) / (b spacing).  The helix winds
+    about the z axis with the middle of the chain at phase 0 and height 0.
     """
     _check_generator(count, radius=radius, pitch=pitch, spacing=spacing)
     # the arc length bounds the height span, and the phase span is formed below

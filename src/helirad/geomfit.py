@@ -13,8 +13,8 @@ The azimuth unwrapping assumes consecutive points (in axial order) advance
 by less than pi; clouds sampled more coarsely than half a turn per step get
 a FitWarning because the recovered pitch may alias.
 
-Line density is emitters per unit arc length, with arc length per unit
-axial rise sqrt(1 + (2 pi R / b)^2).
+Line density n0 is emitters per nm of axis, the density the helix closed
+form counts: N emitters spread over an axial span hold N - 1 steps of it.
 """
 
 import dataclasses
@@ -65,7 +65,7 @@ class HelixFit:
     phase: float  # azimuth at the axis_point plane, radians
     handedness: Handedness
     rms_residual: float  # root-mean-square point-to-curve distance, nm
-    n0: float  # line density along the fitted curve, nm^-1
+    n0: float  # line density, emitters per nm of the fitted axis
 
     def __post_init__(self):
         axis = np.asarray(self.axis_direction, dtype=float)
@@ -473,8 +473,6 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
             stacklevel=2,
         )
 
-    span = float(z.max() - z.min())
-    pitch = math.tau / abs(slope)
     rms = _point_curve_rms(centered, axis, e1, e2, c1, c2, radius, slope, phi0)
     if rms > radius:
         warnings.warn(
@@ -483,31 +481,29 @@ def fit_helix(cloud: EmitterCloud) -> HelixFit:
             FitWarning,
             stacklevel=2,
         )
-    density = _density(n, span, radius, pitch)
     return HelixFit(
         axis_direction=axis,
         axis_point=centroid + c1 * e1 + c2 * e2,
         R=float(radius),
-        b=float(pitch),
+        b=float(math.tau / abs(slope)),
         phase=float(_wrap(phi0)),
         handedness=Handedness.RIGHT if slope > 0.0 else Handedness.LEFT,
         rms_residual=float(rms),
-        n0=float(density),
+        n0=_density(n, float(z.max() - z.min())),
     )
 
 
-def _density(count, span, radius, pitch):
+def _density(count, span):
+    """(count - 1) / span: the axial density of count evenly spaced emitters."""
     if span <= 0.0:
         raise FitDegeneracyError("zero axial extent; line density is undefined")
-    arc = span * math.sqrt(1.0 + (math.tau * radius / pitch) ** 2)
-    return count / arc
+    return (count - 1) / span
 
 
 def line_density(cloud: EmitterCloud, fit: HelixFit) -> float:
-    """Emitters per unit arc length of the fitted curve across the cloud span."""
+    """Emitters per nm of the fitted axis across the cloud's axial span."""
     z = (cloud.positions - fit.axis_point) @ fit.axis_direction
-    span = float(z.max() - z.min())
-    return _density(cloud.count, span, fit.R, fit.b)
+    return _density(cloud.count, float(z.max() - z.min()))
 
 
 def _peak_search(spec: HelixSpec) -> float:

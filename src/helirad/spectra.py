@@ -32,6 +32,12 @@ from .specfun import EULER_GAMMA, _libm, _special, jh_products
 # _bessel_arg zeroes a radicand this close to 0: a band edge up to rounding
 RADICAND_TOL = 1e-14
 
+# the largest real Bessel argument accepted: up to 2^51 scipy's jv and yv
+# stay within 5e-16 sqrt(2 / (pi x)) of J and Y (mpmath at 60 digits, orders
+# 0, 1, 3 and 10); one part in 1e4 past it they are off by 0.18 of that
+# envelope, and by 1.8 of it at 1e16
+REAL_ARG_MAX = 2.0 ** 51
+
 # relative slack when snapping (kappa -+ 1)/Omega to an integer, keeping
 # ceil/floor consistent with exact arithmetic on decimal inputs
 _SNAP_TOL = 1e-9
@@ -224,8 +230,8 @@ def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
     The one place the radicand is formed and its branch chosen: 0 within
     RADICAND_TOL, clamped to >= 0 where `real` holds (m in kappa's order
     window, which may snap it onto a band edge), else imaginary if negative.
-    An argument past double range is refused, naming the first kappa and m
-    where it occurs.
+    An argument past double range is refused, and then a real one past
+    REAL_ARG_MAX, each naming the first kappa and m where it occurs.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at r = 0
         u = kappa - m * Omega
@@ -233,13 +239,20 @@ def _bessel_arg(kappa, m, Omega: float, r: float, real) -> tuple:
         rad[np.abs(rad) <= RADICAND_TOL] = 0.0
         rad = np.where(real, np.maximum(rad, 0.0), rad)
         x = np.sqrt(np.abs(rad)) * r
-    bad = ~np.isfinite(x)
-    if bad.any():
-        k, m, Omega, r = (np.broadcast_to(v, x.shape)[bad][0] for v in (kappa, m, Omega, r))
-        raise ValueError(f"Omega = {Omega}, r = {r}: the Bessel argument "
-                         f"r sqrt|1 - (kappa - m Omega)^2| exceeds double range at "
-                         f"kappa = {k}, m = {m}")
-    return x, rad < 0.0
+    imaginary = rad < 0.0
+    suspect = ~(x <= REAL_ARG_MAX)  # nan, inf, or past the bound: one pass for all three
+    if suspect.any():
+        overflow = ~np.isfinite(x)
+        past_range = overflow.any()
+        bad = overflow if past_range else suspect & ~imaginary
+        if bad.any():
+            k, m, Omega, r, x = (np.broadcast_to(v, x.shape)[bad][0]
+                                 for v in (kappa, m, Omega, r, x))
+            what = ("the Bessel argument r sqrt|1 - (kappa - m Omega)^2| exceeds double range"
+                    if past_range else f"the real Bessel argument r sqrt(1 - (kappa - m Omega)^2)"
+                    f" = {x} exceeds 2^51, past which J and Y lose accuracy,")
+            raise ValueError(f"Omega = {Omega}, r = {r}: {what} at kappa = {k}, m = {m}")
+    return x, imaginary
 
 
 def _jh_sum(kappa, sums) -> np.ndarray:

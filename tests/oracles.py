@@ -2,14 +2,18 @@
 
 Everything here is computed from scratch at elevated working precision:
 ascending power series for the Bessel family (Abramowitz & Stegun 9.1.10,
-9.1.11, 9.6.10, 9.6.11) and tanh-sinh quadrature of the Clausen-type integral
+9.1.11, 9.6.10, 9.6.11), Hankel's asymptotic expansion for J and Y at large
+arguments (9.2.5-10), and tanh-sinh quadrature of the Clausen-type integral
 representations for the polylogarithms on the unit circle.  mpmath is used
 only as an arbitrary-precision float type; none of its special functions are
 called, so agreement with the production code is a genuine two-route check.
 
 The helix sums get a third, Bessel-free route: the decay rate and the Lamb
 shift are Fourier integrals of the scalar kernel along the helix itself,
-evaluated by numpy quadrature (see `oracle_helix_gamma`).
+evaluated by numpy quadrature (see `oracle_helix_gamma`).  A fourth sums the
+kernel over a discrete screw chain of emitters in position space
+(`lattice_decay_sum`), which fixes the axial line density n0 the closed
+forms count.
 
 The logarithmic series suffer heavy cancellation (the partial sums are as
 large as e^x while K_m(x) itself is as small as e^-x), so every value is
@@ -23,6 +27,9 @@ import numpy as np
 
 _MAX_TERMS = 20000
 _AGREE_DIGITS = 25
+# J and Y switch from the ascending series, whose working precision grows
+# with x, to Hankel's expansion past this argument
+_HANKEL_X = 1e4
 
 
 def _converged(fn, start_dps):
@@ -45,13 +52,41 @@ def _digamma_int(n):
     return acc
 
 
+def _hankel(m, x, dps):
+    """(P cos chi - Q sin chi, P sin chi + Q cos chi) sqrt(2 / (pi x)) at dps digits.
+
+    Hankel's expansion (A&S 9.2.5-10) with chi = x - (m/2 + 1/4) pi: J_m(x)
+    and Y_m(x) for m >= 0.  The terms a_k / x^k fall while k < 2x, so for
+    x > max(_HANKEL_X, m^2) the sum stops below the working precision long
+    before the series turns.
+    """
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        mu = 4 * mp.mpf(m) ** 2
+        term = mp.mpf(1)
+        sums = [mp.mpf(0), mp.mpf(0)]  # P, Q
+        for k in range(_MAX_TERMS):
+            sums[k % 2] += term if k % 4 < 2 else -term
+            term = term * (mu - (2 * k + 1) ** 2) / ((k + 1) * 8 * xm)
+            if abs(term) < mp.eps:
+                break
+        p, q = sums
+        chi = xm - (mp.mpf(m) / 2 + mp.mpf(1) / 4) * mp.pi
+        c, s = mp.cos(chi), mp.sin(chi)
+        env = mp.sqrt(2 / (mp.pi * xm))
+        return env * (p * c - q * s), env * (p * s + q * c)
+
+
 def oracle_j(m, x):
-    """J_m(x) by the ascending power series, as an mpf."""
+    """J_m(x) by the ascending power series, as an mpf; Hankel's expansion
+    past max(_HANKEL_X, m^2)."""
     m = int(m)
     sign = 1
     if m < 0:
         m = -m
         sign = -1 if m % 2 else 1
+    if x > max(_HANKEL_X, m * m):
+        return sign * _converged(lambda dps: _hankel(m, x, dps)[0], 40)
 
     def compute(dps):
         with mp.workdps(dps):
@@ -74,7 +109,8 @@ def oracle_j(m, x):
 
 
 def oracle_y(m, x):
-    """Y_m(x) for x > 0 by the logarithmic series (A&S 9.1.11)."""
+    """Y_m(x) for x > 0 by the logarithmic series (A&S 9.1.11); Hankel's
+    expansion past max(_HANKEL_X, m^2)."""
     m = int(m)
     sign = 1
     if m < 0:
@@ -82,6 +118,8 @@ def oracle_y(m, x):
         sign = -1 if m % 2 else 1
     if x <= 0:
         raise ValueError("series oracle for Y_m needs x > 0")
+    if x > max(_HANKEL_X, m * m):
+        return sign * _converged(lambda dps: _hankel(m, x, dps)[1], 40)
 
     def compute(dps):
         with mp.workdps(dps):
@@ -320,3 +358,25 @@ def oracle_helix_lamb_diff(kappas, kappa_ref, Omega, r):
     of the truncated Bessel sum.
     """
     return -_helix_fourier(kappas, Omega, r, np.cos, kappa_ref)
+
+
+def lattice_decay_sum(kappas, k0, radius, dz, dphi, terms=20000):
+    """Tapered Bloch sum of the scalar decay kernel over a screw chain, per kappa.
+
+    Emitter n sits at azimuth n dphi and height n dz on a helix of the given
+    radius (radius 0: the chain of spacing dz).  Returns
+
+        1 + 2 sum_{n=1}^{terms} w_n sinc(x_n) cos(kappa h n),
+
+    with x_n = k0 sqrt((2 radius sin(n dphi / 2))^2 + (n dz)^2) the k0-scaled
+    distance from emitter 0, h = k0 dz the axial step and the cos^2 taper
+    w_n = cos^2(pi n / (2 (terms + 1))).  The taper turns the conditionally
+    convergent sum into a smooth one.  By Poisson summation the sum equals
+    (pi/h) sum_g gamma_norm(kappa + 2 pi g / h): the closed form counts
+    emitters per unit axial length, n0 = 1/dz.  Plain numpy, no Bessel function.
+    """
+    n = np.arange(1, terms + 1)
+    x = k0 * np.hypot(2.0 * radius * np.sin(0.5 * dphi * n), dz * n)
+    w = np.cos(0.5 * np.pi * n / (terms + 1)) ** 2
+    phase = np.outer(np.asarray(kappas, dtype=float), k0 * dz * n)
+    return 1.0 + 2.0 * np.cos(phase) @ (w * np.sin(x) / x)

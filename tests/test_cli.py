@@ -726,15 +726,24 @@ def _bessel_overflow(omega, r, kappa, m):
             f"exceeds double range at kappa = {kappa}, m = {m}")
 
 
+def _bessel_past_2_51(omega, r, x, kappa, m):
+    return (f"Omega = {omega}, r = {r}: the real Bessel argument r sqrt(1 - (kappa - m Omega)^2) "
+            f"= {x} exceeds 2^51, past which J and Y lose accuracy, at kappa = {kappa}, m = {m}")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "helix", "--omega", "1e308", "--radius", "1", "--kappa", "0:1:0.5"],
      _bessel_overflow(1e308, 1.0, 0.0, -10)),
+    # the decay pass, which runs first, refuses its real argument 1e308 past 2^51
     (["spectrum", "helix", "--omega", "3", "--radius", "1e308", "--kappa", "0:1:0.5"],
-     _bessel_overflow(3.0, 1e308, 0.0, -10)),
+     _bessel_past_2_51(3.0, 1e308, 1e308, 0.0, 0)),
     (["thermal", "--series", "cylinder", "--r", "1e308"], _bessel_overflow(0.0, 1e308, 2.06, 0)),
     (["thermal", "--series", "helix-fix-omega", "--omega", "1e307", "--r", "1"],
      _bessel_overflow(1e307, 1.0, 0.0, -10)),
-], ids=["helix-omega", "helix-radius", "thermal-cylinder", "thermal-helix"])
+    # a finite real argument past 2^51, where scipy's jv and yv lose accuracy
+    (["spectrum", "cylinder", "--radius", "3e15", "--kappa", "0:1:0.5"],
+     _bessel_past_2_51(0.0, 3e15, 3e15, 0.0, 0)),
+], ids=["helix-omega", "helix-radius", "thermal-cylinder", "thermal-helix", "cylinder-past-2^51"])
 def test_a_bessel_argument_past_double_range_is_one_error_line(tmp_path, argv, message):
     # a fresh interpreter with numpy's warnings shown, not raised: the
     # overflow once printed "warning: overflow encountered in multiply"
@@ -888,7 +897,8 @@ def test_fit_estimate_uses_fitted_density_without_override(tmp_path):
     out = tmp_path / "report.txt"
     assert main(["fit-estimate", "--cloud", str(cloud), "--output", str(out)]) == 0
     record = dict(line.split("=", 1) for line in _read(out).splitlines())
-    want_n0 = 200.0 / (10.0 * math.hypot(7.8, 2.0 * math.pi * 11.2))
+    # 199 steps over 10 turns of the axis
+    want_n0 = 199.0 / (10.0 * 7.8)
     assert math.isclose(float(record["n0_per_nm"]), want_n0, rel_tol=1e-9)
     assert math.isclose(
         float(record["gamma_max_over_gamma"]), want_n0 * 280.0, rel_tol=1e-9

@@ -918,21 +918,27 @@ def test_dense_helix_cloud_is_mostly_subradiant():
 
 
 def test_helix_cloud_peak_tracks_infinite_helix_scale():
-    # brightest finite-N mode climbs from below through the infinite-helix
-    # band-edge value n0 lambda0 * decay_norm(1) as the chain lengthens
+    # Gamma_j/(2 gamma) is at most the top eigenvalue of the kernel's Hermitian
+    # part, a Toeplitz section of the lattice sum 1 + 2 sum_n sinc(x_n)
+    # cos(kappa h n) over the axial step h = k0 dz.  That symbol is
+    # (pi/h) sum_g decay_norm(kappa + 2 pi g/h), as test_axial_density holds,
+    # largest at the band edge kappa = 1, where decay_norm is J_0(0)^2 = 1.
+    # The brightest mode climbs toward it as the chain lengthens.
     lam = 1.0
     b = lam / 3.0
     radius = 2.0 / (2.0 * math.pi)
     spacing = 0.05
-    phys = EmitterPhysics(gamma=1.0, lambda0=lam, n0=1.0 / spacing)
-    target = phys.n0 * lam * helix_decay_norm(1.0, HelixSpec(Omega=3.0, r=2.0))
+    phys = EmitterPhysics(gamma=1.0, lambda0=lam, n0=1.0)
+    h = phys.k0 * spacing * b / math.hypot(2.0 * math.pi * radius, b)
+    zone = np.append(np.linspace(0.0, math.pi / h, 601), 1.0)
+    spec = HelixSpec(Omega=3.0, r=2.0)
+    bound = math.pi / h * max(sum(helix_decay_norm(zone + 2.0 * math.pi * g / h, spec)
+                                  for g in range(-3, 4)))
     peaks = []
     for n in (60, 160, 400):
         sp = oracle_spectrum(build_scalar_kernel(helix_cloud(n, radius, b, spacing), phys))
         peaks.append(sp.gamma_j.max() / (2.0 * phys.gamma))
-    assert peaks[0] < peaks[1] < peaks[2]
-    assert peaks[0] < target < 1.5 * target
-    assert 0.7 * target < peaks[2] < 1.5 * target
+    assert peaks[0] < peaks[1] < peaks[2] < bound
 
 
 # ---------------------------------------------------------------- generators

@@ -107,8 +107,8 @@ def test_fit_exact_synthetic_roundtrip(tmp_path):
     assert fit.rms_residual < 1e-9
     assert fit.handedness is Handedness.RIGHT
     assert abs(fit.axis_direction @ [0.0, 0.0, 1.0]) > 1.0 - 1e-9
-    # 200 points across exactly 10 turns of helical arc
-    want_n0 = 200.0 / (10.0 * math.hypot(7.8, TWO_PI * 11.2))
+    # 200 points, 199 steps, across exactly 10 turns of the axis
+    want_n0 = 199.0 / (10.0 * 7.8)
     assert math.isclose(fit.n0, want_n0, rel_tol=1e-9)
     assert math.isclose(line_density(cloud, fit), want_n0, rel_tol=1e-9)
 
@@ -225,8 +225,8 @@ def test_fit_warns_on_axial_gap():
 def test_line_density_straight_line_limit():
     cloud = line_cloud(40, 0.5)
     fit = _plain_fit(R=1e-12, b=5.0)
-    # arc factor sqrt(1 + (2 pi R / b)^2) -> 1, so n0 -> N / axial span
-    assert math.isclose(line_density(cloud, fit), 40.0 / 19.5, rel_tol=1e-12)
+    # 39 steps over the axial span 19.5: the line's 1/spacing
+    assert math.isclose(line_density(cloud, fit), 39.0 / 19.5, rel_tol=1e-12)
 
 
 def test_line_density_linear_in_count():
@@ -234,7 +234,8 @@ def test_line_density_linear_in_count():
     dense = synthetic_helix(11.2, 7.8, 400, turns=10)
     sparse = synthetic_helix(11.2, 7.8, 200, turns=10)
     ratio = line_density(dense, fit) / line_density(sparse, fit)
-    assert math.isclose(ratio, 2.0, rel_tol=1e-12)
+    # both clouds span the same 10 turns, end points included: 399 steps against 199
+    assert math.isclose(ratio, 399.0 / 199.0, rel_tol=1e-12)
 
 
 def test_line_density_rejects_zero_span():

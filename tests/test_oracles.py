@@ -3,10 +3,14 @@
 These literals were produced by the oracle itself at adoption time, after it
 was validated against closed forms, and guard against silent regressions in
 the series code.  The series checks run at high precision through mpmath;
-the last tests hold the production helix sums to the Bessel-free quadrature.
+the last tests hold the production helix sums to the Bessel-free quadrature,
+and the lattice sum of a chain to its closed symbol.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 import pytest
 
 from helirad.spectra import HelixSpec, helix_decay_norm, helix_lamb_norm
@@ -23,6 +27,14 @@ BESSEL_PINS = [
     ("y", 0, 0.5, "-0.444518733506706557148398475068332"),
     ("y", 3, 0.7, "-15.8194790528196363840036883057047"),
     ("y", 7, 13.3, "-0.0582292704834173807515860587411318"),
+    # Hankel's expansion, past _HANKEL_X; these match mpmath's besselj and
+    # bessely at 50 digits
+    ("j", 0, 2.0**51 - 1, "1.23426289481281910762067901268682e-8"),
+    ("j", 10, 2.0**51 - 1, "-1.23426289481284446113633919738192e-8"),
+    ("j", 3, 15000.0, "-6.1855581521526307407590022320724e-3"),
+    ("y", 0, 2.0**51 - 1, "-1.14182083679741119954890539754233e-8"),
+    ("y", 10, 2.0**51 - 1, "1.14182083679738379340722016346501e-8"),
+    ("y", 3, 15000.0, "2.04455113152612549003649388145248e-3"),
     ("i", 0, 1.0, "1.26606587775200833559824462521472"),
     ("i", 5, 2.2, "0.0163735913821605180673748171827214"),
     ("i", 13, 60.0, "1432433078591074887855133.98995533"),
@@ -132,3 +144,17 @@ def test_helix_quadrature_rejects_band_edges():
         oracles.oracle_helix_gamma([2.0], 3.0, 0.5)
     with pytest.raises(ValueError, match="band edge"):
         oracles.oracle_helix_lamb_diff([0.3], 3.95, 3.0, 0.5)
+
+
+@pytest.mark.parametrize("h", [0.3, 4.0], ids=["dense", "sparse"])
+def test_lattice_sum_of_a_chain_is_pi_over_h_per_radiating_branch(h):
+    # radius 0 is the chain of spacing h / k0: its scalar decay symbol is pi/h
+    # on each branch q = kappa + 2 pi g/h with |q| <= 1, as the orientation
+    # average of the dipole chains states
+    kappa = np.linspace(-math.pi / h, math.pi / h, 21)
+    q = kappa + 2.0 * math.pi * np.arange(-3, 4)[:, None] / h
+    # the taper smooths the step at a light line, so stay clear of them
+    clear = np.min(np.abs(np.abs(q) - 1.0), axis=0) > 0.02
+    branches = np.count_nonzero(np.abs(q[:, clear]) <= 1.0, axis=0)
+    got = oracles.lattice_decay_sum(kappa[clear], 1.0, 0.0, h, 0.0)
+    assert np.max(np.abs(got * h / math.pi - branches)) < 1e-6

@@ -374,6 +374,12 @@ def _overflow(omega, r, kappa, m):
                      f"Omega)^2| exceeds double range at kappa = {kappa}, m = {m}")
 
 
+def _past_2_51(omega, r, x, kappa, m):
+    return re.escape(f"Omega = {omega}, r = {r}: the real Bessel argument r sqrt(1 - (kappa - m "
+                     f"Omega)^2) = {x} exceeds 2^51, past which J and Y lose accuracy, at "
+                     f"kappa = {kappa}, m = {m}")
+
+
 @pytest.mark.parametrize("call, message", [
     # m Omega overflows at the truncation's first order, m = -M
     (lambda: helix_lamb_norm([0.0, 0.5], HelixSpec(Omega=1e308, r=1.0)),
@@ -384,12 +390,34 @@ def _overflow(omega, r, kappa, m):
     (lambda: helix_lamb_norm([0.0], HelixSpec(Omega=1e308, r=0.0)), _overflow(1e308, 0.0, 0.0, -10)),
     # sqrt(kappa^2 - 1) r passes 1.8e308 at kappa = 3, not at kappa = 2
     (lambda: cylinder_norms(0, [0.0, 2.0, 3.0], 1e308), _overflow(0.0, 1e308, 3.0, 0)),
-], ids=["lamb-omega", "lamb-radius", "lamb-radius-zero", "cylinder"])
+    # a finite real argument past 2^51, where scipy's jv and yv lose accuracy
+    (lambda: helix_decay_norm([0.0, 0.5], HelixSpec(Omega=3.0, r=3e15)),
+     _past_2_51(3.0, 3e15, 3e15, 0.0, 0)),
+    # the imaginary orders -2, -1, 1 and 2 keep their finite arguments
+    (lambda: helix_lamb_norm([0.5], HelixSpec(Omega=3.0, r=3e15), M=2),
+     _past_2_51(3.0, 3e15, math.sqrt(0.75) * 3e15, 0.5, 0)),
+    # kappa = 2 is past the light line, where I K has no such bound
+    (lambda: cylinder_norms(3, [2.0, 0.0], np.nextafter(2.0**51, math.inf)),
+     _past_2_51(0.0, np.nextafter(2.0**51, math.inf), np.nextafter(2.0**51, math.inf), 0.0, 0)),
+], ids=["lamb-omega", "lamb-radius", "lamb-radius-zero", "cylinder", "decay-past-2^51",
+        "lamb-past-2^51", "cylinder-past-2^51"])
 def test_a_bessel_argument_past_double_range_is_refused_by_name(call, message):
     # numpy's RuntimeWarnings are errors under this suite's filterwarnings,
     # so an overflow warning would end the call before the refusal
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 10])
+def test_cylinder_norms_at_the_real_argument_bound_match_the_oracle(m):
+    # the last arguments scipy's jv and yv get right, to 5e-16 of the
+    # envelope sqrt(2 / (pi x)) of J and Y; 2^51 itself is accepted
+    for x in (2.0**51 - 1.0, 2.0**51):
+        g, e = cylinder_norms(m, [0.0], x)
+        j, y = oracles.oracle_j(m, x), oracles.oracle_y(m, x)
+        envelope = 2.0 / (math.pi * x)
+        assert abs(g[0] - float(j * j)) <= 1e-15 * envelope, x
+        assert abs(e[0] - float(j * y)) <= 1e-15 * envelope, x
 
 
 def test_cylinder_norms_reject_negative_radius():
